@@ -309,10 +309,3 @@ def tls_metadata(g: TlsGraph) -> dict:
 def write_tls_metadata(g: TlsGraph, path) -> None:
     with open(path, "w") as fh:
         json.dump(tls_metadata(g), fh)
-
-
-def vertex_set_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask

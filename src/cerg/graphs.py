@@ -3,7 +3,8 @@
 Each vertex row is one Python integer whose bit j is set iff j is a
 neighbour; row intersections and neighbourhood sizes are then single
 bit-operations on machine words.  For matrix work the adjacency is
-exported once to a cached numpy int64 array.
+exported once to a cached numpy int64 array, and `regularity.powers`
+caches its exact powers on the graph as well.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _bits(x: int):
 class Graph:
     """Loop-free undirected graph; immutable after construction."""
 
-    __slots__ = ("n", "_rows", "labels", "_matrix")
+    __slots__ = ("n", "_rows", "labels", "_matrix", "_powers")
 
     def __init__(self, n: int, rows, labels=None):
         if n < 0 or n > MAX_VERTICES:
@@ -59,6 +60,7 @@ class Graph:
         self._rows = rows
         self.labels = tuple(labels) if labels is not None else None
         self._matrix = None
+        self._powers = None
 
     # -- constructors
 
@@ -214,20 +216,6 @@ def local_graph(g: Graph, x: int) -> Graph:
     rows = [0] * len(verts)
     for i, v in enumerate(verts):
         for u in _bits(g.row(v) & g.row(x)):
-            rows[i] |= 1 << pos[u]
-    labels = [g.labels[v] for v in verts] if g.labels else None
-    return Graph(len(verts), rows, labels)
-
-
-def induced_subgraph(g: Graph, verts) -> Graph:
-    verts = list(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    vmask = 0
-    for v in verts:
-        vmask |= 1 << v
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in _bits(g.row(v) & vmask):
             rows[i] |= 1 << pos[u]
     labels = [g.labels[v] for v in verts] if g.labels else None
     return Graph(len(verts), rows, labels)

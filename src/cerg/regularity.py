@@ -2,17 +2,19 @@
 weak/strong constants, Hoffman bounds, equitable partitions, and
 association-scheme axioms.
 
-Everything reduces to integer matrix products (entries stay far below
-2^63 at the enforced vertex ceiling) plus elementwise comparisons, so
-all reported constants are exact.  Pair scans accept a thread count and
-produce thread-count-independent results.
+Everything reduces to integer matrix products plus elementwise
+comparisons.  The one product kernel, `exact_matmul`, runs float64 BLAS
+under the bound inner_dim * max|X| * max|Y| < 2^53, so every partial sum
+is an integer float64 holds exactly, whatever the summation order or
+thread count; past the bound it raises `ExactnessBoundExceeded`.  Each
+graph's powers are computed once, in the `Powers` cache.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -57,15 +59,99 @@ class PreconditionFailed(ValueError):
         self.which = which
 
 
-def matmul_chunked(a: np.ndarray, b: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Row-chunked exact int64 product; identical output for any thread count."""
-    if not threads or threads <= 1 or a.shape[0] < 2 * threads:
-        return a @ b
-    bounds = np.linspace(0, a.shape[0], threads + 1, dtype=int)
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(threads) if bounds[i] < bounds[i + 1]]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda c: a[c[0] : c[1]] @ b, chunks))
-    return np.vstack(parts)
+class ExactnessBoundExceeded(ValueError):
+    """An integer product or combination could leave its exact range."""
+
+
+def _absmax(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for integer matrices, exactly, as int64 through float64 BLAS;
+    raises `ExactnessBoundExceeded` unless inner_dim*max|x|*max|y| < 2^53."""
+    bound = x.shape[1] * _absmax(x) * _absmax(y)
+    if bound >= 2**53:
+        raise ExactnessBoundExceeded(
+            f"product bound {bound} is not below 2^53; float64 BLAS would round"
+        )
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+@dataclass(eq=False)
+class Powers:
+    """Lazily memoised exact powers of one graph's adjacency matrix A.
+
+    ``lam`` is A∘A², which holds lambda(x, y) on edges and 0 elsewhere;
+    ``lam_sums`` is (A∘A²)A, whose (x, y) entry sums lambda(x, z) over
+    the common neighbours z of x and y.  Every cached array is shared by
+    all callers and read-only.  Obtain it with `powers`.
+    """
+
+    a: np.ndarray
+
+    @cached_property
+    def a2(self) -> np.ndarray:
+        return _frozen(exact_matmul(self.a, self.a))
+
+    @cached_property
+    def a3(self) -> np.ndarray:
+        return _frozen(exact_matmul(self.a2, self.a))
+
+    @cached_property
+    def a4(self) -> np.ndarray:
+        return _frozen(exact_matmul(self.a2, self.a2))
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return _frozen(self.a * self.a2)
+
+    @cached_property
+    def lam_sums(self) -> np.ndarray:
+        return _frozen(exact_matmul(self.lam, self.a))
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Strict upper triangle: each unordered pair once."""
+        return _frozen(np.triu(np.ones(self.a.shape, dtype=bool), 1))
+
+    def pairs(self, adjacent: bool) -> np.ndarray:
+        """Mask of the adjacent (or non-adjacent) unordered pairs."""
+        return (self.a == int(adjacent)) & self.upper
+
+    def combination(self, coeffs, j_coeff=0) -> np.ndarray:
+        """sum_j coeffs[j] A^j + j_coeff J in int64 (coeffs ascending, j <= 4).
+
+        Refuses, before any work, a combination whose entries could
+        reach 2^63 in absolute value.
+        """
+        c0, j_coeff = int(coeffs[0]), int(j_coeff)
+        terms = [
+            (int(c), getattr(self, "a" if j == 1 else f"a{j}"))
+            for j, c in enumerate(coeffs) if j and c
+        ]
+        bound = abs(c0) + abs(j_coeff) + sum(abs(c) * _absmax(m) for c, m in terms)
+        if bound >= 2**63:
+            raise ExactnessBoundExceeded(
+                f"combination bound {bound} is not below 2^63; int64 would wrap"
+            )
+        out = np.full(self.a.shape, j_coeff, dtype=np.int64)
+        for c, m in terms:
+            out += c * m
+        out.flat[:: len(out) + 1] += c0
+        return out
+
+
+def powers(g: Graph) -> Powers:
+    """The graph's `Powers`, created on first use and cached on the graph."""
+    if g._powers is None:
+        g._powers = Powers(g.adjacency_matrix())
+    return g._powers
 
 
 def _multiset(values: np.ndarray) -> dict[int, int]:
@@ -109,24 +195,14 @@ class RegularityProfile:
         }
 
 
-def _pair_values(g: Graph, threads=None):
-    """(A, A @ A, upper-triangle masks) shared by the checkers."""
-    a = g.adjacency_matrix()
-    a2 = matmul_chunked(a, a, threads)
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
-    adj = (a == 1) & upper
-    nonadj = (a == 0) & upper
-    return a, a2, adj, nonadj
-
-
 def profile(g: Graph, threads: int | None = None) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
     regularity constants filled in whenever they are defined."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
-    a, a2, adj, nonadj = _pair_values(g, threads)
-    lam = _multiset(a2[adj])
-    mu = _multiset(a2[nonadj])
+    p = powers(g)
+    lam = _multiset(p.a2[p.pairs(True)])
+    mu = _multiset(p.a2[p.pairs(False)])
     regular, k = g.is_regular()
     prof = RegularityProfile(
         n=g.n,
@@ -140,13 +216,13 @@ def profile(g: Graph, threads: int | None = None) -> RegularityProfile:
     if regular and mu_constant:
         prof.level_co_edge = len(lam)
         prof.mu = next(iter(mu), None)
-        strong = strong_co_edge_regular(g, threads=threads, _pre=(a, a2))
+        strong = strong_co_edge_regular(g, threads=threads)
         if strong.ok:
             prof.gamma = strong.gamma
     if regular and lam_constant:
         prof.level_edge = len(mu)
     if regular:
-        weak = weak_edge_regular(g, threads=threads, _pre=(a, a2))
+        weak = weak_edge_regular(g, threads=threads)
         if weak.ok and weak.alpha is not None:
             prof.alpha = weak.alpha
             prof.beta = weak.beta
@@ -164,27 +240,21 @@ class StrongReport:
         return self.ok
 
 
-def strong_co_edge_regular(g: Graph, threads=None, _pre=None) -> StrongReport:
+def strong_co_edge_regular(g: Graph, threads=None) -> StrongReport:
     """The constant gamma = sum of lambda(x, z) over common neighbours of
     each non-adjacent pair, or a witness of two differing sums."""
-    if _pre is None:
-        a = g.adjacency_matrix()
-        a2 = matmul_chunked(a, a, threads)
-    else:
-        a, a2 = _pre
     regular, _ = g.is_regular()
     if not regular:
         raise NotCoEdgeRegular("graph is not regular")
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
-    nonadj = (a == 0) & upper
+    p = powers(g)
+    nonadj = p.pairs(False)
     if not nonadj.any():
         return StrongReport(True, None, None)  # complete: vacuous
-    mu_vals = a2[nonadj]
+    mu_vals = p.a2[nonadj]
     if mu_vals.min() != mu_vals.max():
         raise NotCoEdgeRegular("mu is not constant over non-adjacent pairs")
     mu = int(mu_vals[0])
-    lam_matrix = a * a2
-    sums = matmul_chunked(lam_matrix, a, threads)
+    sums = p.lam_sums
     if not np.array_equal(sums[nonadj], sums.T[nonadj]):
         idx = np.argwhere(nonadj & (sums != sums.T))[0]
         return StrongReport(
@@ -202,18 +272,17 @@ def strong_co_edge_regular(g: Graph, threads=None, _pre=None) -> StrongReport:
     if vals.min() == vals.max():
         return StrongReport(True, mu, int(vals[0]))
     coords = np.argwhere(nonadj)
-    flat = vals
-    lo = int(np.argmin(flat))
-    hi = int(np.argmax(flat))
+    lo = int(np.argmin(vals))
+    hi = int(np.argmax(vals))
     return StrongReport(
         False,
         mu,
         None,
         witness={
             "pair": tuple(int(v) for v in coords[lo]),
-            "sum": int(flat[lo]),
+            "sum": int(vals[lo]),
             "other_pair": tuple(int(v) for v in coords[hi]),
-            "other_sum": int(flat[hi]),
+            "other_sum": int(vals[hi]),
         },
     )
 
@@ -230,29 +299,22 @@ class WeakReport:
         return self.ok
 
 
-def weak_edge_regular(g: Graph, threads=None, _pre=None) -> WeakReport:
+def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
     """Exact rational fit of alpha * lambda(x,y) = sum + beta over edges.
 
     With two distinct lambda values present the solution is unique; with
     constant lambda every alpha works and the one-parameter family
     (lambda0, sum0) with beta = alpha*lambda0 - sum0 is reported.
     """
-    if _pre is None:
-        a = g.adjacency_matrix()
-        a2 = matmul_chunked(a, a, threads)
-    else:
-        a, a2 = _pre
     regular, _ = g.is_regular()
     if not regular:
         raise NotRegular("graph is not regular")
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
-    adj = (a == 1) & upper
+    p = powers(g)
+    adj = p.pairs(True)
     if not adj.any():
         return WeakReport(True, None, None, family=(0, 0))
-    lam_matrix = a * a2
-    sums = matmul_chunked(lam_matrix, a, threads)
-    lam_vals = a2[adj]
-    sum_vals = sums[adj]
+    lam_vals = p.a2[adj]
+    sum_vals = p.lam_sums[adj]
     lam_min, lam_max = int(lam_vals.min()), int(lam_vals.max())
     if lam_min == lam_max:
         if int(sum_vals.min()) == int(sum_vals.max()):
@@ -415,7 +477,7 @@ def equitable_check(g: Graph, parts) -> EquitableReport:
     indicator = np.zeros((g.n, m), dtype=np.int64)
     for j, p in enumerate(parts):
         indicator[p, j] = 1
-    counts = a @ indicator
+    counts = exact_matmul(a, indicator)
     quotient = []
     for i, p in enumerate(parts):
         block = counts[p]
@@ -473,7 +535,7 @@ def scheme_check(relations, threads=None) -> AssociationSchemeReport:
     table = {}
     for i in range(d + 1):
         for j in range(i, d + 1):
-            prod = matmul_chunked(mats[i], mats[j], threads)
+            prod = exact_matmul(mats[i], mats[j])
             for h in range(d + 1):
                 sel = mats[h] == 1
                 vals = prod[sel]

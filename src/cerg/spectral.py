@@ -3,8 +3,11 @@
 A claimed spectrum is accepted only when (a) the product of the
 nontrivial factors (A - theta_i I) equals ell*J entrywise, (b) no
 drop-one sub-product already lands on a multiple of J, and (c) the
-moment equations sum m_i theta_i^j = tr A^j hold for j = 0..d.  All of
-it runs in integer arithmetic; rational claims are cleared by scaling.
+moment equations sum m_i theta_i^j = tr A^j hold for j = 0..d.  Claimed
+eigenvalues must be integers (the only rational roots of A's monic
+integer characteristic polynomial), so every product of factors is an
+integer polynomial in A and is formed as a combination of the graph's
+cached exact powers (`regularity.powers`).
 
 The characteristic polynomial oracle is exact as well: it reduces the
 matrix mod a fixed sequence of 26-bit primes, takes the Hessenberg char
@@ -23,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .regularity import NotEdgeRegular, NotRegular, matmul_chunked, profile
+from .regularity import NotEdgeRegular, NotRegular, powers, profile
 
 
 class Disconnected(ValueError):
@@ -67,7 +70,6 @@ class TooLarge(ValueError):
 
 
 CHAR_POLY_MAX_N = 512
-_INT64_SAFE = 2**62
 
 
 def _as_fraction_pairs(claimed):
@@ -77,27 +79,6 @@ def _as_fraction_pairs(claimed):
     if any(m < 1 for _, m in pairs):
         raise ValueError("multiplicities must be positive")
     return pairs
-
-
-def _exact_matmul(x, y):
-    """Integer matrix product, escaping to Python ints if int64 could wrap."""
-    n = x.shape[0]
-    if x.dtype == np.int64 and y.dtype == np.int64:
-        bx = int(np.abs(x).max(initial=0))
-        by = int(np.abs(y).max(initial=0))
-        if n * bx * by < _INT64_SAFE:
-            return x @ y
-    return x.astype(object) @ y.astype(object)
-
-
-def _scaled_factor(a, theta: Fraction):
-    """den*A - num*I as an exact integer matrix."""
-    n = a.shape[0]
-    m = a * theta.denominator
-    idx = np.arange(n)
-    m = m.copy()
-    m[idx, idx] -= theta.numerator
-    return m
 
 
 @dataclass
@@ -136,28 +117,37 @@ def claim_from_json(obj) -> list[tuple[Fraction, int]]:
     return list(zip(eigs, (int(m) for m in obj["mults"])))
 
 
-def _traces(g: Graph, up_to: int, threads=None) -> list[int]:
+def _traces(g: Graph, up_to: int) -> list[int]:
     """[tr A^0, ..., tr A^up_to] exactly (up_to <= 4)."""
-    a = g.adjacency_matrix()
-    out = [g.n, 0]
-    if up_to >= 2:
-        out.append(int(a.sum()))
+    p = powers(g)
+    out = [g.n, 0, int(p.a.sum())]
     if up_to >= 3:
-        a2 = matmul_chunked(a, a, threads)
-        out.append(int((a2 * a).sum()))
+        out.append(int(p.lam.sum()))
     if up_to >= 4:
-        out.append(int((a2 * a2).sum()))
+        out.append(int((p.a2 * p.a2).sum()))
     return out[: up_to + 1]
 
 
 def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificate:
-    """Accept a claimed spectrum or raise with an exact witness."""
+    """Accept a claimed spectrum or raise with an exact witness.
+
+    A's characteristic polynomial is monic with integer coefficients, so
+    its rational roots are integers: a claimed eigenvalue with a
+    denominator > 1 is rejected up front with `ClaimInvalid`.  Once the
+    moments pass, every |theta_i| <= sqrt(n k) (sum m_i theta_i^2 = n k
+    with every m_i >= 1; for d = 1 the first moment gives <= k), which
+    bounds the coefficients of each product of factors, formed as
+    sum c_j A^j from the cached powers.  ``threads`` is unused: the
+    products thread inside BLAS.
+    """
     regular, k = g.is_regular()
     if not regular:
         raise NotRegular("certify needs a regular graph")
     if not g.is_connected():
         raise Disconnected("certify needs a connected graph")
     pairs = _as_fraction_pairs(claimed)
+    if any(t.denominator != 1 for t, _ in pairs):
+        raise ClaimInvalid("claimed eigenvalues must be integers: A's char poly is monic over Z")
     if sum(m for _, m in pairs) != g.n:
         raise MomentMismatch(0, g.n, sum(m for _, m in pairs))
     theta0, m0 = pairs[0]
@@ -171,7 +161,7 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
         raise WrongEigenvalueCount("more than 5 distinct eigenvalues is out of scope")
 
     # moments j = 0..d determine the multiplicities via a Vandermonde system
-    traces = _traces(g, min(d, 4), threads)
+    traces = _traces(g, min(d, 4))
     for j, tr in enumerate(traces):
         claimed_moment = sum(Fraction(m) * t**j for t, m in pairs)
         if claimed_moment != tr:
@@ -186,51 +176,32 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
             ell=Fraction(0),
             checks={"annihilation": True, "moments": True, "minimality": True},
         )
-    a = g.adjacency_matrix()
-    ell = Fraction(1)
-    for t, _ in nontrivial:
-        ell *= k - t
-    ell /= g.n
-    scale = 1
-    for t, _ in nontrivial:
-        scale *= t.denominator
-    rhs = ell * scale
-    if rhs.denominator != 1:
+    thetas = [t for t, _ in nontrivial]
+    ell = math.prod(k - t for t in thetas) / g.n
+    if ell.denominator != 1:
         raise AnnihilationFailed(
-            "scaled ell is not an integer, claim cannot annihilate",
+            "ell is not an integer, claim cannot annihilate",
             {"ell": [ell.numerator, ell.denominator]},
         )
-    rhs = rhs.numerator
+    rhs = ell.numerator
 
-    prod = None
-    for t, _ in nontrivial:
-        f = _scaled_factor(a, t)
-        prod = f if prod is None else _exact_matmul(prod, f)
+    p = powers(g)
+    prod = p.combination(poly_from_spectrum((t, 1) for t in thetas))
     mismatch = prod != rhs
-    if bool(np.asarray(mismatch).any()):
-        pos = np.argwhere(np.asarray(mismatch))[0]
-        i, j = int(pos[0]), int(pos[1])
+    if mismatch.any():
+        i, j = (int(v) for v in np.argwhere(mismatch)[0])
         raise AnnihilationFailed(
             f"entry ({i}, {j}) of the annihilating product is {prod[i, j]}, expected {rhs}",
             {"entry": (i, j), "got": int(prod[i, j]), "expected": int(rhs)},
         )
 
     for drop in range(d):
-        sub = None
-        for idx, (t, _) in enumerate(nontrivial):
-            if idx == drop:
-                continue
-            f = _scaled_factor(a, t)
-            sub = f if sub is None else _exact_matmul(sub, f)
-        if sub is None:  # single nontrivial factor: subproduct is I
-            if g.n == 1:
-                raise MinimalityFailed(str(nontrivial[drop][0]))
-            continue
-        flat = np.asarray(sub)
-        if (flat == flat.flat[0]).all():
-            raise MinimalityFailed(str(nontrivial[drop][0]))
+        rest = thetas[:drop] + thetas[drop + 1 :]
+        sub = p.combination(poly_from_spectrum((t, 1) for t in rest))
+        if (sub == sub.flat[0]).all():
+            raise MinimalityFailed(str(thetas[drop]))
 
-    cert = SpectrumCertificate(
+    return SpectrumCertificate(
         n=g.n,
         k=Fraction(k),
         eigenvalues=tuple(t for t, _ in pairs),
@@ -238,7 +209,6 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
         ell=ell,
         checks={"annihilation": True, "moments": True, "minimality": True},
     )
-    return cert
 
 
 # -- exact characteristic polynomial (modular Hessenberg + CRT)
@@ -616,23 +586,9 @@ def eq1_residual(g: Graph, cert: SpectrumCertificate, threads=None) -> Eq1Report
         raise WrongEigenvalueCount(
             f"need exactly 4 distinct eigenvalues, certificate has {cert.distinct_count}"
         )
-    t1, t2, t3 = cert.eigenvalues[1:]
-    e1 = t1 + t2 + t3
-    e2 = t1 * t2 + t1 * t3 + t2 * t3
-    e3 = t1 * t2 * t3
-    ell = cert.ell
-    den = math.lcm(
-        e1.denominator, e2.denominator, e3.denominator, ell.denominator
-    )
-    a = g.adjacency_matrix()
-    a2 = matmul_chunked(a, a, threads)
-    a3 = matmul_chunked(a2, a, threads)
-    n = g.n
-    resid = den * a3 - int(e1 * den) * a2 + int(e2 * den) * a
-    idx = np.arange(n)
-    resid = resid.copy()
-    resid[idx, idx] -= int(e3 * den)
-    resid -= int(ell * den)
+    den = cert.ell.denominator
+    coeffs = [den * c for c in poly_from_spectrum((t, 1) for t in cert.eigenvalues[1:])]
+    resid = powers(g).combination(coeffs, -cert.ell * den)
     worst = int(np.abs(resid).max())
     if worst == 0:
         return Eq1Report(Fraction(0), None)

@@ -1,0 +1,126 @@
+"""Golden-output regression: CLI reports must stay byte-identical.
+
+The files under ``tests/golden/`` were recorded from the int64-matmul
+implementation that preceded the float64 BLAS kernel and the per-graph
+powers cache.  Every report is the CLI's JSON with only ``wall_time_s``
+and ``command`` removed, re-serialised in its original key order.  They
+are the executable form of the rule that a faster kernel must not change
+a single byte of any report; do not re-record them to make a change
+pass.  ``PYTHONPATH=src python tests/test_golden.py`` prints any case
+that differs (``--write`` records the current reports instead).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cerg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# fixture name -> (construct arguments, spectrum claim)
+FIXTURES = {
+    "tls22": (
+        ["tls", "--q", "2", "--n", "2"],
+        {"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]},
+    ),
+    "tls33": (
+        ["tls", "--q", "3", "--n", "3"],
+        {"eigs": [98, 17, -1, -10], "mults": [1, 32, 162, 48]},
+    ),
+    "ls34": (["ls", "--n", "4", "--m", "3"], {"eigs": [9, 1, -3], "mults": [1, 9, 6]}),
+    "h6": (
+        ["h-graph", "--design", "one-factorization", "--m", "6"],
+        {"eigs": [10, 1, 0, -3], "mults": [1, 5, 4, 5]},
+    ),
+}
+CHECKS = ("profile", "strong", "weak", "spectrum", "eq1", "theorem33")
+CLAIM_CHECKS = {"spectrum", "eq1", "theorem33"}
+
+CASES = {
+    f"verify-{name}-{check}": [
+        "verify", check, "-i", f"{name}.g6",
+        *(["--claim", f"{name}.spec.json"] if check in CLAIM_CHECKS else []),
+    ]
+    for name in FIXTURES
+    for check in CHECKS
+}
+CASES["compare-tls22-ext22-claim"] = [
+    "compare", "tls22.g6", "ext22.g6", "--claim", "tls22.spec.json",
+]
+
+
+@contextlib.contextmanager
+def _inside(path: Path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def _quiet(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def build_inputs(workdir: Path) -> None:
+    """Write every fixture graph and claim into workdir (relative names)."""
+    with _inside(workdir):
+        for name, (family, claim) in FIXTURES.items():
+            assert _quiet(["construct", *family, "-o", f"{name}.g6"])[0] == 0
+            Path(f"{name}.spec.json").write_text(json.dumps(claim))
+        ext = ["construct", "clique-ext", "-i", "ls34.g6", "--s", "2", "-o", "ext22.g6"]
+        assert _quiet(ext)[0] == 0
+
+
+def render(argv) -> tuple[int, str]:
+    """Exit code and the report without its run-dependent fields."""
+    code, text = _quiet(argv)
+    report = json.loads(text)
+    del report["wall_time_s"], report["command"]
+    return code, json.dumps(report, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    build_inputs(path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, text = render(CASES[case])
+    assert text == (GOLDEN / f"{case}.json").read_text()
+    assert code == (0 if json.loads(text)["pass"] else 1)
+
+
+if __name__ == "__main__":
+    write = "--write" in sys.argv[1:]
+    differs = False
+    with tempfile.TemporaryDirectory() as tmp:
+        build_inputs(Path(tmp))
+        with _inside(Path(tmp)):
+            results = {case: render(argv)[1] for case, argv in CASES.items()}
+    for case, text in sorted(results.items()):
+        path = GOLDEN / f"{case}.json"
+        if write:
+            GOLDEN.mkdir(exist_ok=True)
+            path.write_text(text)
+        elif not path.exists() or path.read_text() != text:
+            print(f"differs: {case}")
+            differs = True
+    sys.exit(1 if differs else 0)

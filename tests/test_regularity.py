@@ -454,3 +454,118 @@ def test_scheme_accept_iff_srg_on_small_corpus(tls22, rook33, ls34):
         ok, _ = is_strongly_regular(g)
         rep = scheme_check([g, comp])
         assert rep.ok == ok, g
+
+
+# -- the exact matrix kernel and the per-graph powers cache
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cerg import regularity
+from cerg.cli import main
+from cerg.constructions import tls
+from cerg.regularity import ExactnessBoundExceeded, exact_matmul, powers
+
+ENTRY = st.integers(-(2**20), 2**20)
+
+
+@st.composite
+def int_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    x = draw(arrays(np.int64, (rows, inner), elements=ENTRY))
+    y = draw(arrays(np.int64, (inner, cols), elements=ENTRY))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_pairs())
+def test_exact_matmul_equals_object_product(pair):
+    x, y = pair
+    got = exact_matmul(x, y)
+    assert got.dtype == np.int64
+    assert got.tolist() == (x.astype(object) @ y.astype(object)).tolist()
+
+
+def test_exact_matmul_just_under_the_bound_is_exact():
+    top = 2**26 - 1  # 2 * top * top < 2^53
+    x = np.array([[top, top - 2], [-top, 1]], dtype=np.int64)
+    y = np.array([[top, -3], [top - 4, top]], dtype=np.int64)
+    want = [[sum(x[i, m].item() * y[m, j].item() for m in range(2)) for j in range(2)]
+            for i in range(2)]
+    assert want[0][0] == 2 * top * top - 6 * top + 8  # odd low bits survive
+    assert exact_matmul(x, y).tolist() == want
+
+
+def test_exact_matmul_at_the_bound_raises():
+    x = np.full((1, 2), 2**26, dtype=np.int64)
+    y = np.full((2, 1), 2**26, dtype=np.int64)  # 2 * 2^26 * 2^26 = 2^53
+    with pytest.raises(ExactnessBoundExceeded):
+        exact_matmul(x, y)
+
+
+def test_combination_refuses_int64_overflow(tls22):
+    with pytest.raises(ExactnessBoundExceeded):
+        powers(tls22).combination([0, 2**62, 2**62])
+
+
+def test_powers_match_object_products_and_are_cached(tls22):
+    p = powers(tls22)
+    assert powers(tls22) is p
+    a = tls22.adjacency_matrix().astype(object)
+    assert p.a3.tolist() == (a @ a @ a).tolist()
+    assert p.lam_sums.tolist() == ((a * (a @ a)) @ a).tolist()
+    assert p.combination([1, -2, 0, 1], 5).tolist() == (
+        a @ a @ a - 2 * a + np.eye(32, dtype=object) + 5
+    ).tolist()
+
+
+def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatch):
+    g6 = tmp_path / "tls22.g6"
+    assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
+
+    def refuse(x, y):
+        raise ExactnessBoundExceeded("product bound is not below 2^53")
+
+    monkeypatch.setattr(regularity, "exact_matmul", refuse)
+    capsys.readouterr()
+    assert main(["verify", "profile", "-i", str(g6)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ExactnessBoundExceeded"
+
+
+def count_products(monkeypatch):
+    calls = []
+    real = regularity.exact_matmul
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return real(x, y)
+
+    monkeypatch.setattr(regularity, "exact_matmul", counted)
+    return calls
+
+
+def test_profile_does_two_products(monkeypatch):
+    calls = count_products(monkeypatch)
+    profile(tls(2, 2))
+    assert 0 < len(calls) <= 2
+
+
+def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
+    g6, claim = tmp_path / "tls22.g6", tmp_path / "tls22.spec.json"
+    assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
+    claim.write_text(json.dumps({"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]}))
+    calls = count_products(monkeypatch)
+    assert main(["verify", "theorem33", "-i", str(g6), "--claim", str(claim)]) == 0
+    assert 0 < len(calls) <= 3
+
+
+def test_cached_powers_are_read_only(tls22):
+    p = powers(tls22)
+    for m in (p.a2, p.a3, p.lam, p.lam_sums, p.upper):
+        with pytest.raises(ValueError):
+            m[0, 0] = 7

@@ -354,3 +354,23 @@ def test_goldberg_violated_by_clique_extension_complement():
 
 def test_complement_of_tls22_is_12_regular(tls22):
     assert complement(tls22).is_regular() == (True, 31 - 19)
+
+
+def test_certify_rejects_non_integer_eigenvalue(tls22, tmp_path, capsys):
+    """A rational root of a monic integer polynomial is an integer."""
+    half = [(19, 1), (Fraction(1, 2), 9), (-1, 16), (-5, 6)]
+    with pytest.raises(ClaimInvalid, match="integers"):
+        certify(tls22, half)
+
+    from cerg.cli import main
+    from cerg.graphs import write_graph6
+
+    g6, claim = tmp_path / "tls22.g6", tmp_path / "half.json"
+    write_graph6(tls22, g6)
+    claim.write_text('{"eigs": [19, [1, 2], -1, -5], "mults": [1, 9, 16, 6]}')
+    capsys.readouterr()
+    assert main(["verify", "spectrum", "-i", str(g6), "--claim", str(claim)]) == 1
+    import json
+
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["reports"]["spectrum"]["error"] == "ClaimInvalid"
