@@ -320,7 +320,7 @@ def cmd_compare(args, argv) -> int:
     for g in (g1, g2):
         try:
             co, edge = regularity.level(g, threads)
-        except (regularity.PreconditionFailed, ValueError):
+        except regularity.PreconditionFailed:
             co, edge = None, None
         levels.append({"co_edge": co, "edge": edge})
     distinct_levels = (

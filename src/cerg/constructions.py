@@ -15,9 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
 from .geometry import Design, ParallelClassSystem, block_graph, decode_point, parallel_classes
 from .graphs import Graph
+from .regularity import PartitionInvalid
 
 
 class TooFewRows(ValueError):
@@ -36,10 +39,6 @@ class NotResolvable(ValueError):
     pass
 
 
-class PartitionInvalid(ValueError):
-    pass
-
-
 class PartNotClique(ValueError):
     pass
 
@@ -53,21 +52,12 @@ def latin_square_graph(oa: OrthogonalArray, m: int) -> Graph:
     if m < 1 or m > oa.t:
         raise TooFewRows(f"m={m} not in [1, {oa.t}]")
     n2 = oa.n * oa.n
-    rows = [0] * n2
-    for r in range(m):
-        by_symbol = {}
-        for col in range(n2):
-            by_symbol.setdefault(int(oa.cells[r, col]), []).append(col)
-        for cols in by_symbol.values():
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
-            for c in cols:
-                rows[c] |= mask
-    for c in range(n2):
-        rows[c] &= ~(1 << c)
+    a = np.zeros((n2, n2), dtype=bool)
+    for row in oa.cells[:m]:
+        a |= row[:, None] == row[None, :]
+    np.fill_diagonal(a, False)
     labels = [f"col{c}" for c in range(n2)]
-    return Graph(n2, rows, labels)
+    return Graph(a, labels)
 
 
 class TlsGraph(Graph):
@@ -75,8 +65,8 @@ class TlsGraph(Graph):
 
     __slots__ = ("q", "n_sym", "goa", "pcs")
 
-    def __init__(self, n, rows, labels, q, n_sym, goa, pcs):
-        super().__init__(n, rows, labels)
+    def __init__(self, a, labels, q, n_sym, goa, pcs):
+        super().__init__(a, labels)
         self.q = q
         self.n_sym = n_sym
         self.goa = goa
@@ -149,37 +139,20 @@ def tls(
         raise ParameterMismatch("the supplied GOA fails the column-pair condition")
 
     q3 = q**3
-    nverts = q3 * n * n
-    rows = [0] * nverts
-    fiber_mask = (1 << q3) - 1
-    for i in range(n * n):
-        mask = fiber_mask << (i * q3)
-        for v in range(i * q3, (i + 1) * q3):
-            rows[v] |= mask
+    # each fiber is a q^3-clique; each plane copy joins the fibers whose
+    # group row shows the same symbol
+    a = np.kron(np.eye(n * n, dtype=bool), np.ones((q3, q3), dtype=bool))
     for s in range(q + 1):
         for t in range(q):
-            plane = pcs.plane(s, t)
+            plane = np.array(pcs.plane(s, t))
             row = goa.row(s, t)
-            cols_by_symbol = {}
-            for col in range(n * n):
-                cols_by_symbol.setdefault(int(row[col]), []).append(col)
-            for cols in cols_by_symbol.values():
-                mask = 0
-                members = []
-                for i in cols:
-                    base = i * q3
-                    for p in plane:
-                        members.append(base + p)
-                        mask |= 1 << (base + p)
-                for v in members:
-                    rows[v] |= mask
-    for v in range(nverts):
-        rows[v] &= ~(1 << v)
-    labels = []
-    for i in range(n * n):
-        for point in range(q3):
-            labels.append(f"{decode_point(point, q, 3)}@{i}")
-    return TlsGraph(nverts, rows, labels, q, n, goa, pcs)
+            for sym in np.unique(row):
+                members = (np.flatnonzero(row == sym)[:, None] * q3 + plane).ravel()
+                a[np.ix_(members, members)] = True
+    np.fill_diagonal(a, False)
+    points = [str(decode_point(point, q, 3)) for point in range(q3)]
+    labels = [f"{point}@{i}" for i in range(n * n) for point in points]
+    return TlsGraph(a, labels, q, n, goa, pcs)
 
 
 @dataclass(frozen=True)
@@ -250,15 +223,11 @@ def h_graph(d: Design) -> Graph:
     """Block graph plus all edges inside each resolution class."""
     if d.resolution is None:
         raise NotResolvable("design carries no resolution")
-    g = block_graph(d)
-    rows = [g.row(v) for v in range(g.n)]
+    a = block_graph(d).a.copy()
     for cls in d.resolution:
-        mask = 0
-        for idx in cls:
-            mask |= 1 << idx
-        for idx in cls:
-            rows[idx] |= mask & ~(1 << idx)
-    return Graph(g.n, rows)
+        a[np.ix_(cls, cls)] = True
+    np.fill_diagonal(a, False)
+    return Graph(a)
 
 
 def spread_modified(g: Graph, parts, mode: str) -> Graph:
@@ -271,23 +240,20 @@ def spread_modified(g: Graph, parts, mode: str) -> Graph:
     seen = sorted(v for part in parts for v in part)
     if seen != list(range(g.n)):
         raise PartitionInvalid("parts do not partition the vertex set")
-    rows = [g.row(v) for v in range(g.n)]
+    a = g.a.copy()
     for pidx, part in enumerate(parts):
-        mask = 0
-        for v in part:
-            mask |= 1 << v
-        for v in part:
-            inside = g.row(v) & mask
-            others = mask & ~(1 << v)
-            if mode == "remove":
-                if inside != others:
-                    raise PartNotClique(f"part {pidx} is not a clique")
-                rows[v] &= ~mask
-            else:
-                if inside:
-                    raise PartNotCoclique(f"part {pidx} is not a co-clique")
-                rows[v] |= others
-    return Graph(g.n, rows, g.labels)
+        idx = np.asarray(part, dtype=np.intp)
+        block = np.ix_(idx, idx)
+        if mode == "remove":
+            if not (g.a[block] | np.eye(len(part), dtype=bool)).all():
+                raise PartNotClique(f"part {pidx} is not a clique")
+            a[block] = False
+        else:
+            if g.a[block].any():
+                raise PartNotCoclique(f"part {pidx} is not a co-clique")
+            a[block] = True
+    np.fill_diagonal(a, False)
+    return Graph(a, g.labels)
 
 
 def tls_metadata(g: TlsGraph) -> dict:

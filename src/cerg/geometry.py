@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .field import FieldSpec, field
 from .graphs import Graph
 
@@ -278,20 +280,15 @@ def block_graph(d: Design) -> Graph:
     if violation is not None:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
-    rows = [0] * d.b
-    by_point = [[] for _ in range(d.v)]
+    incidence = np.zeros((d.v, d.b), dtype=bool)
     for idx, blk in enumerate(d.blocks):
-        for p in blk:
-            by_point[p].append(idx)
-    for group in by_point:
-        mask = 0
-        for idx in group:
-            mask |= 1 << idx
-        for idx in group:
-            rows[idx] |= mask
-    for idx in range(d.b):
-        rows[idx] &= ~(1 << idx)
-    return Graph(d.b, rows)
+        incidence[list(blk), idx] = True
+    a = np.zeros((d.b, d.b), dtype=bool)
+    for point_blocks in incidence:
+        group = np.flatnonzero(point_blocks)
+        a[np.ix_(group, group)] = True
+    np.fill_diagonal(a, False)
+    return Graph(a)
 
 
 def write_design(d: Design, path) -> None:

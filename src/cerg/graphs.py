@@ -1,10 +1,11 @@
-"""Immutable simple graphs on a dense adjacency bitset.
+"""Immutable simple graphs on a read-only boolean adjacency matrix.
 
-Each vertex row is one Python integer whose bit j is set iff j is a
-neighbour; row intersections and neighbourhood sizes are then single
-bit-operations on machine words.  For matrix work the adjacency is
-exported once to a cached numpy int64 array, and `regularity.powers`
-caches its exact powers on the graph as well.
+A `Graph` stores one n x n numpy ``bool`` matrix, checked once on
+construction (square, loop-free, symmetric) and then frozen.  Queries,
+transforms, constructions and the graph6 codec are whole-array numpy
+operations on it; `adjacency_matrix` exports a fresh int64 copy for
+integer arithmetic, and `regularity.powers` caches the exact powers of
+the boolean matrix on the graph.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 MAX_VERTICES = 20000
 
 
-class VertexOutOfRange(IndexError):
-    pass
+class VertexOutOfRange(IndexError, ValueError):
+    """A vertex index outside [0, n); a ValueError too, so the CLI maps
+    it to a usage error."""
 
 
 class MalformedGraph6(ValueError):
@@ -28,149 +30,128 @@ class MalformedGraph6(ValueError):
         self.offset = offset
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
+def _tiles(n: int, size: int = 1024):
+    """Slice pairs (I, J) of the square blocks on and above the diagonal;
+    a[I, J] against a[J, I].T reads the transpose one cached block at a
+    time, several times faster than whole-matrix a.T at n in the
+    thousands."""
+    for i in range(0, n, size):
+        for j in range(i, n, size):
+            yield slice(i, i + size), slice(j, j + size)
 
 
 class Graph:
-    """Loop-free undirected graph; immutable after construction."""
+    """Loop-free undirected graph; immutable after construction.
 
-    __slots__ = ("n", "_rows", "labels", "_matrix", "_powers")
+    ``a`` may be any square array-like; every nonzero entry is an edge.
+    """
 
-    def __init__(self, n: int, rows, labels=None):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise ValueError("row count differs from vertex count")
-        mask = (1 << n) - 1
-        for v, row in enumerate(rows):
-            if row & ~mask:
-                raise ValueError(f"row {v} has bits beyond vertex range")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(rows):
-            for u in _bits(row):
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        self.n = n
-        self._rows = rows
+    __slots__ = ("n", "a", "labels", "_powers")
+
+    def __init__(self, a, labels=None):
+        a = np.asarray(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, not of shape {a.shape}")
+        _check_order(a.shape[0])
+        a = a.astype(bool)
+        loops = np.flatnonzero(a.diagonal())
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        if not all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tiles(len(a))):
+            v, u = np.argwhere(a & ~a.T)[0]
+            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        a.flags.writeable = False
+        self.n = a.shape[0]
+        self.a = a
         self.labels = tuple(labels) if labels is not None else None
-        self._matrix = None
         self._powers = None
 
     # -- constructors
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
-        rows = [0] * n
-        for u, v in edges:
+        _check_order(n)
+        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+        if bad.any():
+            u, v = e[np.argmax(bad)].tolist()
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows, labels)
-
-    @classmethod
-    def from_adjacency(cls, a, labels=None) -> "Graph":
-        a = np.asarray(a)
-        n = a.shape[0]
-        rows = [
-            int.from_bytes(
-                np.packbits(a[v] != 0, bitorder="little").tobytes(), "little"
-            )
-            for v in range(n)
-        ]
-        return cls(n, rows, labels)
+            raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+        a = np.zeros((n, n), dtype=bool)
+        a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
+        return cls(a, labels)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, [0] * n)
+        _check_order(n)
+        return cls(np.zeros((n, n), dtype=bool))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
+        _check_order(n)
+        return cls(~np.eye(n, dtype=bool))
 
     # -- queries
 
-    def row(self, v: int) -> int:
-        return self._rows[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._rows[u] >> v & 1)
+        return bool(self.a[u, v])
 
     def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
+        return int(np.count_nonzero(self.a[v]))
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self._rows]
+        return self.a.sum(axis=1).tolist()
 
-    def neighbors(self, v: int):
-        return _bits(self._rows[v])
+    def neighbors(self, v: int) -> list[int]:
+        return np.flatnonzero(self.a[v]).tolist()
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self._rows) // 2
+        return int(np.count_nonzero(self.a)) // 2
 
-    def edges(self):
-        for u in range(self.n):
-            for v in _bits(self._rows[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge (u, v) with u < v, in row-major order."""
+        return [(u, v) for u, v in np.argwhere(np.triu(self.a)).tolist()]
 
     def is_regular(self) -> tuple[bool, int | None]:
-        degs = self.degrees()
-        if not degs:
+        if self.n == 0:
             return True, 0
-        k = degs[0]
-        if all(d == k for d in degs):
+        degs = self.a.sum(axis=1)
+        k = int(degs[0])
+        if (degs == k).all():
             return True, k
         return False, None
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self._rows[v]
-            frontier = nxt & ~seen
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = self.a[frontier].any(axis=0) & ~seen
             seen |= frontier
-        return seen == (1 << self.n) - 1
+        return bool(seen.all())
 
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense int64 adjacency; cached, returned read-only."""
-        if self._matrix is None:
-            nbytes = (self.n + 7) // 8
-            raw = b"".join(r.to_bytes(nbytes, "little") for r in self._rows)
-            bits = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
-                axis=1,
-                bitorder="little",
-            )[:, : self.n]
-            m = bits.astype(np.int64)
-            m.flags.writeable = False
-            self._matrix = m
-        return self._matrix
+        """Dense int64 adjacency, a fresh read-only copy."""
+        m = self.a.astype(np.int64)
+        m.flags.writeable = False
+        return m
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._rows == other._rows
-        )
+        return isinstance(other, Graph) and np.array_equal(self.a, other.a)
 
     def __hash__(self):
-        return hash((self.n, self._rows))
+        return hash(self.a.tobytes())
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -180,76 +161,52 @@ class Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, [full ^ g.row(v) ^ (1 << v) for v in range(g.n)], g.labels)
+    a = ~g.a
+    np.fill_diagonal(a, False)
+    return Graph(a, g.labels)
 
 
 def clique_extension(g: Graph, s: int) -> Graph:
     """Blow each vertex into an s-clique, joining cliques of adjacent bases.
 
     Vertex (x, i) gets index x*s + i, so the s clones of a base vertex
-    are contiguous.
+    are contiguous and the adjacency is (A + I) (x) J_s - I.
     """
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
-    n = g.n * s
-    clone_mask = (1 << s) - 1
-    base_rows = []
-    for x in range(g.n):
-        row = clone_mask << (x * s)
-        for y in g.neighbors(x):
-            row |= clone_mask << (y * s)
-        base_rows.append(row)
-    rows = []
-    for x in range(g.n):
-        for i in range(s):
-            rows.append(base_rows[x] ^ (1 << (x * s + i)))
-    return Graph(n, rows)
+    _check_order(g.n * s)
+    a = np.kron(g.a | np.eye(g.n, dtype=bool), np.ones((s, s), dtype=bool))
+    np.fill_diagonal(a, False)
+    return Graph(a)
 
 
 def local_graph(g: Graph, x: int) -> Graph:
     """Induced subgraph on N(x), vertices in original index order."""
     if not 0 <= x < g.n:
         raise VertexOutOfRange(f"vertex {x} outside [0, {g.n})")
-    verts = list(_bits(g.row(x)))
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in _bits(g.row(v) & g.row(x)):
-            rows[i] |= 1 << pos[u]
+    verts = np.flatnonzero(g.a[x])
     labels = [g.labels[v] for v in verts] if g.labels else None
-    return Graph(len(verts), rows, labels)
+    return Graph(g.a[np.ix_(verts, verts)], labels)
 
 
 # -- graph6 serialization (formats.txt: 6-bit groups, upper triangle packed
-#    column by column, each byte offset by 63)
+#    column by column, each byte offset by 63).  Column j of the upper
+#    triangle is row j of the strict lower triangle, so the bits are the
+#    matrix entries under a np.tri(n, k=-1) mask, in row-major order.
 
 
 def graph6_bytes(g: Graph) -> bytes:
-    out = bytearray()
     n = g.n
     if n <= 62:
-        out.append(n + 63)
+        head = [n]
     elif n <= 258047:
-        out.append(126)
-        out.append(((n >> 12) & 63) + 63)
-        out.append(((n >> 6) & 63) + 63)
-        out.append((n & 63) + 63)
+        head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         raise ValueError("graph too large for the supported graph6 sizes")
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.row(j)
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    bits = g.a[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    groups = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
+    return bytes(v + 63 for v in head) + (groups + 63).tobytes()
 
 
 def from_graph6_bytes(data: bytes) -> Graph:
@@ -258,9 +215,11 @@ def from_graph6_bytes(data: bytes) -> Graph:
     data = data.rstrip(b"\r\n")
     if not data:
         raise MalformedGraph6("empty graph6 data", 0)
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise MalformedGraph6(f"byte {byte} outside graph6 range", off)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    bad = (buf < 63) | (buf > 126)
+    if bad.any():
+        off = int(np.argmax(bad))
+        raise MalformedGraph6(f"byte {data[off]} outside graph6 range", off)
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
@@ -286,24 +245,14 @@ def from_graph6_bytes(data: bytes) -> Graph:
             f"expected {expect} bytes for n={n}, got {len(data)}",
             min(len(data), expect),
         )
-    rows = [0] * n
-    cur_i, cur_j = 0, 1
-    bit_idx = 0
-    for off in range(pos, len(data)):
-        group = data[off] - 63
-        for b in range(5, -1, -1):
-            if bit_idx >= nbits:
-                if group >> b & 1:
-                    raise MalformedGraph6("nonzero padding bits", off)
-                continue
-            if group >> b & 1:
-                rows[cur_i] |= 1 << cur_j
-                rows[cur_j] |= 1 << cur_i
-            bit_idx += 1
-            cur_i += 1
-            if cur_i == cur_j:
-                cur_i, cur_j = 0, cur_j + 1
-    return Graph(n, rows)
+    bits = np.unpackbits(buf[pos:] - 63).reshape(-1, 8)[:, 2:].ravel()
+    if bits[nbits:].any():
+        raise MalformedGraph6("nonzero padding bits", len(data) - 1)
+    a = np.zeros((n, n), dtype=bool)
+    a[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    for i, j in _tiles(n):
+        a[i, j] |= a[j, i].T
+    return Graph(a)
 
 
 def write_graph6(g: Graph, path) -> None:
@@ -312,8 +261,13 @@ def write_graph6(g: Graph, path) -> None:
 
 
 def read_graph6(path) -> Graph:
+    """The single graph of a graph6 file; any byte after its first line
+    is rejected."""
     with open(path, "rb") as fh:
-        return from_graph6_bytes(fh.readline())
+        line = fh.readline()
+        if fh.read(1):
+            raise MalformedGraph6("data after the first graph", len(line))
+    return from_graph6_bytes(line)
 
 
 def write_labels(g: Graph, path) -> None:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, VertexOutOfRange
 
 
 class NotRegular(ValueError):
@@ -87,10 +87,12 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 class Powers:
     """Lazily memoised exact powers of one graph's adjacency matrix A.
 
-    ``lam`` is A∘A², which holds lambda(x, y) on edges and 0 elsewhere;
-    ``lam_sums`` is (A∘A²)A, whose (x, y) entry sums lambda(x, z) over
-    the common neighbours z of x and y.  Every cached array is shared by
-    all callers and read-only.  Obtain it with `powers`.
+    ``a`` is the graph's own read-only boolean matrix; every product is
+    int64.  ``lam`` is A∘A², which holds lambda(x, y) on edges and 0
+    elsewhere; ``lam_sums`` is (A∘A²)A, whose (x, y) entry sums
+    lambda(x, z) over the common neighbours z of x and y.  Every cached
+    array is shared by all callers and read-only.  Obtain it with
+    `powers`.
     """
 
     a: np.ndarray
@@ -150,7 +152,7 @@ class Powers:
 def powers(g: Graph) -> Powers:
     """The graph's `Powers`, created on first use and cached on the graph."""
     if g._powers is None:
-        g._powers = Powers(g.adjacency_matrix())
+        g._powers = Powers(g.a)
     return g._powers
 
 
@@ -364,6 +366,8 @@ def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
 
 def level(g: Graph, threads=None) -> tuple[int | None, int | None]:
     """(#distinct lambda when mu constant, #distinct mu when lambda constant)."""
+    if g.n < 2:
+        raise PreconditionFailed("a level needs at least 2 vertices")
     prof = profile(g, threads)
     co = prof.level_co_edge
     edge = prof.level_edge
@@ -425,16 +429,18 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
         raise NotSRG("Hoffman bound applies to strongly regular graphs")
     n, k, _, mu = params
     members = sorted(set(vertex_set))
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    for v in members:
-        inside = g.row(v) & mask
-        expected = mask & ~(1 << v)
-        if kind == "clique" and inside != expected:
-            raise SetNotClique(f"vertex {v} misses a set member")
-        if kind == "coclique" and inside:
-            raise SetNotCoclique(f"vertex {v} has a neighbour inside the set")
+    strays = [v for v in members if not (isinstance(v, (int, np.integer)) and 0 <= v < g.n)]
+    if strays:
+        raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")
+    idx = np.asarray(members, dtype=np.intp)
+    inside = g.a[np.ix_(idx, idx)]
+    if kind == "clique":
+        bad = ~(inside | np.eye(len(members), dtype=bool)).all(axis=1)
+        if bad.any():
+            raise SetNotClique(f"vertex {members[np.argmax(bad)]} misses a set member")
+    elif inside.any():
+        v = members[np.argmax(inside.any(axis=1))]
+        raise SetNotCoclique(f"vertex {v} has a neighbour inside the set")
     m = Fraction(m)
     if kind == "clique":
         bound = (m + k) / m
@@ -443,12 +449,9 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
         bound = m * n / (m + k)
         expected_outside = m
     size = len(members)
-    outside = [
-        (g.row(v) & mask).bit_count() for v in range(g.n) if not (1 << v) & mask
-    ]
-    degrees: dict[int, int] = {}
-    for dgr in outside:
-        degrees[dgr] = degrees.get(dgr, 0) + 1
+    mask = np.zeros(g.n, dtype=bool)
+    mask[idx] = True
+    degrees = _multiset(g.a[~mask][:, mask].sum(axis=1))
     tight = Fraction(size) == bound
     cross_size = None
     if cross is not None:
@@ -472,12 +475,11 @@ def equitable_check(g: Graph, parts) -> EquitableReport:
     seen = sorted(v for p in parts for v in p)
     if seen != list(range(g.n)) or any(not p for p in parts):
         raise PartitionInvalid("parts must be non-empty and partition the vertices")
-    a = g.adjacency_matrix()
     m = len(parts)
     indicator = np.zeros((g.n, m), dtype=np.int64)
     for j, p in enumerate(parts):
         indicator[p, j] = 1
-    counts = exact_matmul(a, indicator)
+    counts = exact_matmul(g.a, indicator)
     quotient = []
     for i, p in enumerate(parts):
         block = counts[p]

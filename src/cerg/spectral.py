@@ -310,7 +310,7 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
     bound_bits = n + math.ceil(n / 2 * math.log2(k_max)) + 2
     primes = []
     bits = 0
-    stream = _prime_stream((1 << 26) - 1)
+    stream = _prime_stream(2**26 - 1)
     while bits <= bound_bits:
         p = next(stream)
         primes.append(p)

@@ -291,3 +291,36 @@ def test_construct_is_deterministic(tmp_path, capsys):
     assert (tmp_path / "a.g6.meta.json").read_text() == (
         tmp_path / "b.g6.meta.json"
     ).read_text()
+
+
+def test_verify_rejects_a_two_graph_file(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_bytes(b"Bw\nB?\n")
+    assert main(["verify", "profile", "-i", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedGraph6" and "byte offset 3" in err["detail"]
+
+
+def test_compare_library_error_is_not_a_null_level(tls22_file, capsys, monkeypatch):
+    from cerg import regularity
+
+    def refuse(x, y):
+        raise regularity.ExactnessBoundExceeded("product bound is not below 2^53")
+
+    g6, _ = tls22_file
+    monkeypatch.setattr(regularity, "exact_matmul", refuse)
+    capsys.readouterr()
+    assert main(["compare", str(g6), str(g6)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ExactnessBoundExceeded"
+
+
+def test_compare_one_vertex_graphs_keeps_null_levels(tmp_path, capsys):
+    from cerg.graphs import Graph, write_graph6
+
+    write_graph6(Graph.empty(1), tmp_path / "k1.g6")
+    code, text = run(capsys, "compare", str(tmp_path / "k1.g6"), str(tmp_path / "k1.g6"))
+    assert code == 0
+    levels = json.loads(text)["reports"]["levels"]
+    assert levels == [{"co_edge": None, "edge": None}] * 2

@@ -17,7 +17,7 @@ from cerg.constructions import (
     tls_structure,
 )
 from cerg.geometry import block_graph, design_affine_lines, design_one_factorization
-from cerg.graphs import Graph, _bits
+from cerg.graphs import Graph
 from cerg.regularity import is_strongly_regular
 from conftest import brute_lambda_mu, neighbor_sets
 
@@ -157,14 +157,11 @@ def test_clique_intersections_tls33(tls33):
 def test_outside_vertices_see_q_squared(tls22):
     """Every vertex outside a clique has exactly q^2 neighbours inside."""
     for key, members in tls22.all_cliques():
-        mask = 0
-        for v in members:
-            mask |= 1 << v
         inside = set(members)
         for v in range(tls22.n):
             if v in inside:
                 continue
-            assert (tls22.row(v) & mask).bit_count() == 4, (key, v)
+            assert len(inside.intersection(tls22.neighbors(v))) == 4, (key, v)
 
 
 def test_neighbours_in_foreign_fiber_form_a_plane_copy(tls22):
@@ -180,7 +177,7 @@ def test_neighbours_in_foreign_fiber_form_a_plane_copy(tls22):
         for m in range(4):
             if m == i:
                 continue
-            hits = frozenset(v for v in _bits(tls22.row(u)) if v // q3 == m)
+            hits = frozenset(v for v in tls22.neighbors(u) if v // q3 == m)
             if hits:
                 assert hits in plane_copies[m], (u, m)
 
@@ -210,7 +207,7 @@ def test_structure_partitions_neighbourhood(tls22):
         st = tls_structure(tls22, u)
         parts = st.all_parts()
         union = sorted(v for p in parts for v in p)
-        assert union == sorted(_bits(tls22.row(u)))  # disjoint + covering
+        assert union == sorted(tls22.neighbors(u))  # disjoint + covering
         assert len(union) == len(set(union))
 
 
@@ -378,3 +375,9 @@ def test_spread_modified_validates():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(PartNotClique):
         spread_modified(path, [[0, 2], [1, 3]], "remove")
+
+
+def test_one_partition_invalid_class():
+    from cerg import constructions, regularity
+
+    assert constructions.PartitionInvalid is regularity.PartitionInvalid

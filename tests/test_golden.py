@@ -6,13 +6,18 @@ powers cache.  Every report is the CLI's JSON with only ``wall_time_s``
 and ``command`` removed, re-serialised in its original key order.  They
 are the executable form of the rule that a faster kernel must not change
 a single byte of any report; do not re-record them to make a change
-pass.  ``PYTHONPATH=src python tests/test_golden.py`` prints any case
-that differs (``--write`` records the current reports instead).
+pass.  ``construct.json`` pins the ``cerg construct`` families that the
+reports' input digests do not cover: for each, the summary line on
+stdout and the sha256 of the graph6 file and of its sidecar, recorded
+from the bitset-row graphs that preceded the boolean-matrix ones.
+``PYTHONPATH=src python tests/test_golden.py`` prints any case that
+differs (``--write`` records the current outputs instead).
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -58,6 +63,34 @@ CASES["compare-tls22-ext22-claim"] = [
 ]
 
 
+# OA(5, 4) over Z_5 on columns 5x + y: rows x, y, x + y, x + 2y
+OA5 = [[(x, y, x + y, x + 2 * y)[r] % 5 for x in range(5) for y in range(5)]
+       for r in range(4)]
+INPUT_FILES = {
+    "oa5.txt": "OA 5 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in OA5),
+    # the four fibers of tls(2,2), each an 8-clique
+    "fibers.json": json.dumps({"parts": [list(range(8 * i, 8 * i + 8)) for i in range(4)]}),
+    # the classes of the OA's third row, co-cliques of LS_2(5)
+    "transversal.json": json.dumps(
+        {"parts": [[c for c in range(25) if OA5[2][c] == s] for s in range(5)]}
+    ),
+}
+# construct case -> arguments (run in order, after build_inputs)
+CONSTRUCT = {
+    "block-graph-ag42": ["block-graph", "--design", "affine-lines", "--q", "4", "--d", "2"],
+    "h-graph-ag33": ["h-graph", "--design", "affine-lines", "--q", "3", "--d", "3"],
+    "complement-tls22": ["complement", "-i", "tls22.g6"],
+    "spread-mod-remove-tls22": [
+        "spread-mod", "-i", "tls22.g6", "--parts", "fibers.json", "--mode", "remove",
+    ],
+    "ls-oa5": ["ls", "--oa", "oa5.txt", "--n", "5", "--m", "2"],
+    "spread-mod-add-ls25": [
+        "spread-mod", "-i", "ls-oa5.g6", "--parts", "transversal.json", "--mode", "add",
+    ],
+    "tls45": ["tls", "--q", "4", "--n", "5"],
+}
+
+
 @contextlib.contextmanager
 def _inside(path: Path):
     old = os.getcwd()
@@ -85,6 +118,28 @@ def build_inputs(workdir: Path) -> None:
         assert _quiet(ext)[0] == 0
 
 
+def _sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def construct_outputs(workdir: Path) -> dict:
+    """Summary line and output digests of every construct case."""
+    out = {}
+    with _inside(workdir):
+        for name, text in INPUT_FILES.items():
+            Path(name).write_text(text)
+        for case, family in CONSTRUCT.items():
+            code, stdout = _quiet(["construct", *family, "-o", f"{case}.g6"])
+            assert code == 0, case
+            sidecars = [Path(f"{case}.g6.meta.json"), Path(f"{case}.g6.labels.json")]
+            out[case] = {
+                "stdout": stdout,
+                "graph6_sha256": _sha256(Path(f"{case}.g6")),
+                "sidecar_sha256": next(filter(None, map(_sha256, sidecars)), None),
+            }
+    return out
+
+
 def render(argv) -> tuple[int, str]:
     """Exit code and the report without its run-dependent fields."""
     code, text = _quiet(argv)
@@ -108,6 +163,17 @@ def test_report_matches_golden(case, workdir, monkeypatch):
     assert code == (0 if json.loads(text)["pass"] else 1)
 
 
+@pytest.fixture(scope="module")
+def constructed(workdir):
+    return construct_outputs(workdir)
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCT))
+def test_construct_matches_golden(case, constructed):
+    golden = json.loads((GOLDEN / "construct.json").read_text())
+    assert constructed[case] == golden[case]
+
+
 if __name__ == "__main__":
     write = "--write" in sys.argv[1:]
     differs = False
@@ -115,6 +181,8 @@ if __name__ == "__main__":
         build_inputs(Path(tmp))
         with _inside(Path(tmp)):
             results = {case: render(argv)[1] for case, argv in CASES.items()}
+        built = json.dumps(construct_outputs(Path(tmp)), indent=2) + "\n"
+    results["construct"] = built
     for case, text in sorted(results.items()):
         path = GOLDEN / f"{case}.json"
         if write:

@@ -3,8 +3,11 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cerg.graphs import (
+    MAX_VERTICES,
     Graph,
     MalformedGraph6,
     VertexOutOfRange,
@@ -26,9 +29,9 @@ def random_graph(n, p, seed):
 
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
-        Graph(2, [0b10, 0b00])  # asymmetric
+        Graph([[0, 1], [0, 0]])  # asymmetric
     with pytest.raises(ValueError):
-        Graph(1, [0b1])  # loop
+        Graph([[1]])  # loop
     with pytest.raises(VertexOutOfRange):
         Graph.from_edges(2, [(0, 2)])
 
@@ -142,3 +145,120 @@ def test_file_round_trip(tmp_path):
     write_graph6(g, path)
     assert read_graph6(path) == g
     assert nx.read_graph6(path).number_of_edges() == g.edge_count()
+
+
+def test_read_graph6_rejects_a_second_graph(tmp_path):
+    first = graph6_bytes(Graph.complete(3)) + b"\n"
+    path = tmp_path / "two.g6"
+    path.write_bytes(first + graph6_bytes(Graph.empty(4)) + b"\n")
+    with pytest.raises(MalformedGraph6) as exc:
+        read_graph6(path)
+    assert exc.value.offset == len(first)
+
+
+@pytest.mark.parametrize("ending", [b"", b"\n", b"\r\n"])
+def test_read_graph6_accepts_one_line_endings(tmp_path, ending):
+    path = tmp_path / "one.g6"
+    path.write_bytes(b"Bw" + ending)
+    assert read_graph6(path) == Graph.complete(3)
+
+
+# -- the boolean matrix, against networkx as the graph6 oracle
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=130):
+    """Random loop-free symmetric 0/1 matrices; n crosses the 62/63
+    switch between the one- and four-byte size fields."""
+    n = draw(st.integers(0, max_n))
+    npairs = n * (n - 1) // 2
+    raw = draw(st.binary(min_size=(npairs + 7) // 8, max_size=(npairs + 7) // 8))
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.tri(n, k=-1, dtype=bool)] = np.unpackbits(np.frombuffer(raw, np.uint8))[:npairs]
+    return a + a.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_graph6_matches_networkx_and_round_trips(a):
+    g = Graph(a)
+    data = graph6_bytes(g)
+    assert data == nx.to_graph6_bytes(nx.from_numpy_array(a), header=False).rstrip(b"\n")
+    assert from_graph6_bytes(data) == g
+    assert np.array_equal(from_graph6_bytes(data).adjacency_matrix(), a)
+
+
+GRAPH6_LIKE = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.integers(63, 126), max_size=40).map(bytes),
+    st.tuples(
+        st.sampled_from([b"", b"~", b"~~"]),
+        st.lists(st.integers(63, 126), max_size=40).map(bytes),
+        st.sampled_from([b"", b"\n", b"\r\n", b"\x00"]),
+    ).map(b"".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRAPH6_LIKE)
+def test_any_bytes_give_a_graph_or_malformed_graph6(data):
+    try:
+        g = from_graph6_bytes(data)
+    except MalformedGraph6 as exc:
+        assert 0 <= exc.offset <= len(data)
+    else:
+        assert from_graph6_bytes(graph6_bytes(g)) == g
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros(3), "square"),
+        (np.zeros((2, 2, 2)), "square"),
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], "loop at vertex 1"),
+        ([[0, 0, 0], [0, 0, 1], [1, 0, 0]], r"not symmetric at \(1, 2\)"),
+    ],
+)
+def test_graph_rejects_non_square_looped_or_asymmetric(a, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(a)
+
+
+def test_graph_order_is_checked_before_any_copy():
+    huge = np.broadcast_to(np.zeros(1, dtype=bool), (MAX_VERTICES + 1,) * 2)
+    with pytest.raises(ValueError, match="outside"):
+        Graph(huge)
+
+
+def test_graph_matrix_is_a_frozen_copy_and_nonzero_is_an_edge():
+    a = np.array([[0, 2], [-1, 0]])
+    g = Graph(a)
+    a[0, 1] = 0
+    assert g == Graph.complete(2) and g.a.dtype == bool
+    with pytest.raises(ValueError):
+        g.a[0, 1] = False
+    with pytest.raises(ValueError):
+        g.adjacency_matrix()[0, 1] = 0
+
+
+def test_queries_return_python_ints():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.degrees() == [1, 2, 2, 1] and type(g.degrees()[0]) is int
+    assert g.neighbors(1) == [0, 2] and type(g.neighbors(1)[0]) is int
+    assert g.edges() == [(0, 1), (1, 2), (2, 3)] and type(g.edges()[0][0]) is int
+    assert type(g.edge_count()) is int and type(g.degree(0)) is int
+    assert g.is_connected() and not Graph.from_edges(4, [(0, 1)]).is_connected()
+    regular, k = Graph.complete(5).is_regular()
+    assert regular and k == 4 and type(k) is int
+
+
+def test_graphs_larger_than_one_tile():
+    # the symmetry check and the decoder's symmetrisation work on
+    # 1024 x 1024 tiles; n = 1100 puts edges in off-diagonal tiles
+    n = 1100
+    upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.01, 1)
+    g = Graph(upper | upper.T)
+    assert np.array_equal(from_graph6_bytes(graph6_bytes(g)).a, upper | upper.T)
+    with pytest.raises(ValueError, match=r"not symmetric at \(3, 1050\)"):
+        Graph(np.eye(n, k=1047, dtype=bool) & (np.arange(n) == 3)[:, None])

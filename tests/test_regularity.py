@@ -294,6 +294,23 @@ def test_hoffman_block_graph_resolution_class():
     assert rep.tight and rep.outside_degrees == {3: 9}
 
 
+def test_hoffman_names_the_first_offending_member(ls34):
+    from cerg.arrays import oa_macneish
+    from cerg.graphs import VertexOutOfRange
+    from cerg.regularity import SetNotClique, SetNotCoclique
+
+    oa = oa_macneish(4)
+    clique = row_clique(oa, 0, 0)
+    stranger = next(v for v in range(16) if v not in clique and v > clique[0])
+    with pytest.raises(SetNotClique, match=f"vertex {clique[0]} misses"):
+        hoffman_check(ls34, [*clique, stranger], "clique", 3)
+    with pytest.raises(SetNotCoclique, match=f"vertex {clique[0]} has"):
+        hoffman_check(ls34, clique[:2], "coclique", 3)
+    for bad, stray in (([0, 16], 16), ([-1, 0], -1), ([0, 1.5], 1.5)):
+        with pytest.raises(VertexOutOfRange, match=f"set member {stray} "):
+            hoffman_check(ls34, bad, "clique", 3)
+
+
 def test_hoffman_not_tight_single_vertex():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])  # K4 minus a matching
     ok, params = is_strongly_regular(g)
@@ -427,7 +444,7 @@ def test_h27_complement_relations_form_scheme(h27):
     lam_values = sorted({int(v) for v in (a2 * a)[a == 1]})
     assert len(lam_values) == 2
     relations = [
-        Graph.from_adjacency(((a == 1) & (a2 == lv)).astype(int)) for lv in lam_values
+        Graph(((a == 1) & (a2 == lv)).astype(int)) for lv in lam_values
     ]
     relations.append(complement(h27))
     rep = scheme_check(relations)
@@ -569,3 +586,11 @@ def test_cached_powers_are_read_only(tls22):
     for m in (p.a2, p.a3, p.lam, p.lam_sums, p.upper):
         with pytest.raises(ValueError):
             m[0, 0] = 7
+
+
+def test_level_needs_two_vertices():
+    from cerg.graphs import Graph
+    from cerg.regularity import PreconditionFailed, level
+
+    with pytest.raises(PreconditionFailed):
+        level(Graph.empty(1))
