@@ -472,6 +472,10 @@ class EquitableReport:
 def equitable_check(g: Graph, parts) -> EquitableReport:
     """Quotient matrix of a vertex partition, or a witness (u, u', j)."""
     parts = [list(p) for p in parts]
+    strays = [v for p in parts for v in p
+              if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+    if strays:
+        raise PartitionInvalid(f"part member {strays[0]!r} is not an integer")
     seen = sorted(v for p in parts for v in p)
     if seen != list(range(g.n)) or any(not p for p in parts):
         raise PartitionInvalid("parts must be non-empty and partition the vertices")

@@ -9,16 +9,30 @@ integer characteristic polynomial), so every product of factors is an
 integer polynomial in A and is formed as a combination of the graph's
 cached exact powers (`regularity.powers`).
 
-The characteristic polynomial oracle is exact as well: it reduces the
-matrix mod a fixed sequence of 26-bit primes, takes the Hessenberg char
-poly of each image, and CRT-lifts the coefficients under a proven
-Hadamard-style bound, so no float ever appears.
+The characteristic polynomial is exact as well, by one of two routes.
+A k-regular graph is first searched for its Hoffman polynomial: the
+smallest d <= 4 with A^d = sum_{j<d} c_j A^j + ell J for integers c_j,
+ell.  The coefficients are solved over Q from the distinct entry
+patterns of a few rows of the cached powers, and then the relation is
+checked on every entry in bound-checked int64 (`Powers.combination`),
+so it holds as a matrix identity.  Multiplying it by A^(t-d) and using
+AJ = kJ gives tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) for every
+t >= d; from the exact tr A^0..tr A^(d-1) this yields every power sum
+up to tr A^n in Python integers, and Newton's identities, whose
+divisions are exact because the coefficients are integers, turn them
+into the characteristic polynomial.  An irregular graph, or a regular
+one with no such relation (a connected one with more than five distinct
+eigenvalues, say), falls back to reducing the matrix mod a fixed
+sequence of 26-bit primes, taking the Hessenberg char poly of each
+image, and CRT-lifting the coefficients under a proven Hadamard-style
+bound.  Neither route lets a float into the result.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +40,14 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .regularity import NotEdgeRegular, NotRegular, powers, profile
+from .regularity import (
+    ExactnessBoundExceeded,
+    NotEdgeRegular,
+    NotRegular,
+    Powers,
+    powers,
+    profile,
+)
 
 
 class Disconnected(ValueError):
@@ -297,13 +318,100 @@ def _crt_signed(residues: list[int], primes: list[int]) -> int:
     return x
 
 
+def _hoffman_candidate(p: Powers, d: int):
+    """(coeffs, ell) solving A^d = sum_{j<d} coeffs[j] A^j + ell J over Q
+    on the distinct entry patterns of as few rows as determine it, or
+    None when those rows contradict every solution or admit no unique
+    one.  Nothing here is trusted: the caller checks the candidate, as
+    integers, on every entry."""
+    n = p.a.shape[0]
+    mats = [getattr(p, name) for name in ("a", "a2", "a3", "a4")[:d]]
+    basis = []  # (pivot column, row) pairs in reduced echelon form
+    seen = set()
+    for x in range(n):
+        # row y holds (I, A, ..., A^(d-1), J | A^d) at entry (x, y)
+        terms = [np.arange(n) == x, *(m[x] for m in mats[:-1]), np.ones(n, np.int64)]
+        entries = np.stack([*terms, mats[-1][x]], axis=1)
+        for pattern in np.unique(entries, axis=0).tolist():
+            if tuple(pattern) in seen:
+                continue
+            seen.add(tuple(pattern))
+            row = [Fraction(v) for v in pattern]
+            for col, b in basis:
+                row = [u - row[col] * v for u, v in zip(row, b)]
+            col = next((c for c, v in enumerate(row[:-1]) if v), None)
+            if col is None:
+                if row[-1]:
+                    return None  # 0 = nonzero: no relation of degree d
+                continue
+            row = [v / row[col] for v in row]
+            basis = [(c, [u - b[col] * v for u, v in zip(b, row)]) for c, b in basis]
+            basis.append((col, row))
+            if len(basis) == d + 1:
+                sol = [0] * (d + 1)
+                for c, b in basis:
+                    sol[c] = int(b[-1])  # integral at the minimal d; checked later
+                return sol[:-1], sol[-1]
+    return None
+
+
+def _hoffman_polynomial(g: Graph):
+    """(coeffs, ell) with A^d = sum_{j<d} coeffs[j] A^j + ell J exactly,
+    for the smallest d <= 4 that has such a relation, or None."""
+    p = powers(g)
+    for d in range(1, 5):
+        cand = _hoffman_candidate(p, d)
+        if cand is None:
+            continue
+        coeffs, ell = cand
+        try:
+            resid = p.combination([-c for c in coeffs] + [1], -ell)
+        except ExactnessBoundExceeded:
+            continue
+        if not resid.any():
+            return coeffs, ell
+    return None
+
+
+def _newton_char_poly(traces: list[int]) -> tuple[int, ...]:
+    """Ascending char poly coefficients of an n x n integer matrix from
+    its power sums tr A^0..tr A^n (Newton's identities).  Each division
+    is exact: m a_m is a multiple of m because a_m is an integer."""
+    n = len(traces) - 1
+    a = [1]  # a[m] is the coefficient of x^(n-m)
+    for m in range(1, n + 1):
+        s = sum(map(operator.mul, reversed(a), traces[1 : m + 1]))
+        q, r = divmod(-s, m)
+        assert r == 0, "power sums of an integer matrix give integer coefficients"
+        a.append(q)
+    return tuple(reversed(a))
+
+
 def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
-    """Exact characteristic polynomial of A, coefficients ascending."""
+    """Exact characteristic polynomial of A, coefficients ascending.
+
+    A regular graph whose Hoffman polynomial has degree d <= 4 gets it
+    from its traces: tr A^0..tr A^(d-1) exactly, then the recurrence
+    tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) up to t = n, then
+    Newton's identities.  Any other graph goes through the modular
+    Hessenberg + CRT path, whose prime images run on ``threads``.
+    """
     n = g.n
     if n > CHAR_POLY_MAX_N:
         raise TooLarge(f"n={n} exceeds the char_poly ceiling {CHAR_POLY_MAX_N}")
     if n == 0:
         return (1,)
+    regular, k = g.is_regular()
+    hoffman = _hoffman_polynomial(g) if regular else None
+    if hoffman is not None:
+        coeffs, ell = hoffman
+        d = len(coeffs)
+        traces = _traces(g, d - 1)
+        for t in range(d, n + 1):
+            traces.append(
+                sum(map(operator.mul, coeffs, traces[t - d : t])) + ell * n * k ** (t - d)
+            )
+        return _newton_char_poly(traces)
     a = g.adjacency_matrix()
     k_max = max(1, max(g.degrees()))
     # |c_j| <= C(n, j) * k_max^(j/2) by Hadamard on principal minors
@@ -548,6 +656,7 @@ def goldberg(
         raise NotEdgeRegular("lambda is not constant over edges")
     lam = next(iter(prof.lambda_multiset))
     k = prof.k
+    poly = None
     for t in (theta, theta2):
         if t == k:
             raise NotAnEigenvalue(f"{t} is the valency, not an admissible choice")
@@ -555,7 +664,9 @@ def goldberg(
             if t not in cert.eigenvalues:
                 raise NotAnEigenvalue(f"{t} is not in the certificate")
         else:
-            if _poly_eval_fraction(char_poly(g, threads), t) != 0:
+            if poly is None:
+                poly = char_poly(g, threads)
+            if _poly_eval_fraction(poly, t) != 0:
                 raise NotAnEigenvalue(f"{t} is not a root of the characteristic polynomial")
     c = Fraction(k, lam + 1)
     lhs = (theta + c) * (theta2 + c)

@@ -137,6 +137,17 @@ def test_verify_equitable(tls22_file, tmp_path, capsys):
     assert json.loads(text)["reports"]["equitable"]["quotient"] == [[7, 12], [4, 15]]
 
 
+def test_verify_equitable_float_member_exits_2(tmp_path, capsys):
+    g6 = tmp_path / "ls23.g6"
+    run(capsys, "construct", "ls", "--n", "3", "--m", "2", "-o", str(g6))
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps({"parts": [[0.0, 1, 2], [3, 4, 5], [6, 7, 8]]}))
+    code = main(["verify", "equitable", "-i", str(g6), "--parts", str(parts)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "PartitionInvalid" and "0.0" in err["detail"]
+
+
 def test_compare_cospectral_pair(tls22_file, tmp_path, capsys):
     g6, _ = tls22_file
     run(capsys, "construct", "ls", "--n", "4", "--m", "3", "-o", str(tmp_path / "ls.g6"))

@@ -9,7 +9,11 @@ a single byte of any report; do not re-record them to make a change
 pass.  ``construct.json`` pins the ``cerg construct`` families that the
 reports' input digests do not cover: for each, the summary line on
 stdout and the sha256 of the graph6 file and of its sidecar, recorded
-from the bitset-row graphs that preceded the boolean-matrix ones.
+from the bitset-row graphs that preceded the boolean-matrix ones.  The
+``compare`` cases without ``--claim`` were recorded when ``char_poly``
+had only its modular Hessenberg + CRT path; they pin its verdicts (a
+cospectral pair, a pair that differs at x^30, and a pair of irregular
+graphs) across the Hoffman-polynomial route.
 ``PYTHONPATH=src python tests/test_golden.py`` prints any case that
 differs (``--write`` records the current outputs instead).
 """
@@ -28,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from cerg.cli import main
+from cerg.graphs import Graph, write_graph6
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,6 +66,17 @@ CASES = {
 CASES["compare-tls22-ext22-claim"] = [
     "compare", "tls22.g6", "ext22.g6", "--claim", "tls22.spec.json",
 ]
+# without --claim, compare goes through char_poly on both graphs
+CASES["compare-tls22-ext22"] = ["compare", "tls22.g6", "ext22.g6"]
+CASES["compare-tls22-ext24"] = ["compare", "tls22.g6", "ext24.g6"]
+CASES["compare-star5-c4k1"] = ["compare", "star5.g6", "c4k1.g6"]
+
+# irregular graphs: the star K_{1,4} and C_4 plus an isolated vertex,
+# the smallest cospectral pair
+EDGE_LISTS = {
+    "star5": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "c4k1": [(0, 1), (1, 2), (2, 3), (3, 0)],
+}
 
 
 # OA(5, 4) over Z_5 on columns 5x + y: rows x, y, x + y, x + 2y
@@ -114,8 +130,13 @@ def build_inputs(workdir: Path) -> None:
         for name, (family, claim) in FIXTURES.items():
             assert _quiet(["construct", *family, "-o", f"{name}.g6"])[0] == 0
             Path(f"{name}.spec.json").write_text(json.dumps(claim))
-        ext = ["construct", "clique-ext", "-i", "ls34.g6", "--s", "2", "-o", "ext22.g6"]
-        assert _quiet(ext)[0] == 0
+        assert _quiet(["construct", "ls", "--n", "4", "--m", "2", "-o", "ls24.g6"])[0] == 0
+        # clique extensions (s = 2) of LS_3(4) and LS_2(4), both of order 32
+        for base, out in (("ls34", "ext22"), ("ls24", "ext24")):
+            ext = ["construct", "clique-ext", "-i", f"{base}.g6", "--s", "2", "-o", f"{out}.g6"]
+            assert _quiet(ext)[0] == 0
+        for name, edges in EDGE_LISTS.items():
+            write_graph6(Graph.from_edges(5, edges), f"{name}.g6")
 
 
 def _sha256(path: Path) -> str | None:

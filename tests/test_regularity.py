@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cerg.graphs import Graph, clique_extension, complement
@@ -388,6 +389,14 @@ def test_equitable_witness():
         equitable_check(path, [[0, 1]])
 
 
+@pytest.mark.parametrize("member", [0.0, True, "0", None, np.float64(0)])
+def test_equitable_rejects_non_integer_members(member):
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(PartitionInvalid, match="not an integer"):
+        equitable_check(path, [[member, 1], [2]])
+    assert equitable_check(path, [[np.int64(0), 1], [2]]).witness["part"] == 0
+
+
 def test_quotient_eigenvalues_are_graph_eigenvalues(tls22):
     # the 2x2 clique quotient has eigenvalues k and q^2(n-1)-1
     members = tls22.clique(1, 0, 1)
@@ -477,7 +486,6 @@ def test_scheme_accept_iff_srg_on_small_corpus(tls22, rook33, ls34):
 
 import json
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays

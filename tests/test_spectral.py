@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cerg import spectral
 from cerg.graphs import Graph, clique_extension, complement
 from cerg.regularity import NotEdgeRegular, strong_co_edge_regular, weak_edge_regular
 from cerg.spectral import (
@@ -77,6 +78,106 @@ def test_char_poly_threads_deterministic(tls22):
 def test_char_poly_size_cap():
     with pytest.raises(TooLarge):
         char_poly(Graph.empty(513))
+
+
+def hessenberg_charpoly(g, monkeypatch):
+    """char_poly with the Hoffman route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_hoffman_polynomial", lambda g: None)
+        return char_poly(g)
+
+
+def disjoint_k4s():
+    return Graph.from_edges(
+        8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]
+    )
+
+
+def petersen():
+    return Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
+def test_char_poly_hoffman_route_matches_oracles(tls22, ls34, monkeypatch):
+    """Regular graphs with at most five distinct eigenvalues take the
+    trace-recurrence route; it agrees with Berkowitz and Hessenberg."""
+    cases = [
+        (Graph.empty(5), 1),
+        (Graph.complete(6), 1),
+        (cycle(5), 2),
+        (petersen(), 2),
+        (disjoint_k4s(), 2),
+        (ls34, 2),
+        (cycle(8), 4),
+        (tls22, 3),
+        (complement(tls22), 3),
+        (clique_extension(ls34, 2), 3),
+    ]
+    for g, d in cases:
+        found = spectral._hoffman_polynomial(g)
+        assert found is not None and len(found[0]) == d, (g.n, found)
+        assert char_poly(g) == sympy_charpoly(g) == hessenberg_charpoly(g, monkeypatch)
+
+
+def test_hoffman_polynomial_of_disconnected_graph_has_ell_zero():
+    # 2 K_4: A^2 = 2A + 3I, and J is not a polynomial in A
+    assert spectral._hoffman_polynomial(disjoint_k4s()) == ([3, 2], 0)
+
+
+def test_char_poly_fallback_matches_oracle(monkeypatch):
+    """C_12 (seven distinct eigenvalues) has no Hoffman polynomial of
+    degree <= 4, and irregular graphs are never tried (the star K_{1,4}
+    has A^3 = 4A, but AJ is not a multiple of J): both go through
+    Hessenberg + CRT."""
+    images = []
+    reduce = spectral._hessenberg_charpoly_mod
+    monkeypatch.setattr(
+        spectral, "_hessenberg_charpoly_mod", lambda a, p: images.append(p) or reduce(a, p)
+    )
+    assert spectral._hoffman_polynomial(cycle(12)) is None
+    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    for g in (cycle(12), random_graph(14, 0.4, 3), star):
+        images.clear()
+        assert char_poly(g) == sympy_charpoly(g)
+        assert images
+
+
+def test_char_poly_tls33_takes_the_hoffman_route(tls33, monkeypatch):
+    def refuse(a, p):
+        raise AssertionError("Hessenberg path used")
+
+    monkeypatch.setattr(spectral, "_hessenberg_charpoly_mod", refuse)
+    claim = [(98, 1), (17, 32), (-1, 162), (-10, 48)]
+    assert char_poly(tls33) == poly_from_roots(claim)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_corrupted_hoffman_coefficient_is_never_returned(index, tls22, monkeypatch):
+    """A wrong solved coefficient (c_0, c_1, c_2 or ell) fails the
+    entrywise check, so char_poly falls back and stays exact."""
+    solve = spectral._hoffman_candidate
+
+    def corrupt(p, d):
+        found = solve(p, d)
+        if found is None:
+            return None
+        values = [*found[0], found[1]]
+        values[index % len(values)] += 1
+        return values[:-1], values[-1]
+
+    monkeypatch.setattr(spectral, "_hoffman_candidate", corrupt)
+    assert spectral._hoffman_polynomial(tls22) is None
+    assert char_poly(tls22) == poly_from_roots(TLS22_CLAIM)
+
+
+def test_hoffman_candidate_past_the_int64_bound_is_skipped(tls22, monkeypatch):
+    monkeypatch.setattr(spectral, "_hoffman_candidate", lambda p, d: ([2**62] * d, 0))
+    assert spectral._hoffman_polynomial(tls22) is None
+    assert char_poly(tls22) == poly_from_roots(TLS22_CLAIM)
 
 
 def test_poly_from_spectrum_matches_oracle():
@@ -314,6 +415,18 @@ def test_goldberg_validates_eigenvalues(tls22):
     with pytest.raises(NotAnEigenvalue):
         goldberg(gc, -4, 5)
     assert not goldberg(gc, -4, 4).violated
+
+
+def test_goldberg_without_certificate_computes_char_poly_once(tls22, monkeypatch):
+    calls = []
+
+    def counted(g, threads=None):
+        calls.append(g)
+        return char_poly(g, threads)
+
+    monkeypatch.setattr(spectral, "char_poly", counted)
+    assert not goldberg(complement(tls22), -4, 4).violated
+    assert len(calls) == 1
 
 
 def test_goldberg_requires_edge_regular(tls22):
