@@ -3,11 +3,17 @@ weak/strong constants, Hoffman bounds, equitable partitions, and
 association-scheme axioms.
 
 Everything reduces to integer matrix products plus elementwise
-comparisons.  The one product kernel, `exact_matmul`, runs float64 BLAS
-under the bound inner_dim * max|X| * max|Y| < 2^53, so every partial sum
-is an integer float64 holds exactly, whatever the summation order or
-thread count; past the bound it raises `ExactnessBoundExceeded`.  Each
-graph's powers are computed once, in the `Powers` cache.
+comparisons.  The one product kernel, `exact_matmul`, runs BLAS in the
+narrowest float type that is provably exact: with
+B = inner_dim * max|X| * max|Y|, float32 when B < 2^24 and float64 when
+B < 2^53.  Every product of two entries and every partial sum, in any
+summation order and on any thread count, is then an integer of absolute
+value at most B, and such integers are exactly representable in the
+chosen type (24- and 53-bit significands), so no operation rounds.
+Past 2^53 it raises `ExactnessBoundExceeded`.  A product x @ x.T is
+formed as a Gram matrix, which BLAS computes by syrk at half the flops.
+Each graph's powers, its pair masks and the A^2 values on them are
+computed once, in the `Powers` cache.
 """
 
 from __future__ import annotations
@@ -67,15 +73,37 @@ def _absmax(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
+def _is_transpose(y: np.ndarray, x: np.ndarray) -> bool:
+    """Whether y is exactly x.T: the same buffer read with reversed axes."""
+    return (
+        y.ctypes.data == x.ctypes.data
+        and y.dtype == x.dtype
+        and y.shape == x.shape[::-1]
+        and y.strides == x.strides[::-1]
+    )
+
+
 def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for integer matrices, exactly, as int64 through float64 BLAS;
-    raises `ExactnessBoundExceeded` unless inner_dim*max|x|*max|y| < 2^53."""
+    """x @ y for integer matrices, exactly, as int64 through BLAS.
+
+    With B = inner_dim * max|x| * max|y|, the product runs in float32
+    when B < 2^24 and in float64 when B < 2^53; no partial sum can then
+    leave the integers the float type holds exactly.  Otherwise raises
+    `ExactnessBoundExceeded`.  When y is x's transposed view (say
+    ``exact_matmul(a, a.T)``), x is converted once and the Gram product
+    goes to BLAS syrk.
+    """
     bound = x.shape[1] * _absmax(x) * _absmax(y)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
         )
-    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    dtype = np.float32 if bound < 2**24 else np.float64
+    xf = x.astype(dtype)
+    yf = xf.T if _is_transpose(y, x) else y.astype(dtype)
+    out = xf @ yf
+    del xf, yf  # free the float copies before the int64 result is made
+    return out.astype(np.int64)
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -90,16 +118,19 @@ class Powers:
     ``a`` is the graph's own read-only boolean matrix; every product is
     int64.  ``lam`` is A∘A², which holds lambda(x, y) on edges and 0
     elsewhere; ``lam_sums`` is (A∘A²)A, whose (x, y) entry sums
-    lambda(x, z) over the common neighbours z of x and y.  Every cached
-    array is shared by all callers and read-only.  Obtain it with
-    `powers`.
+    lambda(x, z) over the common neighbours z of x and y.  ``adj`` and
+    ``nonadj`` mask the adjacent and non-adjacent unordered pairs, and
+    ``lam_vals`` and ``mu_vals`` are the A² entries on them, in row-major
+    pair order.  Every cached array is shared by all callers and
+    read-only.  Obtain it with `powers`.
     """
 
     a: np.ndarray
 
     @cached_property
     def a2(self) -> np.ndarray:
-        return _frozen(exact_matmul(self.a, self.a))
+        # A and A^2 are symmetric, so A^2 and A^4 are Gram products
+        return _frozen(exact_matmul(self.a, self.a.T))
 
     @cached_property
     def a3(self) -> np.ndarray:
@@ -107,7 +138,7 @@ class Powers:
 
     @cached_property
     def a4(self) -> np.ndarray:
-        return _frozen(exact_matmul(self.a2, self.a2))
+        return _frozen(exact_matmul(self.a2, self.a2.T))
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -122,9 +153,21 @@ class Powers:
         """Strict upper triangle: each unordered pair once."""
         return _frozen(np.triu(np.ones(self.a.shape, dtype=bool), 1))
 
-    def pairs(self, adjacent: bool) -> np.ndarray:
-        """Mask of the adjacent (or non-adjacent) unordered pairs."""
-        return (self.a == int(adjacent)) & self.upper
+    @cached_property
+    def adj(self) -> np.ndarray:
+        return _frozen(self.a & self.upper)
+
+    @cached_property
+    def nonadj(self) -> np.ndarray:
+        return _frozen(~self.a & self.upper)
+
+    @cached_property
+    def lam_vals(self) -> np.ndarray:
+        return _frozen(self.a2[self.adj])
+
+    @cached_property
+    def mu_vals(self) -> np.ndarray:
+        return _frozen(self.a2[self.nonadj])
 
     def combination(self, coeffs, j_coeff=0) -> np.ndarray:
         """sum_j coeffs[j] A^j + j_coeff J in int64 (coeffs ascending, j <= 4).
@@ -157,8 +200,9 @@ def powers(g: Graph) -> Powers:
 
 
 def _multiset(values: np.ndarray) -> dict[int, int]:
-    vals, counts = np.unique(values, return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
+    """Value -> multiplicity of an array of non-negative integers."""
+    counts = np.bincount(values)
+    return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
 
 @dataclass
@@ -203,8 +247,8 @@ def profile(g: Graph, threads: int | None = None) -> RegularityProfile:
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     p = powers(g)
-    lam = _multiset(p.a2[p.pairs(True)])
-    mu = _multiset(p.a2[p.pairs(False)])
+    lam = _multiset(p.lam_vals)
+    mu = _multiset(p.mu_vals)
     regular, k = g.is_regular()
     prof = RegularityProfile(
         n=g.n,
@@ -249,15 +293,16 @@ def strong_co_edge_regular(g: Graph, threads=None) -> StrongReport:
     if not regular:
         raise NotCoEdgeRegular("graph is not regular")
     p = powers(g)
-    nonadj = p.pairs(False)
-    if not nonadj.any():
+    nonadj = p.nonadj
+    mu_vals = p.mu_vals
+    if not mu_vals.size:
         return StrongReport(True, None, None)  # complete: vacuous
-    mu_vals = p.a2[nonadj]
     if mu_vals.min() != mu_vals.max():
         raise NotCoEdgeRegular("mu is not constant over non-adjacent pairs")
     mu = int(mu_vals[0])
     sums = p.lam_sums
-    if not np.array_equal(sums[nonadj], sums.T[nonadj]):
+    vals = sums[nonadj]
+    if not np.array_equal(vals, sums.T[nonadj]):
         idx = np.argwhere(nonadj & (sums != sums.T))[0]
         return StrongReport(
             False,
@@ -270,7 +315,6 @@ def strong_co_edge_regular(g: Graph, threads=None) -> StrongReport:
                 "reason": "ordered sums disagree",
             },
         )
-    vals = sums[nonadj]
     if vals.min() == vals.max():
         return StrongReport(True, mu, int(vals[0]))
     coords = np.argwhere(nonadj)
@@ -312,10 +356,9 @@ def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
     if not regular:
         raise NotRegular("graph is not regular")
     p = powers(g)
-    adj = p.pairs(True)
-    if not adj.any():
+    adj, lam_vals = p.adj, p.lam_vals
+    if not lam_vals.size:
         return WeakReport(True, None, None, family=(0, 0))
-    lam_vals = p.a2[adj]
     sum_vals = p.lam_sums[adj]
     lam_min, lam_max = int(lam_vals.min()), int(lam_vals.max())
     if lam_min == lam_max:
@@ -341,11 +384,15 @@ def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
     s2, l2 = int(sum_vals[i_max]), lam_max
     alpha = Fraction(s1 - s2, l1 - l2)
     beta = alpha * l1 - s1
-    # verify on every edge with cleared denominators
-    den = alpha.denominator
-    lhs = alpha.numerator * lam_vals.astype(object)
-    rhs = den * sum_vals.astype(object) + int(beta * den)
-    bad = lhs != rhs
+    # sum = alpha*lambda - beta on every edge: one exact target per
+    # distinct lambda; a target that is not an integer in [0, 2^63), which
+    # no sum (a non-negative int64) can equal, becomes the sentinel -1
+    target = np.full(lam_max + 1, -1, dtype=np.int64)
+    for v in np.flatnonzero(np.bincount(lam_vals)).tolist():
+        t = alpha * v - beta
+        if t.denominator == 1 and 0 <= t < 2**63:
+            target[v] = int(t)
+    bad = target[lam_vals] != sum_vals
     if bad.any():
         coords = np.argwhere(adj)
         first = int(np.argmax(bad))
@@ -429,7 +476,8 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
         raise NotSRG("Hoffman bound applies to strongly regular graphs")
     n, k, _, mu = params
     members = sorted(set(vertex_set))
-    strays = [v for v in members if not (isinstance(v, (int, np.integer)) and 0 <= v < g.n)]
+    strays = [v for v in members if isinstance(v, bool)
+              or not (isinstance(v, (int, np.integer)) and 0 <= v < g.n)]
     if strays:
         raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")
     idx = np.asarray(members, dtype=np.intp)

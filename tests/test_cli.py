@@ -218,6 +218,18 @@ def test_verify_hoffman(tmp_path, capsys):
     assert rep["tight"] is True and rep["bound"] == [4, 1]
 
 
+def test_verify_hoffman_boolean_member_exits_2(tmp_path, capsys):
+    g6 = tmp_path / "ls.g6"
+    run(capsys, "construct", "ls", "--n", "3", "--m", "2", "-o", str(g6))
+    sel = tmp_path / "set.json"
+    sel.write_text(json.dumps({"set": [True]}))
+    code = main(["verify", "hoffman", "-i", str(g6), "--set", str(sel),
+                 "--kind", "clique", "--m", "2"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "VertexOutOfRange" and "True" in err["detail"]
+
+
 def test_verify_goldberg(tls22_file, tmp_path, capsys):
     g6, _ = tls22_file
     comp = tmp_path / "comp.g6"

@@ -13,7 +13,12 @@ from the bitset-row graphs that preceded the boolean-matrix ones.  The
 ``compare`` cases without ``--claim`` were recorded when ``char_poly``
 had only its modular Hessenberg + CRT path; they pin its verdicts (a
 cospectral pair, a pair that differs at x^30, and a pair of irregular
-graphs) across the Hoffman-polynomial route.
+graphs) across the Hoffman-polynomial route.  The four failing or
+large ``verify`` cases (the circulants' strong and weak witnesses, one
+with a non-integer weak target, and ``profile`` on tls(4,5)) were
+recorded from the float64 kernel before the float32 tier, syrk Gram
+products and table-driven tallies; they pin the witnesses those must
+keep.
 ``PYTHONPATH=src python tests/test_golden.py`` prints any case that
 differs (``--write`` records the current outputs instead).
 """
@@ -70,6 +75,11 @@ CASES["compare-tls22-ext22-claim"] = [
 CASES["compare-tls22-ext22"] = ["compare", "tls22.g6", "ext22.g6"]
 CASES["compare-tls22-ext24"] = ["compare", "tls22.g6", "ext24.g6"]
 CASES["compare-star5-c4k1"] = ["compare", "star5.g6", "c4k1.g6"]
+# failing checks pin their witnesses; tls(4,5) is the benchmark's heavy input
+CASES["verify-c8-12-strong"] = ["verify", "strong", "-i", "c8-12.g6"]
+CASES["verify-c8-124-weak"] = ["verify", "weak", "-i", "c8-124.g6"]
+CASES["verify-c10-123-weak"] = ["verify", "weak", "-i", "c10-123.g6"]
+CASES["verify-tls45-profile"] = ["verify", "profile", "-i", "tls45.g6"]
 
 # irregular graphs: the star K_{1,4} and C_4 plus an isolated vertex,
 # the smallest cospectral pair
@@ -77,6 +87,8 @@ EDGE_LISTS = {
     "star5": [(0, 1), (0, 2), (0, 3), (0, 4)],
     "c4k1": [(0, 1), (1, 2), (2, 3), (3, 0)],
 }
+# circulants C_n(S): i ~ j iff i - j = +-s (mod n) for some s in S
+CIRCULANTS = {"c8-12": (8, (1, 2)), "c8-124": (8, (1, 2, 4)), "c10-123": (10, (1, 2, 3))}
 
 
 # OA(5, 4) over Z_5 on columns 5x + y: rows x, y, x + y, x + 2y
@@ -137,6 +149,10 @@ def build_inputs(workdir: Path) -> None:
             assert _quiet(ext)[0] == 0
         for name, edges in EDGE_LISTS.items():
             write_graph6(Graph.from_edges(5, edges), f"{name}.g6")
+        for name, (n, steps) in CIRCULANTS.items():
+            edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+            write_graph6(Graph.from_edges(n, sorted(edges)), f"{name}.g6")
+        assert _quiet(["construct", "tls", "--q", "4", "--n", "5", "-o", "tls45.g6"])[0] == 0
 
 
 def _sha256(path: Path) -> str | None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -222,6 +223,46 @@ def test_weak_fit_agrees_with_brute_force_verification():
             checked_fail += 1
 
 
+def circulant(n, steps):
+    """C_n(steps): i ~ j iff i - j = +-s (mod n) for some s in steps."""
+    return Graph.from_edges(
+        n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+    )
+
+
+def test_weak_witness_is_the_first_edge_failing_the_fraction_fit():
+    """On every circulant of order 5..15, the reported edge is the first
+    edge, in row-major order, where alpha*lambda - beta != sum in exact
+    Fractions, with alpha and beta fitted to the first edges of least
+    and greatest lambda.  Covers non-integer targets (alpha = 3/2, 5/2,
+    11/2), which must never match a sum however they are rounded."""
+    seen_half = 0
+    for n in range(5, 16):
+        for r in range(1, n // 2 + 1):
+            for steps in itertools.combinations(range(1, n // 2 + 1), r):
+                g = circulant(n, steps)
+                nbrs = neighbor_sets(g)
+                edges = sorted(g.edges())
+                lam = [len(nbrs[x] & nbrs[y]) for x, y in edges]
+                if min(lam) == max(lam):
+                    continue
+                sums = [sum(len(nbrs[x] & nbrs[z]) for z in nbrs[x] & nbrs[y])
+                        for x, y in edges]
+                lo, hi = lam.index(min(lam)), lam.index(max(lam))
+                alpha = Fraction(sums[lo] - sums[hi], lam[lo] - lam[hi])
+                beta = alpha * lam[lo] - sums[lo]
+                bad = [e for e, l, s in zip(edges, lam, sums) if alpha * l - beta != s]
+                rep = weak_edge_regular(g)
+                assert rep.ok == (not bad), (n, steps)
+                if bad:
+                    assert rep.witness["edge"] == bad[0], (n, steps)
+                    assert rep.witness["alpha_candidate"] == [alpha.numerator, alpha.denominator]
+                    seen_half += alpha.denominator == 2
+                else:
+                    assert (rep.alpha, rep.beta) == (alpha, beta)
+    assert seen_half
+
+
 # -- level
 
 
@@ -307,7 +348,7 @@ def test_hoffman_names_the_first_offending_member(ls34):
         hoffman_check(ls34, [*clique, stranger], "clique", 3)
     with pytest.raises(SetNotCoclique, match=f"vertex {clique[0]} has"):
         hoffman_check(ls34, clique[:2], "coclique", 3)
-    for bad, stray in (([0, 16], 16), ([-1, 0], -1), ([0, 1.5], 1.5)):
+    for bad, stray in (([0, 16], 16), ([-1, 0], -1), ([0, 1.5], 1.5), ([True], True)):
         with pytest.raises(VertexOutOfRange, match=f"set member {stray} "):
             hoffman_check(ls34, bad, "clique", 3)
 
@@ -495,24 +536,52 @@ from cerg.cli import main
 from cerg.constructions import tls
 from cerg.regularity import ExactnessBoundExceeded, exact_matmul, powers
 
-ENTRY = st.integers(-(2**20), 2**20)
+# entry magnitudes whose bounds inner * max|x| * max|y| fall on either
+# side of 2^24, so both the float32 and the float64 tier run
+TOPS = [1, 2**10, 2**11, 2**12 - 1, 2**12, 2**12 + 1, 2**13, 2**20]
 
 
 @st.composite
 def int_pairs(draw):
     rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
-    x = draw(arrays(np.int64, (rows, inner), elements=ENTRY))
-    y = draw(arrays(np.int64, (inner, cols), elements=ENTRY))
+    top = draw(st.sampled_from(TOPS))
+    entry = st.integers(-top, top)
+    x = draw(arrays(np.int64, (rows, inner), elements=entry))
+    y = draw(arrays(np.int64, (inner, cols), elements=entry))
     return x, y
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(int_pairs())
 def test_exact_matmul_equals_object_product(pair):
     x, y = pair
     got = exact_matmul(x, y)
     assert got.dtype == np.int64
     assert got.tolist() == (x.astype(object) @ y.astype(object)).tolist()
+
+
+def test_exact_matmul_past_2_24_is_not_rounded_to_float32():
+    # 4097^2 = 16785409 is odd and above 2^24, so float32 cannot hold it
+    assert exact_matmul(np.array([[4097]]), np.array([[4097]])).tolist() == [[16785409]]
+
+
+GRAM_X = np.array([[3, -1, 4], [1, 5, -9], [2, 6, 5], [0, -3, 5]], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "x", [GRAM_X, np.asfortranarray(GRAM_X), GRAM_X * 2**11, GRAM_X[:, :2], GRAM_X.T]
+)
+def test_gram_product_equals_object_product(x):
+    obj = x.astype(object)
+    assert exact_matmul(x, x.T).tolist() == (obj @ obj.T).tolist()
+
+
+def test_other_views_of_the_same_buffer_are_not_gram_products():
+    square = GRAM_X[:3]
+    for x, y in ((GRAM_X, GRAM_X[::-1].T), (GRAM_X, GRAM_X[:, ::-1].T), (square, square)):
+        assert np.shares_memory(x, y)
+        want = (x.astype(object) @ y.astype(object)).tolist()
+        assert exact_matmul(x, y).tolist() == want
 
 
 def test_exact_matmul_just_under_the_bound_is_exact():
