@@ -21,7 +21,6 @@ from . import arrays, constructions, geometry, graphs, regularity, spectral
 CHECK_FAILURES = (
     spectral.AnnihilationFailed,
     spectral.MomentMismatch,
-    spectral.MinimalityFailed,
     spectral.ClaimInvalid,
     spectral.NotAnEigenvalue,
     spectral.WrongEigenvalueCount,

@@ -12,8 +12,14 @@ value at most B, and such integers are exactly representable in the
 chosen type (24- and 53-bit significands), so no operation rounds.
 Past 2^53 it raises `ExactnessBoundExceeded`.  A product x @ x.T is
 formed as a Gram matrix, which BLAS computes by syrk at half the flops.
-Each graph's powers, its pair masks and the A^2 values on them are
-computed once, in the `Powers` cache.
+
+Storage follows the same bound: every entry of a product is at most B
+in absolute value, so the kernel returns int32 when B < 2^31 (always so
+in the float32 tier) and int64 otherwise.  Each graph's powers, its pair
+masks and the A^2 values on them are computed once, in the `Powers`
+cache.  An integer combination of the powers, which may need int64, is
+never held whole: `Powers.combination` streams it in row tiles of a few
+MB, widening each term to int64 within the tile.
 """
 
 from __future__ import annotations
@@ -83,13 +89,27 @@ def _is_transpose(y: np.ndarray, x: np.ndarray) -> bool:
     )
 
 
+# entries per row tile: 4-8 MB, next to n^2 arrays of 150-300 MB at n = 6125
+_TILE_ENTRIES = 2**20
+
+
+def _row_tiles(n_rows: int, n_cols: int):
+    """Consecutive row slices of about _TILE_ENTRIES entries each."""
+    step = max(1, _TILE_ENTRIES // max(n_cols, 1))
+    for i in range(0, n_rows, step):
+        yield slice(i, min(i + step, n_rows))
+
+
 def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for integer matrices, exactly, as int64 through BLAS.
+    """x @ y for integer matrices, exactly, through BLAS.
 
     With B = inner_dim * max|x| * max|y|, the product runs in float32
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
-    `ExactnessBoundExceeded`.  When y is x's transposed view (say
+    `ExactnessBoundExceeded`.  No entry exceeds B, so the result is
+    int32 when B < 2^31 and int64 otherwise; when the float and integer
+    types have one item size, the float result is cast in place, a row
+    tile at a time.  When y is x's transposed view (say
     ``exact_matmul(a, a.T)``), x is converted once and the Gram product
     goes to BLAS syrk.
     """
@@ -98,12 +118,18 @@ def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
         )
-    dtype = np.float32 if bound < 2**24 else np.float64
-    xf = x.astype(dtype)
-    yf = xf.T if _is_transpose(y, x) else y.astype(dtype)
+    ftype = np.float32 if bound < 2**24 else np.float64
+    itype = np.int32 if bound < 2**31 else np.int64
+    xf = x.astype(ftype, copy=False)
+    yf = xf.T if _is_transpose(y, x) else y.astype(ftype, copy=False)
     out = xf @ yf
-    del xf, yf  # free the float copies before the int64 result is made
-    return out.astype(np.int64)
+    del xf, yf  # free the float inputs before the cast
+    if out.itemsize != np.dtype(itype).itemsize:
+        return out.astype(itype)
+    res = out.view(itype)
+    for rows in _row_tiles(*out.shape):
+        res[rows] = out[rows]
+    return res
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -115,14 +141,18 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 class Powers:
     """Lazily memoised exact powers of one graph's adjacency matrix A.
 
-    ``a`` is the graph's own read-only boolean matrix; every product is
-    int64.  ``lam`` is A∘A², which holds lambda(x, y) on edges and 0
-    elsewhere; ``lam_sums`` is (A∘A²)A, whose (x, y) entry sums
-    lambda(x, z) over the common neighbours z of x and y.  ``adj`` and
-    ``nonadj`` mask the adjacent and non-adjacent unordered pairs, and
-    ``lam_vals`` and ``mu_vals`` are the A² entries on them, in row-major
-    pair order.  Every cached array is shared by all callers and
-    read-only.  Obtain it with `powers`.
+    ``a`` is the graph's own read-only boolean matrix; each product is
+    stored in the integer type `exact_matmul` gives it, int32 whenever
+    its bound is below 2^31: A^2 always, A^3 and ``lam_sums`` whenever
+    n k < 2^31, k the largest degree.  ``lam_sums`` is (A∘A²)A, whose
+    (x, y) entry sums lambda(x, z) over the common neighbours z of x and
+    y; A∘A² itself is formed only as the kernel's float input and is not
+    kept.  ``adj`` and ``nonadj`` mask the adjacent and non-adjacent
+    unordered pairs, and ``lam_vals`` and ``mu_vals`` are the A^2
+    entries on them, in row-major pair order.  Every cached array is
+    shared by all callers and read-only.  Integer combinations of the
+    powers are streamed in row tiles by `combination` and never cached.
+    Obtain it with `powers`.
     """
 
     a: np.ndarray
@@ -141,12 +171,10 @@ class Powers:
         return _frozen(exact_matmul(self.a2, self.a2.T))
 
     @cached_property
-    def lam(self) -> np.ndarray:
-        return _frozen(self.a * self.a2)
-
-    @cached_property
     def lam_sums(self) -> np.ndarray:
-        return _frozen(exact_matmul(self.lam, self.a))
+        # A∘A² has entries lambda(x, y) <= n < 2^24, exact in float32
+        lam = np.multiply(self.a, self.a2, dtype=np.float32)
+        return _frozen(exact_matmul(lam, self.a))
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -169,11 +197,13 @@ class Powers:
     def mu_vals(self) -> np.ndarray:
         return _frozen(self.a2[self.nonadj])
 
-    def combination(self, coeffs, j_coeff=0) -> np.ndarray:
-        """sum_j coeffs[j] A^j + j_coeff J in int64 (coeffs ascending, j <= 4).
+    def combination(self, coeffs, j_coeff=0):
+        """sum_j coeffs[j] A^j + j_coeff J (coeffs ascending, j <= 4) as a
+        stream of (first row, int64 row tile) pairs, top to bottom.
 
-        Refuses, before any work, a combination whose entries could
-        reach 2^63 in absolute value.
+        Refuses at the call, before any tile, a combination whose entries
+        could reach 2^63 in absolute value.  Each tile widens its terms
+        to int64 before scaling them.
         """
         c0, j_coeff = int(coeffs[0]), int(j_coeff)
         terms = [
@@ -185,11 +215,28 @@ class Powers:
             raise ExactnessBoundExceeded(
                 f"combination bound {bound} is not below 2^63; int64 would wrap"
             )
-        out = np.full(self.a.shape, j_coeff, dtype=np.int64)
-        for c, m in terms:
-            out += c * m
-        out.flat[:: len(out) + 1] += c0
-        return out
+        return self._combination_tiles(c0, j_coeff, terms)
+
+    def _combination_tiles(self, c0, j_coeff, terms):
+        n = len(self.a)
+        for rows in _row_tiles(n, n):
+            tile = np.full((rows.stop - rows.start, n), j_coeff, dtype=np.int64)
+            for c, m in terms:
+                tile += np.multiply(m[rows], c, dtype=np.int64)
+            diag = np.arange(rows.start, rows.stop)
+            tile[diag - rows.start, diag] += c0
+            yield rows.start, tile
+
+    def first_mismatch(self, coeffs, j_coeff, target):
+        """(i, j, value) of the first entry, in row-major order, at which
+        `combination` (coeffs, j_coeff) differs from ``target``, or None.
+        Stops at the tile that holds it."""
+        for i, tile in self.combination(coeffs, j_coeff):
+            bad = tile != target
+            if bad.any():
+                r, c = divmod(int(bad.argmax()), tile.shape[1])
+                return i + r, c, int(tile[r, c])
+        return None
 
 
 def powers(g: Graph) -> Powers:

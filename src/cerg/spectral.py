@@ -1,13 +1,16 @@
 """Exact spectrum certification and the related identity checks.
 
-A claimed spectrum is accepted only when (a) the product of the
-nontrivial factors (A - theta_i I) equals ell*J entrywise, (b) no
-drop-one sub-product already lands on a multiple of J, and (c) the
-moment equations sum m_i theta_i^j = tr A^j hold for j = 0..d.  Claimed
+A claimed spectrum k^1, theta_1^m_1, ..., theta_d^m_d of a connected
+k-regular graph is accepted only when (a) the moment equations
+sum m_i theta_i^j = tr A^j hold for j = 0..d and (b) the product of the
+nontrivial factors (A - theta_i I) equals ell*J entrywise.  Claimed
 eigenvalues must be integers (the only rational roots of A's monic
-integer characteristic polynomial), so every product of factors is an
-integer polynomial in A and is formed as a combination of the graph's
-cached exact powers (`regularity.powers`).
+integer characteristic polynomial), so the product is an integer
+polynomial in A, checked as a combination of the graph's cached exact
+powers (`regularity.powers`) that is streamed in row tiles and stops at
+the first mismatching entry.  These two checks are the whole
+certificate: together they fix the spectrum, so no factor of the
+product can be dropped (see `certify`).
 
 The characteristic polynomial is exact as well, by one of two routes.
 A k-regular graph is first searched for its Hoffman polynomial: the
@@ -45,6 +48,7 @@ from .regularity import (
     NotEdgeRegular,
     NotRegular,
     Powers,
+    _row_tiles,
     powers,
     profile,
 )
@@ -64,14 +68,6 @@ class MomentMismatch(ValueError):
     def __init__(self, j, expected, got):
         super().__init__(f"moment j={j}: claimed {got}, trace gives {expected}")
         self.j = j
-
-
-class MinimalityFailed(ValueError):
-    def __init__(self, dropped):
-        super().__init__(
-            f"dropping eigenvalue {dropped} still annihilates onto a multiple of J"
-        )
-        self.dropped = dropped
 
 
 class WrongEigenvalueCount(ValueError):
@@ -130,8 +126,12 @@ class SpectrumCertificate:
 
 def claim_from_json(obj) -> list[tuple[Fraction, int]]:
     eigs = []
-    for e in obj["eigs"]:
+    for i, e in enumerate(obj["eigs"]):
         if isinstance(e, (list, tuple)):
+            if len(e) != 2 or int(e[1]) == 0:
+                raise ValueError(
+                    f"eigs[{i}] = {e!r} is not a [numerator, nonzero denominator] pair"
+                )
             eigs.append(Fraction(int(e[0]), int(e[1])))
         else:
             eigs.append(Fraction(int(e)))
@@ -143,9 +143,12 @@ def _traces(g: Graph, up_to: int) -> list[int]:
     p = powers(g)
     out = [g.n, 0, int(p.a.sum())]
     if up_to >= 3:
-        out.append(int(p.lam.sum()))
+        # tr A^3 sums A^2 over ordered adjacent pairs, each unordered one twice
+        out.append(2 * int(p.lam_vals.sum(dtype=np.int64)))
     if up_to >= 4:
-        out.append(int((p.a2 * p.a2).sum()))
+        # tr A^4 sums the squared entries of the symmetric A^2
+        sums = (np.square(p.a2[rows], dtype=np.int64).sum() for rows in _row_tiles(g.n, g.n))
+        out.append(sum(map(int, sums)))
     return out[: up_to + 1]
 
 
@@ -157,9 +160,23 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
     denominator > 1 is rejected up front with `ClaimInvalid`.  Once the
     moments pass, every |theta_i| <= sqrt(n k) (sum m_i theta_i^2 = n k
     with every m_i >= 1; for d = 1 the first moment gives <= k), which
-    bounds the coefficients of each product of factors, formed as
-    sum c_j A^j from the cached powers.  ``threads`` is unused: the
-    products thread inside BLAS.
+    bounds the coefficients of the product of factors, formed as
+    sum c_j A^j from the cached powers and compared with ell*J one row
+    tile at a time.  ``threads`` is unused: the products thread inside
+    BLAS.
+
+    The accepted factors are minimal, so no drop-one sub-product is
+    checked.  Annihilation makes prod (A - theta_i I) vanish on the
+    orthogonal complement of the all-ones vector 1, which A preserves
+    (A is symmetric and A1 = k1); so every eigenvalue of A there is
+    some theta_i, and A's spectrum is k^1 with theta_i^t_i for unknown
+    t_i >= 0 summing to n - 1.  The moments for j = 0..d give
+    sum_i (m_i - t_i) theta_i^j = 0 for those j: d + 1 equations in the
+    d unknowns m_i - t_i over distinct theta_i, a Vandermonde system
+    with only the zero solution.  So t_i = m_i >= 1 for every i, each
+    theta_i is an eigenvalue on the complement of 1, and dropping the
+    factor A - theta_i I leaves a product that is nonzero on its
+    eigenvectors there, hence not a multiple of J.
     """
     regular, k = g.is_regular()
     if not regular:
@@ -206,21 +223,13 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
         )
     rhs = ell.numerator
 
-    p = powers(g)
-    prod = p.combination(poly_from_spectrum((t, 1) for t in thetas))
-    mismatch = prod != rhs
-    if mismatch.any():
-        i, j = (int(v) for v in np.argwhere(mismatch)[0])
+    hit = powers(g).first_mismatch(poly_from_spectrum((t, 1) for t in thetas), 0, rhs)
+    if hit is not None:
+        i, j, got = hit
         raise AnnihilationFailed(
-            f"entry ({i}, {j}) of the annihilating product is {prod[i, j]}, expected {rhs}",
-            {"entry": (i, j), "got": int(prod[i, j]), "expected": int(rhs)},
+            f"entry ({i}, {j}) of the annihilating product is {got}, expected {rhs}",
+            {"entry": (i, j), "got": got, "expected": int(rhs)},
         )
-
-    for drop in range(d):
-        rest = thetas[:drop] + thetas[drop + 1 :]
-        sub = p.combination(poly_from_spectrum((t, 1) for t in rest))
-        if (sub == sub.flat[0]).all():
-            raise MinimalityFailed(str(thetas[drop]))
 
     return SpectrumCertificate(
         n=g.n,
@@ -332,10 +341,10 @@ def _hoffman_candidate(p: Powers, d: int):
         # row y holds (I, A, ..., A^(d-1), J | A^d) at entry (x, y)
         terms = [np.arange(n) == x, *(m[x] for m in mats[:-1]), np.ones(n, np.int64)]
         entries = np.stack([*terms, mats[-1][x]], axis=1)
-        for pattern in np.unique(entries, axis=0).tolist():
-            if tuple(pattern) in seen:
+        for pattern in map(tuple, entries.tolist()):
+            if pattern in seen:
                 continue
-            seen.add(tuple(pattern))
+            seen.add(pattern)
             row = [Fraction(v) for v in pattern]
             for col, b in basis:
                 row = [u - row[col] * v for u, v in zip(row, b)]
@@ -365,10 +374,10 @@ def _hoffman_polynomial(g: Graph):
             continue
         coeffs, ell = cand
         try:
-            resid = p.combination([-c for c in coeffs] + [1], -ell)
+            hit = p.first_mismatch([-c for c in coeffs] + [1], -ell, 0)
         except ExactnessBoundExceeded:
             continue
-        if not resid.any():
+        if hit is None:
             return coeffs, ell
     return None
 
@@ -699,10 +708,13 @@ def eq1_residual(g: Graph, cert: SpectrumCertificate, threads=None) -> Eq1Report
         )
     den = cert.ell.denominator
     coeffs = [den * c for c in poly_from_spectrum((t, 1) for t in cert.eigenvalues[1:])]
-    resid = powers(g).combination(coeffs, -cert.ell * den)
-    worst = int(np.abs(resid).max())
-    if worst == 0:
+    worst, where = 0, None
+    for i, tile in powers(g).combination(coeffs, -cert.ell * den):
+        mag = np.abs(tile)
+        r, c = divmod(int(mag.argmax()), tile.shape[1])
+        if mag[r, c] > worst:  # strictly: the first maximum in row-major order
+            worst, where = int(mag[r, c]), (i + r, c, int(tile[r, c]))
+    if where is None:
         return Eq1Report(Fraction(0), None)
-    pos = np.argwhere(np.abs(resid) == worst)[0]
-    value = Fraction(int(resid[pos[0], pos[1]]), den)
-    return Eq1Report(value, (int(pos[0]), int(pos[1])))
+    i, j, value = where
+    return Eq1Report(Fraction(value, den), (i, j))

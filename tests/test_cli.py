@@ -94,6 +94,17 @@ def test_verify_spectrum_bad_claim_exits_1(tls22_file, tmp_path, capsys):
     assert "error" in rep["reports"]["spectrum"]
 
 
+def test_verify_spectrum_zero_denominator_claim_exits_2(tls22_file, tmp_path, capsys):
+    g6, _ = tls22_file
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps({"eigs": [[1, 0]], "mults": [1]}))
+    assert main(["verify", "spectrum", "-i", str(g6), "--claim", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and "eigs[0]" in err["detail"]
+
+
 def test_verify_profile_reports_level_3(tls22_file, capsys):
     g6, _ = tls22_file
     code, text = run(capsys, "verify", "profile", "-i", str(g6))

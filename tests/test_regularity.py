@@ -556,7 +556,8 @@ def int_pairs(draw):
 def test_exact_matmul_equals_object_product(pair):
     x, y = pair
     got = exact_matmul(x, y)
-    assert got.dtype == np.int64
+    bound = x.shape[1] * int(np.abs(x).max()) * int(np.abs(y).max())
+    assert got.dtype == (np.int32 if bound < 2**31 else np.int64)
     assert got.tolist() == (x.astype(object) @ y.astype(object)).tolist()
 
 
@@ -601,6 +602,67 @@ def test_exact_matmul_at_the_bound_raises():
         exact_matmul(x, y)
 
 
+@pytest.mark.parametrize(
+    "top, dtype",
+    [
+        (2**11, np.int32),  # B = 2 * top^2 = 2^23: float32 tier
+        (4097, np.int32),  # 2^24 <= B = 33570818 < 2^31: float64 tier
+        (2**15 - 1, np.int32),  # B = 2147352578, just under 2^31
+        (2**15, np.int64),  # B = 2^31
+        (2**20, np.int64),  # B = 2^41
+    ],
+)
+def test_exact_matmul_result_type_follows_the_bound(top, dtype):
+    x = np.array([[top, -1]], dtype=np.int64)
+    y = np.array([[top], [top - 2]], dtype=np.int64)
+    got = exact_matmul(x, y)
+    assert got.dtype == dtype
+    assert got.tolist() == [[top * top - top + 2]]
+
+
+def test_float32_product_is_cast_in_place(tls22):
+    # the int32 result is a view of the float32 product's own buffer
+    got = exact_matmul(tls22.a, tls22.a.T)
+    assert got.dtype == np.int32 and got.base is not None
+    assert got.base.dtype == np.float32
+
+
+def whole(tiles):
+    """The full matrix from a `Powers.combination` stream."""
+    return np.vstack([t for _, t in tiles])
+
+
+def test_combination_scales_every_term_in_int64(tls22):
+    # 2^40 cannot be an int32 scalar; 2^31 - 1 can, but wraps times A^2
+    coeffs = [3, 2**40, 2**31 - 1, -(2**40)]
+    got = whole(powers(tls22).combination(coeffs, -7))
+    assert got.dtype == np.int64
+    a = tls22.adjacency_matrix().astype(object)
+    want = sum(c * np.linalg.matrix_power(a, j) for j, c in enumerate(coeffs)) - 7
+    assert got.tolist() == want.tolist()
+
+
+def test_combination_tiles_cover_every_row_once(tls22, monkeypatch):
+    monkeypatch.setattr(regularity, "_TILE_ENTRIES", 5 * 32)
+    tiles = list(powers(tls22).combination([0, 1]))
+    assert [i for i, _ in tiles] == list(range(0, 32, 5))
+    assert whole(tiles).tolist() == tls22.adjacency_matrix().tolist()
+
+
+def test_no_cached_power_is_int64_square(tls33):
+    from cerg.spectral import certify, eq1_residual
+
+    p = powers(tls33)
+    profile(tls33)
+    cert = certify(tls33, [(98, 1), (17, 32), (-1, 162), (-10, 48)])
+    eq1_residual(tls33, cert)
+    assert p.a4.dtype == np.int32  # 243 * 98^2 < 2^31
+    assert {"a2", "a3", "a4", "lam_sums", "lam_vals", "mu_vals"} <= set(vars(p))
+    for name, m in vars(p).items():
+        if isinstance(m, np.ndarray) and m.shape == (243, 243):
+            assert m.dtype in (np.bool_, np.int32), name
+
+
 def test_combination_refuses_int64_overflow(tls22):
     with pytest.raises(ExactnessBoundExceeded):
         powers(tls22).combination([0, 2**62, 2**62])
@@ -612,7 +674,7 @@ def test_powers_match_object_products_and_are_cached(tls22):
     a = tls22.adjacency_matrix().astype(object)
     assert p.a3.tolist() == (a @ a @ a).tolist()
     assert p.lam_sums.tolist() == ((a * (a @ a)) @ a).tolist()
-    assert p.combination([1, -2, 0, 1], 5).tolist() == (
+    assert whole(p.combination([1, -2, 0, 1], 5)).tolist() == (
         a @ a @ a - 2 * a + np.eye(32, dtype=object) + 5
     ).tolist()
 
@@ -660,7 +722,8 @@ def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
 
 def test_cached_powers_are_read_only(tls22):
     p = powers(tls22)
-    for m in (p.a2, p.a3, p.lam, p.lam_sums, p.upper):
+    assert not hasattr(p, "lam")
+    for m in (p.a2, p.a3, p.lam_sums, p.upper):
         with pytest.raises(ValueError):
             m[0, 0] = 7
 

@@ -11,7 +11,6 @@ from cerg.spectral import (
     AnnihilationFailed,
     ClaimInvalid,
     Disconnected,
-    MinimalityFailed,
     MomentMismatch,
     NotAnEigenvalue,
     SpectrumCertificate,
@@ -229,21 +228,22 @@ def test_certify_rejects_wrong_multiplicities(tls22):
 
 def test_certify_rejects_extra_eigenvalue(tls22):
     # padding with a non-eigenvalue of multiplicity.. fails either moments
-    # or the drop-one minimality check
-    with pytest.raises((AnnihilationFailed, MomentMismatch, MinimalityFailed)):
+    # or annihilation
+    with pytest.raises((AnnihilationFailed, MomentMismatch)):
         certify(tls22, [(19, 1), (7, 1), (3, 9), (-1, 15), (-5, 6)])
 
 
 def test_certify_rejects_spurious_extra_value(ls34):
     """A spectrum padded with a non-eigenvalue still annihilates (the extra
     factor maps J to a multiple of J) but cannot satisfy the moments."""
-    with pytest.raises((MinimalityFailed, MomentMismatch)):
+    with pytest.raises(MomentMismatch):
         certify(ls34, [(9, 1), (5, 1), (1, 8), (-3, 6)])
 
 
 def test_drop_one_products_are_not_constant(tls22):
     """Dropping any nontrivial eigenvalue from the annihilating product
-    must break annihilation; this is what the minimality check certifies."""
+    must break annihilation, as the moments and annihilation together
+    guarantee (the minimality argument in certify's docstring)."""
     import numpy as np
 
     a = tls22.adjacency_matrix()
@@ -487,3 +487,92 @@ def test_certify_rejects_non_integer_eigenvalue(tls22, tmp_path, capsys):
 
     rep = json.loads(capsys.readouterr().out)
     assert rep["reports"]["spectrum"]["error"] == "ClaimInvalid"
+
+
+def switched_rook44():
+    """The 4x4 rook's graph after one 2-switch: 6-regular and connected on
+    16 vertices, so the rook graph's spectrum 6^1 2^6 (-2)^9 passes the
+    moments, but the switch breaks annihilation in some rows only.  The
+    relabelling puts four untouched rows first and the rows holding the
+    largest eq1 residual last."""
+    import numpy as np
+
+    i, j = np.divmod(np.arange(16), 4)
+    a = (i[:, None] == i) ^ (j[:, None] == j)
+    for u, v in ((10, 11), (15, 12)):
+        a[u, v] = a[v, u] = False
+    for u, v in ((10, 15), (11, 12)):
+        a[u, v] = a[v, u] = True
+    order = [1, 3, 5, 7, 0, 2, 4, 6, 8, 9, 13, 14, 10, 11, 12, 15]
+    return Graph(a[np.ix_(order, order)])
+
+
+def test_streamed_witnesses_equal_whole_matrix_answers(monkeypatch):
+    import numpy as np
+
+    from cerg import regularity
+
+    monkeypatch.setattr(regularity, "_TILE_ENTRIES", 3 * 16)  # 3 rows a tile
+    g = switched_rook44()
+    a = g.adjacency_matrix().astype(object)
+    eye = np.eye(16, dtype=object)
+
+    with pytest.raises(AnnihilationFailed) as info:
+        certify(g, [(6, 1), (2, 6), (-2, 9)])
+    resid = a @ a - 4 * eye - 2  # (A - 2I)(A + 2I) - ell J with ell = 2
+    i, j = np.argwhere(resid != 0)[0].tolist()
+    assert i >= 3  # a later tile
+    assert info.value.witness == {"entry": (i, j), "got": resid[i, j] + 2, "expected": 2}
+
+    # eigenvalues 2, 0, -2 and ell = 4 * 6 * 8 / 16 = 12, by hand
+    thetas = tuple(Fraction(t) for t in (6, 2, 0, -2))
+    cert = SpectrumCertificate(16, Fraction(6), thetas, (1, 6, 0, 9), Fraction(12), {})
+    resid = a @ a @ a - 4 * a - 12
+    mag = np.abs(resid)
+    i, j = np.argwhere(mag == mag.max())[0].tolist()
+    assert i >= 3 and 0 < mag[:i].max() < mag.max()  # beats an earlier tile's max
+    rep = eq1_residual(g, cert)
+    assert rep.position == (i, j) and rep.residual == resid[i, j]
+
+
+def test_claim_free_compare_does_not_import_numpy_ma(tls22, ls34, tmp_path):
+    """`_hoffman_candidate` dedups entry patterns in Python: np.unique with
+    an axis pulls in numpy.ma, 13-16 ms of every compare child's start."""
+    import os
+    import subprocess
+    import sys
+
+    import cerg
+    from cerg.graphs import write_graph6
+
+    ext = clique_extension(ls34, 2)
+    paths = [str(tmp_path / "tls22.g6"), str(tmp_path / "ext.g6")]
+    for g, path in zip((tls22, ext), paths):
+        write_graph6(g, path)
+    code = (
+        "import sys\n"
+        "from cerg.cli import main\n"
+        f"assert main(['compare', {paths[0]!r}, {paths[1]!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cerg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert '"method": "char-poly"' in out.stdout
+    assert out.stderr.strip() == "False"
+
+
+def test_certify_five_eigenvalues_over_several_row_tiles(monkeypatch):
+    """The 4-cube has spectrum 4, 2^4, 0^6, (-2)^4, -4: d = 4 takes the
+    tr A^4 moment and A^4 itself, here summed and compared in 3-row tiles."""
+    from cerg import regularity
+
+    monkeypatch.setattr(regularity, "_TILE_ENTRIES", 3 * 16)
+    edges = [(u, u ^ (1 << b)) for u in range(16) for b in range(4) if u < u ^ (1 << b)]
+    cube = Graph.from_edges(16, edges)
+    assert spectral._traces(cube, 4) == [16, 0, 64, 0, 640]
+    cert = certify(cube, [(4, 1), (2, 4), (0, 6), (-2, 4), (-4, 1)])
+    assert cert.ell == 24  # 2 * 4 * 6 * 8 / 16
