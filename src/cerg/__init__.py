@@ -1,64 +1,54 @@
-"""Constructors and exact certifiers for co-edge-regular graph families."""
+"""Constructors and exact certifiers for co-edge-regular graph families.
 
-from .arrays import (
-    GroupDivisibleArray,
-    OrthogonalArray,
-    goa_from_oa,
-    oa_macneish,
-    oa_prime_power,
-    read_array,
-    validate_array,
-    write_array,
-)
-from .constructions import (
-    TlsGraph,
-    TlsStructure,
-    h_graph,
-    latin_square_graph,
-    spread_modified,
-    tls,
-    tls_structure,
-)
+Submodules load on first use (PEP 562), so a command imports only the
+layers it runs.  `field` is imported eagerly: a later first import of the
+submodule `cerg.field` would otherwise rebind the name `cerg.field` from
+the function to the module.
+"""
+
+import importlib
+
 from .field import FieldElement, FieldSpec, NotAPrimePower, field
-from .geometry import (
-    Design,
-    ParallelClassSystem,
-    block_graph,
-    design_affine_lines,
-    design_one_factorization,
-    parallel_classes,
-    read_design,
-    verify_parallel_classes,
-    write_design,
-)
-from .graphs import (
-    Graph,
-    clique_extension,
-    complement,
-    from_graph6_bytes,
-    graph6_bytes,
-    local_graph,
-    read_graph6,
-    write_graph6,
-)
-from .regularity import (
-    equitable_check,
-    hoffman_check,
-    is_strongly_regular,
-    level,
-    profile,
-    scheme_check,
-    strong_co_edge_regular,
-    weak_edge_regular,
-)
-from .spectral import (
-    SpectrumCertificate,
-    certify,
-    char_poly,
-    cospectral,
-    eq1_residual,
-    goldberg,
-    theorem33_identities,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "arrays": (
+        "GroupDivisibleArray", "OrthogonalArray", "goa_from_oa", "oa_macneish",
+        "oa_prime_power", "read_array", "validate_array", "write_array",
+    ),
+    "constructions": (
+        "TlsGraph", "TlsStructure", "h_graph", "latin_square_graph", "spread_modified",
+        "tls", "tls_structure",
+    ),
+    "geometry": (
+        "Design", "ParallelClassSystem", "block_graph", "design_affine_lines",
+        "design_one_factorization", "parallel_classes", "read_design",
+        "verify_parallel_classes", "write_design",
+    ),
+    "graphs": (
+        "Graph", "clique_extension", "complement", "from_graph6_bytes", "graph6_bytes",
+        "local_graph", "read_graph6", "write_graph6",
+    ),
+    "regularity": (
+        "equitable_check", "hoffman_check", "is_strongly_regular", "level", "profile",
+        "scheme_check", "strong_co_edge_regular", "weak_edge_regular",
+    ),
+    "spectral": (
+        "SpectrumCertificate", "certify", "char_poly", "cospectral", "eq1_residual",
+        "goldberg", "theorem33_identities",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME, "FieldElement", "FieldSpec", "NotAPrimePower", "field"])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,7 +9,6 @@ symbol range, since deliberately broken arrays must be representable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +214,8 @@ def validate_array(a, threads: int | None = None) -> ValidationReport:
         return PairFailure(i, j, col, symbols)
 
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(check, pairs))
     else:

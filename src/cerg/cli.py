@@ -1,38 +1,22 @@
 """Command line entry point: construct / verify / compare.
 
-Exit codes: 0 = pass, 1 = a check ran and failed, 2 = usage, I/O, or
-parameter errors.  All JSON output is deterministic for fixed inputs
-(the wall_time_s field aside), independent of --threads.
+Exit codes: 0 = pass, 1 = a check ran and failed (`graphs.CheckFailed`),
+2 = usage, I/O, or parameter errors.  All JSON output is deterministic
+for fixed inputs (the wall_time_s field aside), independent of --threads.
+
+Each subcommand imports only the modules it calls, so a child process
+compiles no checker or construction it does not run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from . import arrays, constructions, geometry, graphs, regularity, spectral
-
-# a check ran and the graph (or the claim about it) failed: exit 1
-CHECK_FAILURES = (
-    spectral.AnnihilationFailed,
-    spectral.MomentMismatch,
-    spectral.ClaimInvalid,
-    spectral.NotAnEigenvalue,
-    spectral.WrongEigenvalueCount,
-    spectral.Disconnected,
-    regularity.NotRegular,
-    regularity.NotCoEdgeRegular,
-    regularity.NotEdgeRegular,
-    regularity.NotSRG,
-    regularity.SetNotClique,
-    regularity.SetNotCoclique,
-    regularity.PreconditionFailed,
-)
+from . import graphs
 
 # malformed input or unusable parameters: exit 2
 PARAM_ERRORS = (
@@ -45,6 +29,8 @@ PARAM_ERRORS = (
 
 
 def _digest(path) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
@@ -68,6 +54,8 @@ def _run_report(args, inputs: dict, reports: dict, passed: bool, t0: float) -> d
 
 
 def _load_claim(path):
+    from . import spectral
+
     with open(path) as fh:
         return spectral.claim_from_json(json.load(fh))
 
@@ -87,7 +75,9 @@ def _summary(g: graphs.Graph) -> dict:
     }
 
 
-def _design_from_args(args) -> geometry.Design:
+def _design_from_args(args):
+    from . import geometry
+
     if args.design_file:
         return geometry.read_design(args.design_file)
     if args.design == "affine-lines":
@@ -107,6 +97,8 @@ def cmd_construct(args) -> int:
     if fam == "ls":
         if args.n is None or args.m is None:
             raise ValueError("ls needs --n and --m")
+        from . import arrays, constructions
+
         oa = arrays.read_array(args.oa) if args.oa else arrays.oa_macneish(args.n)
         g = constructions.latin_square_graph(oa, args.m)
     elif fam == "clique-ext":
@@ -116,14 +108,20 @@ def cmd_construct(args) -> int:
     elif fam == "tls":
         if args.q is None or args.n is None:
             raise ValueError("tls needs --q and --n")
+        from . import arrays, constructions
+
         goa = arrays.read_array(args.goa) if args.goa else None
         if goa is not None and not isinstance(goa, arrays.GroupDivisibleArray):
             raise constructions.ParameterMismatch("--goa file must hold a GOA")
         g = constructions.tls(args.q, args.n, goa=goa)
         sidecar = constructions.tls_metadata(g)
     elif fam == "block-graph":
+        from . import geometry
+
         g = geometry.block_graph(_design_from_args(args))
     elif fam == "h-graph":
+        from . import constructions
+
         g = constructions.h_graph(_design_from_args(args))
     elif fam == "complement":
         if not args.input:
@@ -132,6 +130,8 @@ def cmd_construct(args) -> int:
     elif fam == "spread-mod":
         if not args.input or not args.parts or not args.mode:
             raise ValueError("spread-mod needs -i, --parts, and --mode")
+        from . import constructions
+
         parts = _load_json(args.parts)["parts"]
         g = constructions.spread_modified(
             graphs.read_graph6(args.input), parts, args.mode
@@ -153,17 +153,23 @@ def cmd_construct(args) -> int:
 
 
 def _check_profile(g, args, threads):
+    from . import regularity
+
     prof = regularity.profile(g, threads)
     return prof.to_json_dict(), True
 
 
 def _check_strong(g, args, threads):
+    from . import regularity
+
     rep = regularity.strong_co_edge_regular(g, threads)
     body = {"mu": rep.mu, "gamma": rep.gamma, "witness": rep.witness}
     return body, rep.ok
 
 
 def _check_weak(g, args, threads):
+    from . import regularity
+
     rep = regularity.weak_edge_regular(g, threads)
     body = {
         "alpha": None if rep.alpha is None else [rep.alpha.numerator, rep.alpha.denominator],
@@ -175,6 +181,8 @@ def _check_weak(g, args, threads):
 
 
 def _check_spectrum(g, args, threads):
+    from . import spectral
+
     if not args.claim:
         raise ValueError("spectrum needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim), threads)
@@ -182,6 +190,8 @@ def _check_spectrum(g, args, threads):
 
 
 def _check_eq1(g, args, threads):
+    from . import spectral
+
     if not args.claim:
         raise ValueError("eq1 needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim), threads)
@@ -190,6 +200,8 @@ def _check_eq1(g, args, threads):
 
 
 def _check_theorem33(g, args, threads):
+    from . import regularity, spectral
+
     if not args.claim:
         raise ValueError("theorem33 needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim), threads)
@@ -207,6 +219,8 @@ def _check_theorem33(g, args, threads):
 
 
 def _check_equitable(g, args, threads):
+    from . import regularity
+
     if not args.parts:
         raise ValueError("equitable needs --parts")
     rep = regularity.equitable_check(g, _load_json(args.parts)["parts"])
@@ -218,6 +232,10 @@ def _check_equitable(g, args, threads):
 
 
 def _check_hoffman(g, args, threads):
+    from fractions import Fraction
+
+    from . import regularity
+
     if not args.set or not args.kind or args.m is None:
         raise ValueError("hoffman needs --set, --kind, and --m")
     vertex_set = _load_json(args.set)["set"]
@@ -226,6 +244,8 @@ def _check_hoffman(g, args, threads):
 
 
 def _check_scheme(g, args, threads):
+    from . import regularity
+
     if not args.relations:
         raise ValueError("scheme needs --relations")
     rels = [graphs.read_graph6(p) for p in args.relations]
@@ -239,6 +259,10 @@ def _check_scheme(g, args, threads):
 
 
 def _check_goldberg(g, args, threads):
+    from fractions import Fraction
+
+    from . import spectral
+
     if args.theta is None or args.theta2 is None:
         raise ValueError("goldberg needs --theta and --theta2")
     cert = None
@@ -285,7 +309,7 @@ def cmd_verify(args, argv) -> int:
     threads = args.threads or os.cpu_count()
     try:
         body, ok = CHECKS[args.check](g, args, threads)
-    except CHECK_FAILURES as exc:
+    except graphs.CheckFailed as exc:
         body = {"error": type(exc).__name__, "detail": str(exc), "witness": getattr(exc, "witness", None)}
         ok = False
     inputs = {"input": args.input}
@@ -303,6 +327,8 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_compare(args, argv) -> int:
+    from . import regularity, spectral
+
     t0 = time.monotonic()
     g1 = graphs.read_graph6(args.a)
     g2 = graphs.read_graph6(args.b)
@@ -312,7 +338,7 @@ def cmd_compare(args, argv) -> int:
         cosp = spectral.cospectral(g1, g2, claim=claim, threads=threads)
         cosp_body = cosp.to_json_dict()
         is_cosp = cosp.cospectral
-    except CHECK_FAILURES as exc:
+    except graphs.CheckFailed as exc:
         cosp_body = {"error": type(exc).__name__, "detail": str(exc)}
         is_cosp = False
     levels = []
@@ -405,7 +431,7 @@ def main(argv=None) -> int:
         if args.cmd == "verify":
             return cmd_verify(args, argv)
         return cmd_compare(args, argv)
-    except CHECK_FAILURES as exc:
+    except graphs.CheckFailed as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
     except PARAM_ERRORS as exc:

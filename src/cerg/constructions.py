@@ -19,8 +19,7 @@ import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
 from .geometry import Design, ParallelClassSystem, block_graph, decode_point, parallel_classes
-from .graphs import Graph
-from .regularity import PartitionInvalid
+from .graphs import Graph, PartitionInvalid
 
 
 class TooFewRows(ValueError):
@@ -146,7 +145,8 @@ def tls(
         for t in range(q):
             plane = np.array(pcs.plane(s, t))
             row = goa.row(s, t)
-            for sym in np.unique(row):
+            # a Python set: 1-D np.unique imports numpy.ma under NumPy 2.4
+            for sym in set(row.tolist()):
                 members = (np.flatnonzero(row == sym)[:, None] * q3 + plane).ravel()
                 a[np.ix_(members, members)] = True
     np.fill_diagonal(a, False)

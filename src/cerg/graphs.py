@@ -17,6 +17,16 @@ import numpy as np
 MAX_VERTICES = 20000
 
 
+class CheckFailed(ValueError):
+    """A check ran and the graph, or the claim about it, failed: the CLI
+    exits 1.  Defined here, the lightest module, so that catching it
+    loads no checker."""
+
+
+class PartitionInvalid(ValueError):
+    """Parts that do not partition the vertex set."""
+
+
 class VertexOutOfRange(IndexError, ValueError):
     """A vertex index outside [0, n); a ValueError too, so the CLI maps
     it to a usage error."""

@@ -30,34 +30,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, VertexOutOfRange
+from .graphs import CheckFailed, Graph, PartitionInvalid, VertexOutOfRange
 
 
-class NotRegular(ValueError):
+class NotRegular(CheckFailed):
     pass
 
 
-class NotCoEdgeRegular(ValueError):
+class NotCoEdgeRegular(CheckFailed):
     pass
 
 
-class NotEdgeRegular(ValueError):
+class NotEdgeRegular(CheckFailed):
     pass
 
 
-class NotSRG(ValueError):
+class NotSRG(CheckFailed):
     pass
 
 
-class SetNotClique(ValueError):
+class SetNotClique(CheckFailed):
     pass
 
 
-class SetNotCoclique(ValueError):
-    pass
-
-
-class PartitionInvalid(ValueError):
+class SetNotCoclique(CheckFailed):
     pass
 
 
@@ -65,7 +61,7 @@ class NotAPartition(ValueError):
     pass
 
 
-class PreconditionFailed(ValueError):
+class PreconditionFailed(CheckFailed):
     def __init__(self, which: str):
         super().__init__(which)
         self.which = which

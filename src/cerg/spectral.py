@@ -36,13 +36,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import CheckFailed, Graph
 from .regularity import (
     ExactnessBoundExceeded,
     NotEdgeRegular,
@@ -54,31 +53,31 @@ from .regularity import (
 )
 
 
-class Disconnected(ValueError):
+class Disconnected(CheckFailed):
     pass
 
 
-class AnnihilationFailed(ValueError):
+class AnnihilationFailed(CheckFailed):
     def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 
 
-class MomentMismatch(ValueError):
+class MomentMismatch(CheckFailed):
     def __init__(self, j, expected, got):
         super().__init__(f"moment j={j}: claimed {got}, trace gives {expected}")
         self.j = j
 
 
-class WrongEigenvalueCount(ValueError):
+class WrongEigenvalueCount(CheckFailed):
     pass
 
 
-class ClaimInvalid(ValueError):
+class ClaimInvalid(CheckFailed):
     """Claimed spectrum is structurally impossible for the graph."""
 
 
-class NotAnEigenvalue(ValueError):
+class NotAnEigenvalue(CheckFailed):
     pass
 
 
@@ -124,18 +123,34 @@ class SpectrumCertificate:
             json.dump(self.to_json_dict(), fh)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def claim_from_json(obj) -> list[tuple[Fraction, int]]:
+    """(eigenvalue, multiplicity) pairs from a parsed claim file.
+
+    ``eigs`` holds integers or [numerator, nonzero denominator] integer
+    pairs and ``mults`` integers, equally many; a float, a boolean or any
+    other entry raises ValueError naming it rather than being rounded.
+    """
     eigs = []
     for i, e in enumerate(obj["eigs"]):
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2 or int(e[1]) == 0:
-                raise ValueError(
-                    f"eigs[{i}] = {e!r} is not a [numerator, nonzero denominator] pair"
-                )
-            eigs.append(Fraction(int(e[0]), int(e[1])))
+        if _is_int(e):
+            eigs.append(Fraction(e))
+        elif isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) and e[1]:
+            eigs.append(Fraction(*e))
         else:
-            eigs.append(Fraction(int(e)))
-    return list(zip(eigs, (int(m) for m in obj["mults"])))
+            raise ValueError(
+                f"eigs[{i}] = {e!r} is not an integer or a [numerator, nonzero denominator] pair"
+            )
+    mults = list(obj["mults"])
+    for i, m in enumerate(mults):
+        if not _is_int(m):
+            raise ValueError(f"mults[{i}] = {m!r} is not an integer")
+    if len(mults) != len(eigs):
+        raise ValueError(f"{len(eigs)} eigenvalues but {len(mults)} multiplicities")
+    return list(zip(eigs, mults))
 
 
 def _traces(g: Graph, up_to: int) -> list[int]:
@@ -437,6 +452,8 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
         return _hessenberg_charpoly_mod(a, p)
 
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             images = list(pool.map(work, primes))
     else:

@@ -105,6 +105,28 @@ def test_verify_spectrum_zero_denominator_claim_exits_2(tls22_file, tmp_path, ca
     assert err["error"] == "ValueError" and "eigs[0]" in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        # truncating would certify 19 and multiplicity 6
+        ('{"eigs": [19.9, 3, -1, -5], "mults": [1, 9, 16, 6.7]}', "eigs[0] = 19.9"),
+        # json reads 1e400 as inf, which int() cannot convert
+        ('{"eigs": [1e400], "mults": [1]}', "eigs[0] = inf"),
+        # a boolean is an int to Python, not to the claim format
+        ('{"eigs": [19, 3, -1, -5], "mults": [true, 9, 16, 6]}', "mults[0] = True"),
+    ],
+)
+def test_verify_spectrum_non_integer_claim_exits_2(tls22_file, tmp_path, capsys, text, entry):
+    g6, _ = tls22_file
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["verify", "spectrum", "-i", str(g6), "--claim", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and entry in err["detail"]
+
+
 def test_verify_profile_reports_level_3(tls22_file, capsys):
     g6, _ = tls22_file
     code, text = run(capsys, "verify", "profile", "-i", str(g6))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cerg import spectral
 from cerg.graphs import Graph, clique_extension, complement
@@ -284,6 +286,39 @@ def test_certificate_round_trips_through_json(tls22, tmp_path):
 
     claim = claim_from_json(json.loads(path.read_text()))
     assert claim == [(19, 1), (3, 9), (-1, 16), (-5, 6)]
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["eigs", "mults", "ell"]) | st.text(max_size=2), inner, max_size=3
+    ),
+    max_leaves=12,
+)
+CLAIM_LIKE = st.fixed_dictionaries(
+    {
+        "eigs": st.lists(JSON_LEAVES | st.lists(JSON_LEAVES, max_size=3), max_size=4),
+        "mults": st.lists(JSON_LEAVES, max_size=4),
+    }
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | CLAIM_LIKE)
+def test_claim_from_json_returns_integer_pairs_or_raises_a_usage_error(obj):
+    """Whatever JSON a claim file holds, parsing gives exact pairs or an
+    error the CLI maps to exit 2, never a float rounded into a claim."""
+    try:
+        claim = claim_from_json(obj)
+    except (ValueError, KeyError, TypeError):
+        return
+    assert isinstance(claim, list)
+    for theta, m in claim:
+        assert isinstance(theta, Fraction)
+        assert type(m) is int
+    assert len(claim) == len(obj["eigs"]) == len(obj["mults"])
 
 
 def test_certify_verdict_matches_char_poly_factorization(tls22, ls34, h6):
