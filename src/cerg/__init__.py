@@ -1,12 +1,20 @@
 """Constructors and exact certifiers for co-edge-regular graph families.
 
-Submodules load on first use (PEP 562), so a command imports only the
-layers it runs.  `field` is imported eagerly: a later first import of the
-submodule `cerg.field` would otherwise rebind the name `cerg.field` from
-the function to the module.
+Submodules load on first use, so a command compiles only the layers it
+runs.  Each layer is bound at package import to a lazy module (the
+standard `importlib.util.LazyLoader`): it sits in sys.modules as
+`cerg.<layer>`, but its code runs at the first attribute access.  So code
+that lists the cerg modules in sys.modules before it touches them, such
+as a tracer that patches a function in every module that binds it, sees
+every layer.  Before Python 3.12 the lazy load takes no lock: touch a
+layer once before threads share it.  The exported names resolve through
+a PEP 562 `__getattr__`.  `field` is imported eagerly: a later first
+import of the submodule `cerg.field` would otherwise rebind the name
+`cerg.field` from the function to the module.
 """
 
-import importlib
+import importlib.util
+import sys
 
 from .field import FieldElement, FieldSpec, NotAPrimePower, field
 
@@ -42,11 +50,21 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_HOME, "FieldElement", "FieldSpec", "NotAPrimePower", "field"])
 
 
+def _lazy(layer):
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+arrays, constructions, geometry, graphs, regularity, spectral = map(_lazy, _EXPORTS)
+
+
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
     if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        return getattr(globals()[_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

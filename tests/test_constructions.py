@@ -378,6 +378,6 @@ def test_spread_modified_validates():
 
 
 def test_one_partition_invalid_class():
-    from cerg import constructions, regularity
+    from cerg import constructions, graphs, regularity
 
-    assert constructions.PartitionInvalid is regularity.PartitionInvalid
+    assert constructions.PartitionInvalid is regularity.PartitionInvalid is graphs.PartitionInvalid

@@ -1,7 +1,9 @@
 """What each subcommand imports, and the lazy package API.
 
 Every case runs in a fresh interpreter, since a module loaded once stays
-in sys.modules for the rest of the process.
+loaded for the rest of the process.  `import cerg` puts every layer in
+sys.modules as a lazy module; a layer counts as loaded once its code has
+run, which turns it into a plain module.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 
 import cerg
 from cerg import graphs, regularity, spectral
+from cerg.arrays import oa_macneish
 from cerg.graphs import CheckFailed, clique_extension, write_graph6
 
 SRC = os.path.dirname(os.path.dirname(cerg.__file__))
@@ -67,24 +70,42 @@ def python(code, *args, cwd=None):
 
 
 MAIN_THEN_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from cerg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(k for k, m in sys.modules.items() if type(m) is types.ModuleType)]))
 """
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory, tls22, ls34):
+def workdir(tmp_path_factory, tls22, ls34, rook33):
     d = tmp_path_factory.mktemp("startup")
     write_graph6(tls22, d / "tls22.g6")
+    write_graph6(graphs.complement(tls22), d / "comp.g6")
+    write_graph6(ls34, d / "ls34.g6")
     write_graph6(clique_extension(ls34, 2), d / "ext.g6")
+    write_graph6(rook33, d / "rook33.g6")
+    # distance 1, 2 and 3 in the 6-cycle: a three-class scheme
+    for i in (1, 2, 3):
+        edges = [(v, (v + i) % 6) for v in range(6 if i < 3 else 3)]
+        write_graph6(graphs.Graph.from_edges(6, edges), d / f"d{i}.g6")
     # not regular, so a claim-free compare takes the Hessenberg prime pool
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), d / "star5.g6")
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), d / "c4k1.g6")
     claim = {"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]}
     (d / "tls22.spec.json").write_text(json.dumps(claim))
+    claim = {"eigs": [12, 4, 0, -4], "mults": [1, 6, 16, 9]}
+    (d / "comp.spec.json").write_text(json.dumps(claim))
+    (d / "all.json").write_text(json.dumps({"parts": [list(range(32))]}))
+    cells = oa_macneish(4).cells
+    (d / "line.json").write_text(json.dumps({"set": [c for c in range(16) if cells[0, c] == 0]}))
+    cells = oa_macneish(3).cells
+    parts = [[c for c in range(9) if cells[0, c] == s] for s in range(3)]
+    (d / "rows.json").write_text(json.dumps({"parts": parts}))
     return d
 
 
@@ -97,26 +118,54 @@ def loaded(workdir, *argv):
 ONE = ["--threads", "1"]
 CHECK = ["-i", "tls22.g6", *ONE]
 CLAIM = ["--claim", "tls22.spec.json"]
+GRAPHS = {"cerg.graphs"}
+CHECKERS = GRAPHS | {"cerg.regularity"}
+SPECTRAL = CHECKERS | {"cerg.spectral"}
+BUILDERS = GRAPHS | {"cerg.arrays", "cerg.constructions", "cerg.geometry"}
+# one case per row of README's start-up table
 CASES = {
-    "profile": (["verify", "profile", *CHECK], {"cerg.regularity"}),
-    "strong": (["verify", "strong", *CHECK], {"cerg.regularity"}),
-    "weak": (["verify", "weak", *CHECK], {"cerg.regularity"}),
-    "spectrum": (["verify", "spectrum", *CHECK, *CLAIM], {"cerg.regularity", "cerg.spectral"}),
-    "compare": (["compare", "tls22.g6", "ext.g6", *ONE], {"cerg.regularity", "cerg.spectral"}),
-    "compare-claim": (
-        ["compare", "tls22.g6", "ext.g6", *ONE, *CLAIM],
-        {"cerg.regularity", "cerg.spectral"},
+    "help": (["--help"], set()),
+    "profile": (["verify", "profile", *CHECK], CHECKERS),
+    "strong": (["verify", "strong", *CHECK], CHECKERS),
+    "weak": (["verify", "weak", *CHECK], CHECKERS),
+    "equitable": (["verify", "equitable", *CHECK, "--parts", "all.json"], CHECKERS),
+    "hoffman": (
+        ["verify", "hoffman", "-i", "ls34.g6", "--set", "line.json", "--kind", "clique", "--m", "3"],
+        CHECKERS,
     ),
-    "construct-tls": (
-        ["construct", "tls", "--q", "2", "--n", "2", "-o", "t.g6"],
-        {"cerg.arrays", "cerg.constructions", "cerg.geometry"},
+    "scheme": (["verify", "scheme", "-i", "d1.g6", "--relations", "d1.g6", "d2.g6", "d3.g6"], CHECKERS),
+    "spectrum": (["verify", "spectrum", *CHECK, *CLAIM], SPECTRAL),
+    "eq1": (["verify", "eq1", *CHECK, *CLAIM], SPECTRAL),
+    "theorem33": (["verify", "theorem33", *CHECK, *CLAIM], SPECTRAL),
+    "goldberg": (
+        ["verify", "goldberg", "-i", "comp.g6", "--claim", "comp.spec.json", *ONE,
+         "--theta", "-4", "--theta2", "4"],
+        SPECTRAL,
+    ),
+    "compare": (["compare", "tls22.g6", "ext.g6", *ONE], SPECTRAL),
+    "compare-claim": (["compare", "tls22.g6", "ext.g6", *ONE, *CLAIM], SPECTRAL),
+    "construct-ls": (["construct", "ls", "--n", "4", "--m", "3", "-o", "l.g6"], BUILDERS),
+    "construct-tls": (["construct", "tls", "--q", "2", "--n", "2", "-o", "t.g6"], BUILDERS),
+    "construct-h-graph": (
+        ["construct", "h-graph", "--design", "one-factorization", "--m", "6", "-o", "h.g6"],
+        BUILDERS,
+    ),
+    "construct-spread-mod": (
+        ["construct", "spread-mod", "-i", "rook33.g6", "--parts", "rows.json", "--mode", "remove",
+         "-o", "s.g6"],
+        BUILDERS,
+    ),
+    "construct-block-graph": (
+        ["construct", "block-graph", "--design", "affine-lines", "--q", "2", "--d", "2", "-o", "b.g6"],
+        GRAPHS | {"cerg.geometry"},
     ),
     "construct-clique-ext": (
         ["construct", "clique-ext", "-i", "tls22.g6", "--s", "2", "-o", "x.g6"],
-        set(),
+        GRAPHS,
     ),
+    "construct-complement": (["construct", "complement", "-i", "tls22.g6", "-o", "c.g6"], GRAPHS),
 }
-BASE = {"cerg", "cerg.cli", "cerg.graphs", "cerg.field"}
+BASE = {"cerg", "cerg.cli", "cerg.field"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -141,6 +190,29 @@ def test_tls_build_does_not_import_numpy_ma():
     assert python(code).strip() == "False"
 
 
+def test_import_lists_every_layer_but_runs_only_field():
+    code = (
+        "import json, sys, types, cerg\n"
+        "print(json.dumps(sorted((k, type(m) is types.ModuleType)"
+        " for k, m in sys.modules.items() if k.startswith('cerg'))))"
+    )
+    layers = ["arrays", "constructions", "field", "geometry", "graphs", "regularity", "spectral"]
+    expect = [["cerg", True]] + [[f"cerg.{m}", m == "field"] for m in layers]
+    assert json.loads(python(code)) == expect
+
+
+def test_every_export_lives_in_a_module_listed_before_it_resolves():
+    # a tracer lists the loaded cerg modules, then resolves the names it
+    # wraps: the defining module of each must already be on that list
+    code = (
+        "import sys, cerg, cerg.cli\n"
+        "before = {k: m for k, m in sys.modules.items() if k.startswith('cerg')}\n"
+        "homes = {getattr(cerg, name).__module__ for name in cerg.__all__ if name not in cerg._EXPORTS}\n"
+        "print(sorted(h for h in homes if before.get(h) is not sys.modules[h]))"
+    )
+    assert python(code).strip() == "[]"
+
+
 def test_all_keeps_every_export_and_each_resolves():
     assert set(cerg.__all__) == EXPORTS
     for name in cerg.__all__:
@@ -160,8 +232,3 @@ def test_field_stays_the_function_in_any_import_order(order):
 def test_check_failures_share_one_base(cls):
     assert issubclass(cls, CheckFailed) and issubclass(cls, ValueError)
 
-
-def test_partition_invalid_is_one_class():
-    from cerg import constructions
-
-    assert graphs.PartitionInvalid is regularity.PartitionInvalid is constructions.PartitionInvalid
