@@ -195,32 +195,17 @@ def _first_duplicate(ri: np.ndarray, rj: np.ndarray, n: int):
     return col, (int(ri[col]), int(rj[col]))
 
 
-def validate_array(a, threads: int | None = None) -> ValidationReport:
+def validate_array(a) -> ValidationReport:
     """Check the column-pair condition on every constrained row pair.
 
     Each offending pair is reported with the first column (scanning left
     to right) whose (r_i, r_j) value was already seen.
     """
-    n = a.n
-    cells = a.cells
-    pairs = _pair_list(a)
-
-    def check(pair):
-        i, j = pair
-        dup = _first_duplicate(cells[i], cells[j], n)
-        if dup is None:
-            return None
-        col, symbols = dup
-        return PairFailure(i, j, col, symbols)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, pairs))
-    else:
-        results = [check(p) for p in pairs]
-    failures = tuple(r for r in results if r is not None)
+    failures = tuple(
+        PairFailure(i, j, *dup)
+        for i, j in _pair_list(a)
+        if (dup := _first_duplicate(a.cells[i], a.cells[j], a.n)) is not None
+    )
     return ValidationReport(ok=not failures, failures=failures)
 
 

@@ -19,13 +19,7 @@ import time
 from . import graphs
 
 # malformed input or unusable parameters: exit 2
-PARAM_ERRORS = (
-    ValueError,
-    KeyError,
-    TypeError,
-    OSError,
-    json.JSONDecodeError,
-)
+PARAM_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _digest(path) -> str:
@@ -65,6 +59,17 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _fraction(text):
+    """Fraction of a command-line rational; a zero denominator is a
+    usage error, not a crash."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _summary(g: graphs.Graph) -> dict:
     regular, k = g.is_regular()
     return {
@@ -93,10 +98,10 @@ def _design_from_args(args):
 
 def cmd_construct(args) -> int:
     fam = args.family
-    sidecar = None
     if fam == "ls":
         if args.n is None or args.m is None:
             raise ValueError("ls needs --n and --m")
+        graphs._check_order(args.n * args.n)
         from . import arrays, constructions
 
         oa = arrays.read_array(args.oa) if args.oa else arrays.oa_macneish(args.n)
@@ -114,7 +119,6 @@ def cmd_construct(args) -> int:
         if goa is not None and not isinstance(goa, arrays.GroupDivisibleArray):
             raise constructions.ParameterMismatch("--goa file must hold a GOA")
         g = constructions.tls(args.q, args.n, goa=goa)
-        sidecar = constructions.tls_metadata(g)
     elif fam == "block-graph":
         from . import geometry
 
@@ -140,9 +144,8 @@ def cmd_construct(args) -> int:
         raise ValueError(f"unknown family {fam!r}")
 
     graphs.write_graph6(g, args.output)
-    if sidecar is not None:
-        with open(str(args.output) + ".meta.json", "w") as fh:
-            json.dump(sidecar, fh)
+    if fam == "tls":
+        constructions.write_tls_metadata(g, str(args.output) + ".meta.json")
     elif g.labels:
         graphs.write_labels(g, str(args.output) + ".labels.json")
     summary = _summary(g)
@@ -152,25 +155,25 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _check_profile(g, args, threads):
+def _check_profile(g, args):
     from . import regularity
 
-    prof = regularity.profile(g, threads)
+    prof = regularity.profile(g)
     return prof.to_json_dict(), True
 
 
-def _check_strong(g, args, threads):
+def _check_strong(g, args):
     from . import regularity
 
-    rep = regularity.strong_co_edge_regular(g, threads)
+    rep = regularity.strong_co_edge_regular(g)
     body = {"mu": rep.mu, "gamma": rep.gamma, "witness": rep.witness}
     return body, rep.ok
 
 
-def _check_weak(g, args, threads):
+def _check_weak(g, args):
     from . import regularity
 
-    rep = regularity.weak_edge_regular(g, threads)
+    rep = regularity.weak_edge_regular(g)
     body = {
         "alpha": None if rep.alpha is None else [rep.alpha.numerator, rep.alpha.denominator],
         "beta": None if rep.beta is None else [rep.beta.numerator, rep.beta.denominator],
@@ -180,33 +183,33 @@ def _check_weak(g, args, threads):
     return body, rep.ok
 
 
-def _check_spectrum(g, args, threads):
+def _check_spectrum(g, args):
     from . import spectral
 
     if not args.claim:
         raise ValueError("spectrum needs --claim")
-    cert = spectral.certify(g, _load_claim(args.claim), threads)
+    cert = spectral.certify(g, _load_claim(args.claim))
     return cert.to_json_dict(), True
 
 
-def _check_eq1(g, args, threads):
+def _check_eq1(g, args):
     from . import spectral
 
     if not args.claim:
         raise ValueError("eq1 needs --claim")
-    cert = spectral.certify(g, _load_claim(args.claim), threads)
-    rep = spectral.eq1_residual(g, cert, threads)
+    cert = spectral.certify(g, _load_claim(args.claim))
+    rep = spectral.eq1_residual(g, cert)
     return rep.to_json_dict(), rep.ok
 
 
-def _check_theorem33(g, args, threads):
+def _check_theorem33(g, args):
     from . import regularity, spectral
 
     if not args.claim:
         raise ValueError("theorem33 needs --claim")
-    cert = spectral.certify(g, _load_claim(args.claim), threads)
-    strong = regularity.strong_co_edge_regular(g, threads)
-    weak = regularity.weak_edge_regular(g, threads)
+    cert = spectral.certify(g, _load_claim(args.claim))
+    strong = regularity.strong_co_edge_regular(g)
+    weak = regularity.weak_edge_regular(g)
     if not strong.ok or not weak.ok or weak.alpha is None:
         return (
             {"strong": strong.witness, "weak": weak.witness},
@@ -218,7 +221,7 @@ def _check_theorem33(g, args, threads):
     return rep.to_json_dict(), rep.ok
 
 
-def _check_equitable(g, args, threads):
+def _check_equitable(g, args):
     from . import regularity
 
     if not args.parts:
@@ -231,25 +234,23 @@ def _check_equitable(g, args, threads):
     return body, rep.ok
 
 
-def _check_hoffman(g, args, threads):
-    from fractions import Fraction
-
+def _check_hoffman(g, args):
     from . import regularity
 
     if not args.set or not args.kind or args.m is None:
         raise ValueError("hoffman needs --set, --kind, and --m")
     vertex_set = _load_json(args.set)["set"]
-    rep = regularity.hoffman_check(g, vertex_set, args.kind, Fraction(args.m))
+    rep = regularity.hoffman_check(g, vertex_set, args.kind, _fraction(args.m))
     return rep.to_json_dict(), rep.tight
 
 
-def _check_scheme(g, args, threads):
+def _check_scheme(g, args):
     from . import regularity
 
     if not args.relations:
         raise ValueError("scheme needs --relations")
     rels = [graphs.read_graph6(p) for p in args.relations]
-    rep = regularity.scheme_check(rels, threads)
+    rep = regularity.scheme_check(rels)
     body = {
         "classes": rep.classes,
         "intersection_numbers": rep.p_table_json(),
@@ -258,19 +259,16 @@ def _check_scheme(g, args, threads):
     return body, rep.ok
 
 
-def _check_goldberg(g, args, threads):
-    from fractions import Fraction
-
+def _check_goldberg(g, args):
     from . import spectral
 
     if args.theta is None or args.theta2 is None:
         raise ValueError("goldberg needs --theta and --theta2")
     cert = None
     if args.claim:
-        cert = spectral.certify(g, _load_claim(args.claim), threads)
-    rep = spectral.goldberg(
-        g, Fraction(args.theta), Fraction(args.theta2), cert, threads
-    )
+        cert = spectral.certify(g, _load_claim(args.claim))
+    threads = args.threads or os.cpu_count()
+    rep = spectral.goldberg(g, _fraction(args.theta), _fraction(args.theta2), cert, threads)
     return rep.to_json_dict(), not rep.violated
 
 
@@ -306,9 +304,8 @@ def _split_schema(body: dict):
 def cmd_verify(args, argv) -> int:
     t0 = time.monotonic()
     g = graphs.read_graph6(args.input)
-    threads = args.threads or os.cpu_count()
     try:
-        body, ok = CHECKS[args.check](g, args, threads)
+        body, ok = CHECKS[args.check](g, args)
     except graphs.CheckFailed as exc:
         body = {"error": type(exc).__name__, "detail": str(exc), "witness": getattr(exc, "witness", None)}
         ok = False
@@ -344,7 +341,7 @@ def cmd_compare(args, argv) -> int:
     levels = []
     for g in (g1, g2):
         try:
-            co, edge = regularity.level(g, threads)
+            co, edge = regularity.level(g)
         except regularity.PreconditionFailed:
             co, edge = None, None
         levels.append({"co_edge": co, "edge": edge})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
 from .geometry import Design, ParallelClassSystem, block_graph, decode_point, parallel_classes
-from .graphs import Graph, PartitionInvalid
+from .graphs import Graph, PartitionInvalid, _check_order
 
 
 class TooFewRows(ValueError):
@@ -51,6 +51,7 @@ def latin_square_graph(oa: OrthogonalArray, m: int) -> Graph:
     if m < 1 or m > oa.t:
         raise TooFewRows(f"m={m} not in [1, {oa.t}]")
     n2 = oa.n * oa.n
+    _check_order(n2)
     a = np.zeros((n2, n2), dtype=bool)
     for row in oa.cells[:m]:
         a |= row[:, None] == row[None, :]
@@ -117,6 +118,7 @@ def tls(
     Defaults: the MacNeish OA(n, .) truncated to q+1 rows and repeated q
     times per group, and the explicit parallel class system.
     """
+    _check_order(q**3 * n * n)
     if pcs is None:
         pcs = parallel_classes(q)
     if pcs.q != q:

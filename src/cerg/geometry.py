@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .field import FieldSpec, field
-from .graphs import Graph
+from .graphs import Graph, _check_order
 
 PARALLEL_CLASS_MAX_Q = 16
 
@@ -276,6 +276,7 @@ def design_one_factorization(m: int) -> Design:
 
 def block_graph(d: Design) -> Graph:
     """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design."""
+    _check_order(d.b)
     violation = d.pair_coverage_violation()
     if violation is not None:
         x, y, c = violation

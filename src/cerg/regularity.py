@@ -284,7 +284,7 @@ class RegularityProfile:
         }
 
 
-def profile(g: Graph, threads: int | None = None) -> RegularityProfile:
+def profile(g: Graph) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
     regularity constants filled in whenever they are defined."""
     if g.n < 2:
@@ -305,13 +305,13 @@ def profile(g: Graph, threads: int | None = None) -> RegularityProfile:
     if regular and mu_constant:
         prof.level_co_edge = len(lam)
         prof.mu = next(iter(mu), None)
-        strong = strong_co_edge_regular(g, threads=threads)
+        strong = strong_co_edge_regular(g)
         if strong.ok:
             prof.gamma = strong.gamma
     if regular and lam_constant:
         prof.level_edge = len(mu)
     if regular:
-        weak = weak_edge_regular(g, threads=threads)
+        weak = weak_edge_regular(g)
         if weak.ok and weak.alpha is not None:
             prof.alpha = weak.alpha
             prof.beta = weak.beta
@@ -329,7 +329,7 @@ class StrongReport:
         return self.ok
 
 
-def strong_co_edge_regular(g: Graph, threads=None) -> StrongReport:
+def strong_co_edge_regular(g: Graph) -> StrongReport:
     """The constant gamma = sum of lambda(x, z) over common neighbours of
     each non-adjacent pair, or a witness of two differing sums."""
     regular, _ = g.is_regular()
@@ -388,7 +388,7 @@ class WeakReport:
         return self.ok
 
 
-def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
+def weak_edge_regular(g: Graph) -> WeakReport:
     """Exact rational fit of alpha * lambda(x,y) = sum + beta over edges.
 
     With two distinct lambda values present the solution is unique; with
@@ -454,11 +454,11 @@ def weak_edge_regular(g: Graph, threads=None) -> WeakReport:
     return WeakReport(True, alpha, beta)
 
 
-def level(g: Graph, threads=None) -> tuple[int | None, int | None]:
+def level(g: Graph) -> tuple[int | None, int | None]:
     """(#distinct lambda when mu constant, #distinct mu when lambda constant)."""
     if g.n < 2:
         raise PreconditionFailed("a level needs at least 2 vertices")
-    prof = profile(g, threads)
+    prof = profile(g)
     co = prof.level_co_edge
     edge = prof.level_edge
     if co is None and edge is None:
@@ -468,9 +468,9 @@ def level(g: Graph, threads=None) -> tuple[int | None, int | None]:
     return co, edge
 
 
-def is_strongly_regular(g: Graph, threads=None):
+def is_strongly_regular(g: Graph):
     """(True, (n, k, lambda, mu)) for SRGs, else (False, None)."""
-    prof = profile(g, threads)
+    prof = profile(g)
     if not prof.regular:
         return False, None
     if len(prof.lambda_multiset) > 1 or len(prof.mu_multiset) > 1:
@@ -514,6 +514,9 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     """
     if kind not in ("clique", "coclique"):
         raise ValueError(f"kind must be 'clique' or 'coclique', not {kind!r}")
+    m = Fraction(m)
+    if m <= 0:
+        raise ValueError(f"m must be positive, not {m}")
     ok, params = is_strongly_regular(g)
     if not ok:
         raise NotSRG("Hoffman bound applies to strongly regular graphs")
@@ -532,7 +535,6 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     elif inside.any():
         v = members[np.argmax(inside.any(axis=1))]
         raise SetNotCoclique(f"vertex {v} has a neighbour inside the set")
-    m = Fraction(m)
     if kind == "clique":
         bound = (m + k) / m
         expected_outside = Fraction(mu) / m
@@ -614,7 +616,7 @@ class AssociationSchemeReport:
         return {f"{i},{j},{h}": v for (i, j, h), v in sorted(self.intersection_numbers.items())}
 
 
-def scheme_check(relations, threads=None) -> AssociationSchemeReport:
+def scheme_check(relations) -> AssociationSchemeReport:
     """Verify the symmetric association scheme axioms by exhaustive
     counting; relation 0 is the implicit identity."""
     if not relations:

@@ -167,7 +167,7 @@ def _traces(g: Graph, up_to: int) -> list[int]:
     return out[: up_to + 1]
 
 
-def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificate:
+def certify(g: Graph, claimed) -> SpectrumCertificate:
     """Accept a claimed spectrum or raise with an exact witness.
 
     A's characteristic polynomial is monic with integer coefficients, so
@@ -177,8 +177,7 @@ def certify(g: Graph, claimed, threads: int | None = None) -> SpectrumCertificat
     with every m_i >= 1; for d = 1 the first moment gives <= k), which
     bounds the coefficients of the product of factors, formed as
     sum c_j A^j from the cached powers and compared with ell*J one row
-    tile at a time.  ``threads`` is unused: the products thread inside
-    BLAS.
+    tile at a time.
 
     The accepted factors are minimal, so no drop-one sub-product is
     checked.  Annihilation makes prod (A - theta_i I) vanish on the
@@ -504,8 +503,8 @@ def cospectral(g1: Graph, g2: Graph, claim=None, threads=None) -> CospectralRepo
     """Same spectrum, via characteristic polynomials (n <= 512) or via a
     shared certified claim (any size)."""
     if claim is not None:
-        c1 = certify(g1, claim, threads)
-        certify(g2, claim, threads)
+        c1 = certify(g1, claim)
+        certify(g2, claim)
         return CospectralReport(True, "shared-certificate", certificate=c1)
     if g1.n != g2.n:
         return CospectralReport(False, "order", witness_power=None)
@@ -675,7 +674,7 @@ def goldberg(
     theta2 = Fraction(theta2)
     if theta == theta2:
         raise ValueError("the two eigenvalues must be distinct")
-    prof = profile(g, threads)
+    prof = profile(g)
     if not prof.regular:
         raise NotRegular("graph is not regular")
     if len(prof.lambda_multiset) != 1:
@@ -717,7 +716,7 @@ class Eq1Report:
         }
 
 
-def eq1_residual(g: Graph, cert: SpectrumCertificate, threads=None) -> Eq1Report:
+def eq1_residual(g: Graph, cert: SpectrumCertificate) -> Eq1Report:
     """Largest entry of A^3 - e1 A^2 + e2 A - e3 I - ell J, exactly."""
     if cert.distinct_count != 4:
         raise WrongEigenvalueCount(

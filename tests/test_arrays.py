@@ -118,11 +118,6 @@ def test_validator_restriction_is_bijection():
         assert seen == list(range(n * n))
 
 
-def test_threaded_validation_matches_serial():
-    goa = goa_from_oa(oa_macneish(6), 2)
-    assert validate_array(goa, threads=4) == validate_array(goa)
-
-
 def test_array_file_round_trip(tmp_path):
     oa = oa_macneish(6)
     path = tmp_path / "oa6.txt"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,22 @@ def test_construct_with_mismatched_goa_exits_2(tmp_path, capsys):
         "-o", str(tmp_path / "x.g6"),
     )
     assert code == 2
+
+
+# n = 1000 would first build a 9 x 10^6 int64 MacNeish array
+@pytest.mark.parametrize("n", [150, 1000])
+def test_construct_oversized_ls_exits_2(tmp_path, capsys, n):
+    tracemalloc.start()
+    try:
+        code = main(["construct", "ls", "--n", str(n), "--m", "2", "-o", str(tmp_path / "x.g6")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert peak < 2**20  # rejected before the n^4-byte adjacency matrix
+    assert f"vertex count {n * n} outside" in json.loads(err)["detail"]
+    assert not (tmp_path / "x.g6").exists()
 
 
 def test_construct_missing_params_exits_2(tmp_path, capsys):
@@ -261,6 +278,26 @@ def test_verify_hoffman_boolean_member_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "VertexOutOfRange" and "True" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "check, options",
+    [
+        # the Hoffman bound divides by m
+        ("hoffman", ["--kind", "clique", "--m", "0"]),
+        ("hoffman", ["--kind", "clique", "--m", "1/0"]),
+        ("goldberg", ["--theta", "1/0", "--theta2", "-1"]),
+    ],
+)
+def test_verify_zero_denominator_exits_2(tmp_path, capsys, check, options):
+    g6 = tmp_path / "ls.g6"
+    run(capsys, "construct", "ls", "--n", "3", "--m", "2", "-o", str(g6))
+    sel = tmp_path / "set.json"
+    sel.write_text(json.dumps({"set": [0, 3, 6]}))  # a clique of the rook graph
+    code = main(["verify", check, "-i", str(g6), "--set", str(sel), *options])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_verify_goldberg(tls22_file, tmp_path, capsys):

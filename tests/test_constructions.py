@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -16,8 +17,8 @@ from cerg.constructions import (
     tls,
     tls_structure,
 )
-from cerg.geometry import block_graph, design_affine_lines, design_one_factorization
-from cerg.graphs import Graph
+from cerg.geometry import Design, block_graph, design_affine_lines, design_one_factorization
+from cerg.graphs import MAX_VERTICES, Graph
 from cerg.regularity import is_strongly_regular
 from conftest import brute_lambda_mu, neighbor_sets
 
@@ -381,3 +382,31 @@ def test_one_partition_invalid_class():
     from cerg import constructions, graphs, regularity
 
     assert constructions.PartitionInvalid is regularity.PartitionInvalid is graphs.PartitionInvalid
+
+
+# -- oversized constructions fail before the n x n matrix
+
+ONE_POINT_BLOCKS = [[0]] * (MAX_VERTICES + 1)
+OVERSIZED = {
+    "ls": lambda: (latin_square_graph, oa_macneish(150), 2),  # 22500 vertices
+    "tls": lambda: (tls, 2, 51),  # 8 * 51^2 = 20808 vertices
+    "block-graph": lambda: (block_graph, Design(1, 1, ONE_POINT_BLOCKS)),
+    "h-graph": lambda: (
+        h_graph,
+        Design(1, 1, ONE_POINT_BLOCKS, [[i] for i in range(MAX_VERTICES + 1)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERSIZED))
+def test_oversized_construction_fails_before_allocating(family):
+    build, *args = OVERSIZED[family]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the adjacency matrix alone would take MAX_VERTICES^2 bytes = 400 MB
+    assert peak < 2**20

@@ -95,10 +95,6 @@ def test_lambda_sum_equals_triangle_trace(tls22):
     assert total == 3 * triangles
 
 
-def test_threads_do_not_change_profile(tls22):
-    assert profile(tls22, threads=1).to_json_dict() == profile(tls22, threads=4).to_json_dict()
-
-
 # -- strong / weak constants
 
 
@@ -381,6 +377,9 @@ def test_hoffman_validates_inputs(ls34, rook33):
         hoffman_check(ls34, row_clique(oa_macneish(4), 0, 0), "coclique", 3)
     with pytest.raises(NotSRG):
         hoffman_check(cycle(6), [0], "clique", 2)
+    for m in (0, -9):  # m = -k zeroes the co-clique bound's denominator
+        with pytest.raises(ValueError, match="m must be positive"):
+            hoffman_check(ls34, [0], "coclique", m)
 
 
 # -- equitable partitions

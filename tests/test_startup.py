@@ -96,6 +96,9 @@ def workdir(tmp_path_factory, tls22, ls34, rook33):
     # not regular, so a claim-free compare takes the Hessenberg prime pool
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), d / "star5.g6")
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), d / "c4k1.g6")
+    # 7 distinct eigenvalues: no Hoffman polynomial of degree <= 4, so a
+    # claim-free goldberg takes the Hessenberg prime pool too
+    write_graph6(graphs.Graph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)]), d / "c12.g6")
     claim = {"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]}
     (d / "tls22.spec.json").write_text(json.dumps(claim))
     claim = {"eigs": [12, 4, 0, -4], "mults": [1, 6, 16, 9]}
@@ -182,6 +185,14 @@ def test_only_a_prime_pool_loads_concurrent_futures(workdir):
     argv = ["compare", "star5.g6", "c4k1.g6", "--threads"]
     assert "concurrent.futures" not in loaded(workdir, *argv, "1")[1]
     assert "concurrent.futures" in loaded(workdir, *argv, "2")[1]
+
+
+def test_goldberg_without_claim_reaches_the_prime_pool(workdir):
+    argv = ["verify", "goldberg", "-i", "c12.g6", "--theta", "1", "--theta2", "-1", "--threads"]
+    code, modules = loaded(workdir, *argv, "1")
+    assert code == 0 and "concurrent.futures" not in modules
+    code, modules = loaded(workdir, *argv, "2")
+    assert code == 0 and "concurrent.futures" in modules
 
 
 @pytest.mark.skipif(MA_WITH_NUMPY, reason="NumPy 1 imports numpy.ma on import")
