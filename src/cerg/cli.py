@@ -323,28 +323,39 @@ def cmd_verify(args, argv) -> int:
     return 0 if ok else 1
 
 
+def _level(g) -> dict:
+    from . import regularity
+
+    try:
+        co, edge = regularity.level(g)
+    except regularity.PreconditionFailed:
+        co, edge = None, None
+    return {"co_edge": co, "edge": edge}
+
+
 def cmd_compare(args, argv) -> int:
-    from . import regularity, spectral
+    from . import spectral
 
     t0 = time.monotonic()
-    g1 = graphs.read_graph6(args.a)
-    g2 = graphs.read_graph6(args.b)
-    threads = args.threads or os.cpu_count()
     claim = _load_claim(args.claim) if args.claim else None
-    try:
-        cosp = spectral.cospectral(g1, g2, claim=claim, threads=threads)
-        cosp_body = cosp.to_json_dict()
-        is_cosp = cosp.cospectral
-    except graphs.CheckFailed as exc:
-        cosp_body = {"error": type(exc).__name__, "detail": str(exc)}
+    # one input at a time: a graph and its cached powers go once its side
+    # of the comparison and its level are known
+    sides, levels, failure = [], [], None
+    for path in (args.a, args.b):
+        g = graphs.read_graph6(path)
+        if failure is None:
+            try:
+                sides.append(spectral.cospectral_side(g, claim))
+            except graphs.CheckFailed as exc:
+                failure = exc
+        levels.append(_level(g))
+        del g
+    if failure is None:
+        cosp = spectral.compare_sides(*sides, threads=args.threads or os.cpu_count())
+        cosp_body, is_cosp = cosp.to_json_dict(), cosp.cospectral
+    else:
+        cosp_body = {"error": type(failure).__name__, "detail": str(failure)}
         is_cosp = False
-    levels = []
-    for g in (g1, g2):
-        try:
-            co, edge = regularity.level(g)
-        except regularity.PreconditionFailed:
-            co, edge = None, None
-        levels.append({"co_edge": co, "edge": edge})
     distinct_levels = (
         levels[0]["co_edge"] is not None
         and levels[1]["co_edge"] is not None

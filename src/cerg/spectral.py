@@ -12,23 +12,26 @@ the first mismatching entry.  These two checks are the whole
 certificate: together they fix the spectrum, so no factor of the
 product can be dropped (see `certify`).
 
-The characteristic polynomial is exact as well, by one of two routes.
-A k-regular graph is first searched for its Hoffman polynomial: the
-smallest d <= 4 with A^d = sum_{j<d} c_j A^j + ell J for integers c_j,
-ell.  The coefficients are solved over Q from the distinct entry
-patterns of a few rows of the cached powers, and then the relation is
-checked on every entry in bound-checked int64 (`Powers.combination`),
-so it holds as a matrix identity.  Multiplying it by A^(t-d) and using
-AJ = kJ gives tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) for every
-t >= d; from the exact tr A^0..tr A^(d-1) this yields every power sum
-up to tr A^n in Python integers, and Newton's identities, whose
-divisions are exact because the coefficients are integers, turn them
-into the characteristic polynomial.  An irregular graph, or a regular
-one with no such relation (a connected one with more than five distinct
-eigenvalues, say), falls back to reducing the matrix mod a fixed
-sequence of 26-bit primes, taking the Hessenberg char poly of each
-image, and CRT-lifting the coefficients under a proven Hadamard-style
-bound.  Neither route lets a float into the result.
+Claim-free spectra come from the Hoffman polynomial where a graph has
+one.  A k-regular graph is first searched for the smallest d <= 4 with
+A^d = sum_{j<d} c_j A^j + ell J for integers c_j, ell.  The
+coefficients are solved over Q from the distinct entry patterns of a few
+rows of the cached powers, and then the relation is checked on every
+entry in bound-checked int64 (`Powers.combination`), so it holds as a
+matrix identity.  Multiplying it by A^(t-d) and using AJ = kJ gives
+tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) for every t >= d, so the
+exact tr A^0..tr A^(d-1) yield every power sum in Python integers
+(`_power_sums`).  `cospectral` compares two such graphs by their first
+ten power sums, at any n; `goldberg` tests a candidate eigenvalue as a
+root of x^d - sum c_j x^j; `char_poly` (n <= 512) turns the sums up to
+tr A^n into the characteristic polynomial by Newton's identities, whose
+divisions are exact because the coefficients are integers.  An
+irregular graph, or a regular one with no such relation (a connected
+one with more than five distinct eigenvalues, say), falls back to
+`char_poly`'s other route, and so to its n <= 512 cap: reducing the
+matrix mod a fixed sequence of 26-bit primes, taking the Hessenberg
+char poly of each image, and CRT-lifting the coefficients under a proven
+Hadamard-style bound.  No route lets a float into the result.
 """
 
 from __future__ import annotations
@@ -396,6 +399,30 @@ def _hoffman_polynomial(g: Graph):
     return None
 
 
+def _power_sums(g: Graph, up_to: int) -> list[int] | None:
+    """[tr A^0, ..., tr A^up_to] from g's verified Hoffman relation, or
+    None when g is irregular or has no relation of degree <= 4.
+
+    tr A^0..tr A^(d-1) are exact traces; every later sum follows from
+    tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d).
+    """
+    regular, k = g.is_regular()
+    hoffman = _hoffman_polynomial(g) if regular else None
+    if hoffman is None:
+        return None
+    coeffs, ell = hoffman
+    d = len(coeffs)
+    sums = _traces(g, d - 1)
+    for t in range(d, up_to + 1):
+        sums.append(sum(map(operator.mul, coeffs, sums[t - d : t])) + ell * g.n * k ** (t - d))
+    return sums[: up_to + 1]
+
+
+def _refuse_past_ceiling(n: int) -> None:
+    if n > CHAR_POLY_MAX_N:
+        raise TooLarge(f"n={n} exceeds the char_poly ceiling {CHAR_POLY_MAX_N}")
+
+
 def _newton_char_poly(traces: list[int]) -> tuple[int, ...]:
     """Ascending char poly coefficients of an n x n integer matrix from
     its power sums tr A^0..tr A^n (Newton's identities).  Each division
@@ -414,27 +441,17 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
     """Exact characteristic polynomial of A, coefficients ascending.
 
     A regular graph whose Hoffman polynomial has degree d <= 4 gets it
-    from its traces: tr A^0..tr A^(d-1) exactly, then the recurrence
-    tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) up to t = n, then
-    Newton's identities.  Any other graph goes through the modular
-    Hessenberg + CRT path, whose prime images run on ``threads``.
+    from its power sums up to tr A^n (`_power_sums`) by Newton's
+    identities.  Any other graph goes through the modular Hessenberg +
+    CRT path, whose prime images run on ``threads``.
     """
     n = g.n
-    if n > CHAR_POLY_MAX_N:
-        raise TooLarge(f"n={n} exceeds the char_poly ceiling {CHAR_POLY_MAX_N}")
+    _refuse_past_ceiling(n)
     if n == 0:
         return (1,)
-    regular, k = g.is_regular()
-    hoffman = _hoffman_polynomial(g) if regular else None
-    if hoffman is not None:
-        coeffs, ell = hoffman
-        d = len(coeffs)
-        traces = _traces(g, d - 1)
-        for t in range(d, n + 1):
-            traces.append(
-                sum(map(operator.mul, coeffs, traces[t - d : t])) + ell * n * k ** (t - d)
-            )
-        return _newton_char_poly(traces)
+    sums = _power_sums(g, n)
+    if sums is not None:
+        return _newton_char_poly(sums)
     a = g.adjacency_matrix()
     k_max = max(1, max(g.degrees()))
     # |c_j| <= C(n, j) * k_max^(j/2) by Hadamard on principal minors
@@ -499,21 +516,66 @@ class CospectralReport:
         }
 
 
-def cospectral(g1: Graph, g2: Graph, claim=None, threads=None) -> CospectralReport:
-    """Same spectrum, via characteristic polynomials (n <= 512) or via a
-    shared certified claim (any size)."""
+@dataclass(eq=False)
+class CospectralSide:
+    """What `cospectral` compares of one graph, so that a caller can let
+    each graph go before it reads the next: the graph's certificate of
+    the shared claim, or else its power sums tr A^0..tr A^min(9, n) from
+    a verified Hoffman relation (None without one), and the graph itself
+    while `char_poly` may still need it (n <= CHAR_POLY_MAX_N)."""
+
+    n: int
+    certificate: SpectrumCertificate | None = None
+    sums: list[int] | None = None
+    graph: Graph | None = None
+
+
+def cospectral_side(g: Graph, claim=None) -> CospectralSide:
+    """g's side of a comparison: certified against ``claim`` when one is
+    given, else its first power sums where a relation gives them."""
     if claim is not None:
-        c1 = certify(g1, claim)
-        certify(g2, claim)
-        return CospectralReport(True, "shared-certificate", certificate=c1)
-    if g1.n != g2.n:
+        return CospectralSide(g.n, certificate=certify(g, claim))
+    graph = g if g.n <= CHAR_POLY_MAX_N else None
+    return CospectralSide(g.n, sums=_power_sums(g, min(9, g.n)), graph=graph)
+
+
+def compare_sides(a: CospectralSide, b: CospectralSide, threads=None) -> CospectralReport:
+    """The comparison `cospectral` makes of its two sides.
+
+    Sides certified for one claim are cospectral.  Otherwise the orders
+    must agree, and then two sides with power sums have at most five
+    distinct eigenvalues each, so tr A^t - tr B^t is a sum of at most ten
+    terms (m_A(x) - m_B(x)) x^t over distinct x: if it vanishes for
+    t = 0..9, the Vandermonde system makes every term zero and the
+    spectra agree (for n < 10, the sums up to t = n fix the char poly by
+    Newton's identities).  If the first differing sum is at t = m, Newton's
+    identities make x^(n-m) the highest differing coefficient of the two
+    characteristic polynomials, which is the witness.  Any other pair
+    compares two `char_poly` results, refused past CHAR_POLY_MAX_N.
+    """
+    if a.certificate is not None:
+        return CospectralReport(True, "shared-certificate", certificate=a.certificate)
+    if a.n != b.n:
         return CospectralReport(False, "order", witness_power=None)
-    p1 = char_poly(g1, threads)
-    p2 = char_poly(g2, threads)
-    if p1 == p2:
-        return CospectralReport(True, "char-poly")
-    power = max(j for j in range(len(p1)) if p1[j] != p2[j])
-    return CospectralReport(False, "char-poly", witness_power=power)
+    if a.sums is not None and b.sums is not None:
+        differ = [t for t, (x, y) in enumerate(zip(a.sums, b.sums)) if x != y]
+        power = a.n - differ[0] if differ else None
+    else:
+        _refuse_past_ceiling(a.n)
+        p1 = char_poly(a.graph, threads)
+        p2 = char_poly(b.graph, threads)
+        differ = [j for j in range(len(p1)) if p1[j] != p2[j]]
+        power = differ[-1] if differ else None
+    return CospectralReport(power is None, "char-poly", witness_power=power)
+
+
+def cospectral(g1: Graph, g2: Graph, claim=None, threads=None) -> CospectralReport:
+    """Same spectrum, via a shared certified claim, via the first ten
+    power sums of two verified Hoffman relations (any size), or else via
+    characteristic polynomials (n <= 512); see `compare_sides`."""
+    if claim is None and g1.n != g2.n:
+        return CospectralReport(False, "order", witness_power=None)
+    return compare_sides(cospectral_side(g1, claim), cospectral_side(g2, claim), threads)
 
 
 @dataclass
@@ -667,8 +729,27 @@ def goldberg(
     """Evaluate the edge-regular eigenvalue-pair inequality exactly.
 
     theta and theta2 must be eigenvalues different from the valency;
-    they are validated against the certificate when one is supplied and
-    against the characteristic polynomial otherwise.
+    they are validated against the certificate when one is supplied.
+    Without one, a graph with a verified Hoffman relation
+    A^d = sum_{j<d} c_j A^j + ell J asks h(theta) = 0 exactly, for
+    h(x) = x^d - sum c_j x^j, at any n; any other graph asks its
+    characteristic polynomial (`char_poly`, n <= 512).
+
+    For theta != k the relation test is exact both ways.  A is symmetric
+    and A1 = k1, so A preserves the complement 1^perp of the all-ones
+    vector, and its spectrum is k on 1 together with its eigenvalues on
+    1^perp, where h(A) = ell J vanishes: each of those is a root of h.
+    Conversely let m be the minimal polynomial of A on 1^perp: the
+    product of x - x_i over its distinct eigenvalues x_i there, which are
+    the distinct roots of the monic integer polynomial char_A(x) / (x - k),
+    so m, its squarefree part, is monic over Z.  m(A) vanishes on 1^perp
+    and maps 1 to m(k)1, so m(A) = (m(k) / n) J with m(k) / n an
+    integer, an entry of the integer matrix m(A): a relation of degree
+    deg m.  The polynomial of every relation vanishes on 1^perp, so m
+    divides it; and at any degree above deg m the matrices I, A, ...,
+    A^(d-1), J are dependent, so `_hoffman_candidate` finds no unique
+    candidate there.  The relation `_hoffman_polynomial` returns thus has
+    degree deg m, h = m, and every root of h is an eigenvalue of A.
     """
     theta = Fraction(theta)
     theta2 = Fraction(theta2)
@@ -690,9 +771,13 @@ def goldberg(
                 raise NotAnEigenvalue(f"{t} is not in the certificate")
         else:
             if poly is None:
-                poly = char_poly(g, threads)
+                hoffman = _hoffman_polynomial(g)
+                if hoffman is not None:
+                    poly, name = [-c for c in hoffman[0]] + [1], "Hoffman polynomial"
+                else:
+                    poly, name = char_poly(g, threads), "characteristic polynomial"
             if _poly_eval_fraction(poly, t) != 0:
-                raise NotAnEigenvalue(f"{t} is not a root of the characteristic polynomial")
+                raise NotAnEigenvalue(f"{t} is not a root of the {name}")
     c = Fraction(k, lam + 1)
     lhs = (theta + c) * (theta2 + c)
     rhs = Fraction(-k * lam * (k - lam - 1), (lam + 1) ** 2)

@@ -417,3 +417,58 @@ def test_compare_one_vertex_graphs_keeps_null_levels(tmp_path, capsys):
     assert code == 0
     levels = json.loads(text)["reports"]["levels"]
     assert levels == [{"co_edge": None, "edge": None}] * 2
+
+
+def test_claim_free_compare_forms_no_char_poly(tmp_path, capsys, monkeypatch):
+    """tls(3,3) vs clique-ext(LS_4(9), 3) is decided by ten power sums of
+    each graph's verified relation: no Newton loop, no Hessenberg image."""
+    from cerg import spectral
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph, tls
+    from cerg.graphs import clique_extension, write_graph6
+
+    write_graph6(tls(3, 3), tmp_path / "tls33.g6")
+    write_graph6(clique_extension(latin_square_graph(oa_macneish(9), 4), 3), tmp_path / "ext33.g6")
+
+    def refuse(*args):
+        raise AssertionError("char_poly route used")
+
+    monkeypatch.setattr(spectral, "_newton_char_poly", refuse)
+    monkeypatch.setattr(spectral, "_hessenberg_charpoly_mod", refuse)
+    code, text = run(capsys, "compare", str(tmp_path / "tls33.g6"), str(tmp_path / "ext33.g6"))
+    assert code == 0
+    assert json.loads(text)["reports"] == {
+        "cospectral": {"cospectral": True, "method": "char-poly", "witness_power": None},
+        "levels": [{"co_edge": 3, "edge": None}, {"co_edge": 2, "edge": None}],
+        "non_isomorphic_by_level": True,
+        "obstruction": "co-edge level",
+    }
+
+
+def test_claim_free_compare_past_the_char_poly_ceiling(tmp_path, capsys):
+    """n = 1600: tls(4,5) vs clique-ext(LS_5(20), 4), cospectral with
+    co-edge levels 3 and 2, with no spectrum supplied."""
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph, tls
+    from cerg.graphs import clique_extension, write_graph6
+
+    write_graph6(tls(4, 5), tmp_path / "tls45.g6")
+    write_graph6(clique_extension(latin_square_graph(oa_macneish(20), 5), 4), tmp_path / "ext45.g6")
+    code, text = run(capsys, "compare", str(tmp_path / "tls45.g6"), str(tmp_path / "ext45.g6"))
+    assert code == 0
+    rep = json.loads(text)["reports"]
+    assert rep["cospectral"] == {"cospectral": True, "method": "char-poly", "witness_power": None}
+    assert [lv["co_edge"] for lv in rep["levels"]] == [3, 2]
+
+
+def test_claim_free_compare_of_irregular_graphs_keeps_the_ceiling(tmp_path, capsys):
+    from cerg.graphs import Graph, write_graph6
+
+    star = [(0, v) for v in range(1, 513)]
+    write_graph6(Graph.from_edges(513, star), tmp_path / "star.g6")
+    write_graph6(Graph.from_edges(513, star[1:] + [(1, 2)]), tmp_path / "other.g6")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "star.g6"), str(tmp_path / "other.g6")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "TooLarge"

@@ -356,6 +356,74 @@ def test_cospectral_self(tls22):
     assert cospectral(tls22, tls22).cospectral
 
 
+def union(*graphs):
+    """Disjoint union, the graphs' vertices in order."""
+    import numpy as np
+
+    a = np.zeros((sum(g.n for g in graphs),) * 2, dtype=bool)
+    at = 0
+    for g in graphs:
+        a[at : at + g.n, at : at + g.n] = g.a
+        at += g.n
+    return Graph(a)
+
+
+def cube(d):
+    n = 2**d
+    return Graph.from_edges(n, [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)])
+
+
+def bipartite(m):
+    return Graph.from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+def shrikhande():
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph.from_edges(
+        16,
+        [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4)
+         for dx, dy in steps if 4 * x + y < 4 * ((x + dx) % 4) + (y + dy) % 4],
+    )
+
+
+def char_poly_verdict(g1, g2):
+    """(cospectral, highest differing coefficient) from two char polys."""
+    p1, p2 = char_poly(g1), char_poly(g2)
+    differ = [j for j in range(len(p1)) if p1[j] != p2[j]]
+    return not differ, differ[-1] if differ else None
+
+
+def test_power_sum_compare_matches_char_poly_on_a_zoo(tls22, ls34):
+    """Every equal-order pair: the same verdict and witness as char_poly.
+    C_10 has six distinct eigenvalues and no relation, so its pairs take
+    char_poly on both sides; every other pair compares power sums."""
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+
+    k = Graph.complete
+    rook44 = latin_square_graph(oa_macneish(4), 2)
+    prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    zoo = [
+        [k(4), cycle(4), union(k(2), k(2))],
+        [cycle(6), bipartite(3), union(k(3), k(3)), prism],
+        [cycle(8), union(cycle(4), cycle(4)), cube(3), disjoint_k4s(), bipartite(4)],
+        [petersen(), cycle(10), union(cycle(5), cycle(5)), bipartite(5), union(k(5), k(5))],
+        [cube(4), rook44, shrikhande()],
+        [tls22, clique_extension(ls34, 2), clique_extension(latin_square_graph(oa_macneish(4), 2), 2)],
+    ]
+    verdicts = {}
+    for group in zoo:
+        for i, g1 in enumerate(group):
+            for j, g2 in enumerate(group):
+                rep = cospectral(g1, g2)
+                assert rep.method == "char-poly"
+                assert (rep.cospectral, rep.witness_power) == char_poly_verdict(g1, g2), (g1, g2)
+                verdicts[g1.n, i, j] = rep.witness_power
+    assert verdicts[8, 0, 1] == 4  # C_8 vs 2 C_4
+    assert cospectral(rook44, shrikhande()).cospectral
+    assert verdicts[32, 0, 1] is None and verdicts[32, 0, 2] == 30
+
+
 # -- theorem 3.3 identities
 
 
@@ -446,13 +514,14 @@ def test_goldberg_validates_eigenvalues(tls22):
         goldberg(gc, -4, 5, cert)
     with pytest.raises(NotAnEigenvalue):
         goldberg(gc, 12, 4, cert)  # the valency is excluded
-    # without a certificate the characteristic polynomial is consulted
+    # without a certificate the verified Hoffman relation is consulted
     with pytest.raises(NotAnEigenvalue):
         goldberg(gc, -4, 5)
     assert not goldberg(gc, -4, 4).violated
 
 
-def test_goldberg_without_certificate_computes_char_poly_once(tls22, monkeypatch):
+def test_goldberg_without_certificate_computes_char_poly_once(monkeypatch):
+    """C_12 has no Hoffman polynomial, so its char poly is consulted."""
     calls = []
 
     def counted(g, threads=None):
@@ -460,8 +529,46 @@ def test_goldberg_without_certificate_computes_char_poly_once(tls22, monkeypatch
         return char_poly(g, threads)
 
     monkeypatch.setattr(spectral, "char_poly", counted)
+    assert not goldberg(cycle(12), 1, -1).violated
+    assert len(calls) == 1
+
+
+def test_goldberg_without_certificate_asks_the_relation_once(tls22, monkeypatch):
+    calls = []
+    search = spectral._hoffman_polynomial
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    def refuse(g, threads=None):
+        raise AssertionError("char_poly used")
+
+    monkeypatch.setattr(spectral, "_hoffman_polynomial", counted)
+    monkeypatch.setattr(spectral, "char_poly", refuse)
     assert not goldberg(complement(tls22), -4, 4).violated
     assert len(calls) == 1
+    with pytest.raises(NotAnEigenvalue, match="Hoffman polynomial"):
+        goldberg(complement(tls22), -4, 5)
+
+
+def test_goldberg_without_certificate_past_the_char_poly_ceiling():
+    """LS_3(24) (n = 576) is edge-regular with eigenvalues 69, 21 and -3:
+    its relation A^2 = 18A + 63I + 6J decides them without char_poly."""
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+
+    g = latin_square_graph(oa_macneish(24), 3)
+    assert g.n == 576 > spectral.CHAR_POLY_MAX_N
+    assert spectral._hoffman_polynomial(g) == ([63, 18], 6)
+    with pytest.raises(TooLarge):
+        char_poly(g)
+    rep = goldberg(g, 21, -3)
+    assert (rep.k, rep.lam) == (69, 24)
+    with pytest.raises(NotAnEigenvalue, match="Hoffman polynomial"):
+        goldberg(g, 21, -4)
+    with pytest.raises(NotAnEigenvalue):
+        goldberg(g, Fraction(1, 2), -3)
 
 
 def test_goldberg_requires_edge_regular(tls22):
