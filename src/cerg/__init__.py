@@ -1,22 +1,21 @@
 """Constructors and exact certifiers for co-edge-regular graph families.
 
 Submodules load on first use, so a command compiles only the layers it
-runs.  Each layer is bound at package import to a lazy module (the
-standard `importlib.util.LazyLoader`): it sits in sys.modules as
-`cerg.<layer>`, but its code runs at the first attribute access.  So code
-that lists the cerg modules in sys.modules before it touches them, such
-as a tracer that patches a function in every module that binds it, sees
-every layer.  Before Python 3.12 the lazy load takes no lock: touch a
-layer once before threads share it.  The exported names resolve through
-a PEP 562 `__getattr__`.  `field` is imported eagerly: a later first
-import of the submodule `cerg.field` would otherwise rebind the name
-`cerg.field` from the function to the module.
+runs, and `import cerg` runs none.  Each layer is created at package
+import as a lazy module (the standard `importlib.util.LazyLoader`): it
+sits in sys.modules as `cerg.<layer>`, but its code runs at the first
+attribute access.  So code that lists the cerg modules in sys.modules
+before it touches them, such as a tracer that patches a function in
+every module that binds it, sees every layer.  Before Python 3.12 the
+lazy load takes no lock: touch a layer once before threads share it.  The exported names resolve through
+a PEP 562 `__getattr__`.  Each layer is also bound as a package
+attribute except `field`, whose name is the function `field`: since the
+submodule is already in sys.modules, no later import of `cerg.field`
+rebinds the name to the module.
 """
 
 import importlib.util
 import sys
-
-from .field import FieldElement, FieldSpec, NotAPrimePower, field
 
 _EXPORTS = {
     "arrays": (
@@ -32,6 +31,7 @@ _EXPORTS = {
         "design_one_factorization", "parallel_classes", "read_design",
         "verify_parallel_classes", "write_design",
     ),
+    "field": ("FieldElement", "FieldSpec", "NotAPrimePower", "field"),
     "graphs": (
         "Graph", "clique_extension", "complement", "from_graph6_bytes", "graph6_bytes",
         "local_graph", "read_graph6", "write_graph6",
@@ -47,7 +47,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_HOME, "FieldElement", "FieldSpec", "NotAPrimePower", "field"])
+__all__ = sorted({*_EXPORTS, *_HOME})
 
 
 def _lazy(layer):
@@ -59,12 +59,15 @@ def _lazy(layer):
     return module
 
 
-arrays, constructions, geometry, graphs, regularity, spectral = map(_lazy, _EXPORTS)
+_lazy("field")  # registered, not bound: the name `field` is the function
+arrays, constructions, geometry, graphs, regularity, spectral = (
+    _lazy(layer) for layer in _EXPORTS if layer != "field"
+)
 
 
 def __getattr__(name):
     if name in _HOME:
-        return getattr(globals()[_HOME[name]], name)
+        return getattr(sys.modules[f"{__name__}.{_HOME[name]}"], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -23,10 +23,17 @@ PARAM_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _digest(path) -> str:
-    import hashlib
+    # CPython's builtin SHA-256 loads no OpenSSL, which `hashlib` does
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
 
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        return "sha256:" + sha256(fh.read()).hexdigest()
 
 
 def _emit(report: dict, out_path) -> None:

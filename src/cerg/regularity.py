@@ -284,9 +284,14 @@ class RegularityProfile:
         }
 
 
-def profile(g: Graph) -> RegularityProfile:
+def profile(g: Graph, *, constants: bool = True) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
-    regularity constants filled in whenever they are defined."""
+    regularity constants filled in whenever they are defined.
+
+    With ``constants=False`` the profile comes from the A^2 entries
+    alone: the strong and weak checks are skipped, so gamma, alpha and
+    beta stay None and (A∘A²)A is never formed.  The multisets, the
+    levels and mu are the same either way."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     p = powers(g)
@@ -305,12 +310,12 @@ def profile(g: Graph) -> RegularityProfile:
     if regular and mu_constant:
         prof.level_co_edge = len(lam)
         prof.mu = next(iter(mu), None)
-        strong = strong_co_edge_regular(g)
-        if strong.ok:
+        strong = strong_co_edge_regular(g) if constants else None
+        if strong:
             prof.gamma = strong.gamma
     if regular and lam_constant:
         prof.level_edge = len(mu)
-    if regular:
+    if regular and constants:
         weak = weak_edge_regular(g)
         if weak.ok and weak.alpha is not None:
             prof.alpha = weak.alpha
@@ -458,7 +463,7 @@ def level(g: Graph) -> tuple[int | None, int | None]:
     """(#distinct lambda when mu constant, #distinct mu when lambda constant)."""
     if g.n < 2:
         raise PreconditionFailed("a level needs at least 2 vertices")
-    prof = profile(g)
+    prof = profile(g, constants=False)
     co = prof.level_co_edge
     edge = prof.level_edge
     if co is None and edge is None:
@@ -470,7 +475,7 @@ def level(g: Graph) -> tuple[int | None, int | None]:
 
 def is_strongly_regular(g: Graph):
     """(True, (n, k, lambda, mu)) for SRGs, else (False, None)."""
-    prof = profile(g)
+    prof = profile(g, constants=False)
     if not prof.regular:
         return False, None
     if len(prof.lambda_multiset) > 1 or len(prof.mu_multiset) > 1:

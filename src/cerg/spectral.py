@@ -201,6 +201,8 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
     if not g.is_connected():
         raise Disconnected("certify needs a connected graph")
     pairs = _as_fraction_pairs(claimed)
+    if not pairs:
+        raise ClaimInvalid("claim lists no eigenvalues")
     if any(t.denominator != 1 for t, _ in pairs):
         raise ClaimInvalid("claimed eigenvalues must be integers: A's char poly is monic over Z")
     if sum(m for _, m in pairs) != g.n:
@@ -755,7 +757,7 @@ def goldberg(
     theta2 = Fraction(theta2)
     if theta == theta2:
         raise ValueError("the two eigenvalues must be distinct")
-    prof = profile(g)
+    prof = profile(g, constants=False)
     if not prof.regular:
         raise NotRegular("graph is not regular")
     if len(prof.lambda_multiset) != 1:

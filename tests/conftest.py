@@ -1,6 +1,7 @@
 import pytest
 
 from cerg import (
+    Graph,
     design_affine_lines,
     design_one_factorization,
     h_graph,
@@ -62,6 +63,15 @@ def triangle_count(g):
     for x, y in g.edges():
         total += len(nbrs[x] & nbrs[y])
     return total // 3
+
+
+def petersen():
+    return Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -472,3 +472,27 @@ def test_claim_free_compare_of_irregular_graphs_keeps_the_ceiling(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "TooLarge"
+
+
+@pytest.fixture
+def empty_claim(tmp_path):
+    """A 0-vertex graph and a claim with no eigenvalues."""
+    (tmp_path / "n0.g6").write_text("?\n")
+    (tmp_path / "e.json").write_text(json.dumps({"eigs": [], "mults": []}))
+    return tmp_path / "n0.g6", tmp_path / "e.json"
+
+
+def test_verify_spectrum_empty_claim_is_invalid(empty_claim, capsys):
+    g6, claim = empty_claim
+    code, text = run(capsys, "verify", "spectrum", "-i", str(g6), "--claim", str(claim))
+    assert code == 1
+    assert json.loads(text)["reports"]["spectrum"]["error"] == "ClaimInvalid"
+
+
+def test_compare_empty_claim_is_invalid(empty_claim, capsys):
+    g6, claim = empty_claim
+    code, text = run(capsys, "compare", str(g6), str(g6), "--claim", str(claim))
+    assert code == 1
+    rep = json.loads(text)["reports"]
+    assert rep["cospectral"]["error"] == "ClaimInvalid"
+    assert rep["levels"] == [{"co_edge": None, "edge": None}] * 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from cerg.regularity import (
     strong_co_edge_regular,
     weak_edge_regular,
 )
-from conftest import brute_common_lambda_sum, brute_lambda_mu, neighbor_sets
+from conftest import brute_common_lambda_sum, brute_lambda_mu, neighbor_sets, petersen
 
 
 def cycle(n):
@@ -733,3 +734,60 @@ def test_level_needs_two_vertices():
 
     with pytest.raises(PreconditionFailed):
         level(Graph.empty(1))
+
+
+def test_level_does_one_product(monkeypatch):
+    calls = count_products(monkeypatch)
+    assert level(tls(2, 2)) == (3, None)
+    assert len(calls) == 1
+
+
+def test_claim_free_compare_does_at_most_four_products(tmp_path, monkeypatch):
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+    from cerg.graphs import write_graph6
+
+    write_graph6(tls(2, 2), tmp_path / "tls22.g6")
+    write_graph6(clique_extension(latin_square_graph(oa_macneish(4), 3), 2), tmp_path / "ext.g6")
+    calls = count_products(monkeypatch)
+    assert main(["compare", str(tmp_path / "tls22.g6"), str(tmp_path / "ext.g6")]) == 0
+    assert 0 < len(calls) <= 4
+
+
+def test_goldberg_and_hoffman_form_no_lambda_sums():
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+    from cerg.spectral import goldberg
+
+    oa = oa_macneish(4)
+    g = latin_square_graph(oa, 3)
+    goldberg(g, 1, -3)
+    assert hoffman_check(g, row_clique(oa, 0, 0), "clique", 3).tight
+    assert "lam_sums" not in vars(powers(g))
+
+
+@pytest.fixture
+def level_corpus(tls22, tls33, ls34, rook33, h27):
+    """Circulants of order 5..10, Petersen, SRGs, tls graphs, clique
+    extensions and an irregular graph."""
+    corpus = [circulant(n, steps) for n in range(5, 11) for r in range(1, n // 2 + 1)
+              for steps in itertools.combinations(range(1, n // 2 + 1), r)]
+    return corpus + [petersen(), tls22, tls33, ls34, rook33, h27, clique_extension(tls22, 2),
+                     clique_extension(ls34, 2), Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])]
+
+
+def test_level_agrees_with_profile(level_corpus):
+    for g in level_corpus:
+        full = profile(g)
+        levels = (full.level_co_edge, full.level_edge)
+        if levels == (None, None):
+            with pytest.raises(PreconditionFailed):
+                level(g)
+        else:
+            assert level(g) == levels
+
+
+def test_constant_free_profile_leaves_out_only_the_constants(level_corpus):
+    for g in level_corpus:
+        full = profile(g)
+        assert profile(g, constants=False) == replace(full, gamma=None, alpha=None, beta=None)

@@ -27,7 +27,7 @@ from cerg.spectral import (
     poly_from_spectrum,
     theorem33_identities,
 )
-from conftest import poly_from_roots, triangle_count
+from conftest import petersen, poly_from_roots, triangle_count
 
 TLS22_CLAIM = [(19, 1), (3, 9), (-1, 16), (-5, 6)]
 
@@ -91,15 +91,6 @@ def hessenberg_charpoly(g, monkeypatch):
 def disjoint_k4s():
     return Graph.from_edges(
         8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]
-    )
-
-
-def petersen():
-    return Graph.from_edges(
-        10,
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)],
     )
 
 
