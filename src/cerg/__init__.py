@@ -31,7 +31,7 @@ _EXPORTS = {
         "design_one_factorization", "parallel_classes", "read_design",
         "verify_parallel_classes", "write_design",
     ),
-    "field": ("FieldElement", "FieldSpec", "NotAPrimePower", "field"),
+    "field": ("FieldSpec", "NotAPrimePower", "field"),
     "graphs": (
         "Graph", "clique_extension", "complement", "from_graph6_bytes", "graph6_bytes",
         "local_graph", "read_graph6", "write_graph6",

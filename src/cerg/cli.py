@@ -214,6 +214,8 @@ def _check_theorem33(g, args):
 
     if not args.claim:
         raise ValueError("theorem33 needs --claim")
+    # one pass for the certificate's product and the strong and weak scans
+    regularity.powers(g).want_sums = True
     cert = spectral.certify(g, _load_claim(args.claim))
     strong = regularity.strong_co_edge_regular(g)
     weak = regularity.weak_edge_regular(g)
@@ -374,7 +376,7 @@ def cmd_compare(args, argv) -> int:
         "non_isomorphic_by_level": distinct_levels,
         "obstruction": "co-edge level" if distinct_levels else None,
     }
-    report = _run_report(argv, {"a": args.a, "b": args.b}, body, is_cosp, t0)
+    report = _run_report(argv, {"a": args.a, "b": args.b, "claim": args.claim}, body, is_cosp, t0)
     _emit(report, args.out)
     return 0 if is_cosp else 1
 

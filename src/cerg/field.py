@@ -17,10 +17,6 @@ class NotAPrimePower(ValueError):
     """q is not p^k for a prime p and k >= 1."""
 
 
-class MixedFields(ValueError):
-    """Operands belong to different field specs."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
@@ -96,7 +92,7 @@ class FieldSpec:
     """A concrete GF(p^k) with a fixed irreducible modulus.
 
     Arithmetic methods operate directly on the canonical integer
-    encodings; :meth:`element` wraps an encoding in a FieldElement.
+    encodings.
     Instances are immutable and safe to share across threads.
     """
 
@@ -192,93 +188,6 @@ class FieldSpec:
         for x, y in zip(u, v):
             acc = self.add(acc, self.mul(x, y))
         return acc
-
-    # -- element interface
-
-    def element(self, value: int) -> "FieldElement":
-        self._check(value)
-        return FieldElement(value, self)
-
-    def elements(self):
-        return (FieldElement(v, self) for v in range(self.q))
-
-
-class FieldElement:
-    """An element of GF(q), identified by its canonical encoding."""
-
-    __slots__ = ("value", "spec")
-
-    def __init__(self, value: int, spec: FieldSpec):
-        self.value = value
-        self.spec = spec
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise MixedFields(
-                    f"GF({self.spec.q}) element combined with GF({other.spec.q}) element"
-                )
-            return other.value
-        if isinstance(other, int):
-            if self.spec.k == 1:
-                return other % self.spec.q
-            if not 0 <= other < self.spec.q:
-                raise ValueError(f"{other} is not an encoding in GF({self.spec.q})")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.add(self.value, v), self.spec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.sub(self.value, v), self.spec)
-
-    def __neg__(self):
-        return FieldElement(self.spec.neg(self.value), self.spec)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.mul(self.value, v), self.spec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.mul(self.value, self.spec.inv(v)), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.value), self.spec)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec.pow(self.value, e), self.spec)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.spec.q))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF{self.spec.q}({self.value})"
 
 
 @lru_cache(maxsize=None)

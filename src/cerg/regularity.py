@@ -10,16 +10,22 @@ B < 2^53.  Every product of two entries and every partial sum, in any
 summation order and on any thread count, is then an integer of absolute
 value at most B, and such integers are exactly representable in the
 chosen type (24- and 53-bit significands), so no operation rounds.
-Past 2^53 it raises `ExactnessBoundExceeded`.  A product x @ x.T is
-formed as a Gram matrix, which BLAS computes by syrk at half the flops.
+Past 2^53 it raises `ExactnessBoundExceeded`.
 
 Storage follows the same bound: every entry of a product is at most B
 in absolute value, so the kernel returns int32 when B < 2^31 (always so
-in the float32 tier) and int64 otherwise.  Each graph's powers, its pair
-masks and the A^2 values on them are computed once, in the `Powers`
-cache.  An integer combination of the powers, which may need int64, is
-never held whole: `Powers.combination` streams it in row tiles of a few
-MB, widening each term to int64 within the tile.
+in the float32 tier) and int64 otherwise.
+
+No power of a graph's adjacency matrix A is held whole.  `Powers.rows`
+streams row tiles of A, A^2, ... and (A∘A^2)A, each tile of A^j formed
+as A^(j-1)[r] @ A with its bound checked per tile, and every check is a
+reducer over that stream.  A pass that reaches the last row leaves
+behind only O(n) results: the lambda/mu tallies and the strong and weak
+scans, which later checks of the same graph read instead of passing
+again.  A check that fails makes a second pass for the witness a
+whole-matrix scan would give: the first in row-major order.  A graph's
+checks hold n^2 bytes for the boolean A, 4n^2 (8n^2 once a product
+needs float64) for A's float copy, and the tiles of one pass.
 """
 
 from __future__ import annotations
@@ -75,49 +81,45 @@ def _absmax(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _is_transpose(y: np.ndarray, x: np.ndarray) -> bool:
-    """Whether y is exactly x.T: the same buffer read with reversed axes."""
-    return (
-        y.ctypes.data == x.ctypes.data
-        and y.dtype == x.dtype
-        and y.shape == x.shape[::-1]
-        and y.strides == x.strides[::-1]
-    )
-
-
-# entries per row tile: 4-8 MB, next to n^2 arrays of 150-300 MB at n = 6125
-_TILE_ENTRIES = 2**20
+# entries per row tile: 2 MB of int32, next to A's 10 MB float32 copy at
+# n = 1600; but at most _MAX_TILES tiles a pass, since each tile's
+# product reads all of A's float copy (150 MB at n = 6125) again
+_TILE_ENTRIES = 2**19
+_MAX_TILES = 16
 
 
 def _row_tiles(n_rows: int, n_cols: int):
-    """Consecutive row slices of about _TILE_ENTRIES entries each."""
-    step = max(1, _TILE_ENTRIES // max(n_cols, 1))
+    """Consecutive row slices of about _TILE_ENTRIES entries each, or of
+    n_rows / _MAX_TILES rows when that is more."""
+    step = max(1, _TILE_ENTRIES // max(n_cols, 1), -(-n_rows // _MAX_TILES))
     for i in range(0, n_rows, step):
         yield slice(i, min(i + step, n_rows))
 
 
-def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def exact_matmul(x: np.ndarray, y: np.ndarray, y_max: int | None = None) -> np.ndarray:
     """x @ y for integer matrices, exactly, through BLAS.
 
     With B = inner_dim * max|x| * max|y|, the product runs in float32
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
-    `ExactnessBoundExceeded`.  No entry exceeds B, so the result is
-    int32 when B < 2^31 and int64 otherwise; when the float and integer
-    types have one item size, the float result is cast in place, a row
-    tile at a time.  When y is x's transposed view (say
-    ``exact_matmul(a, a.T)``), x is converted once and the Gram product
-    goes to BLAS syrk.
+    `ExactnessBoundExceeded`.  ``y_max``, when given, stands in for
+    max|y|, so a large y is not scanned; a float y wider than the tier's
+    type is used as it is.  No entry exceeds B, so the result is int32
+    when B < 2^31 and int64 otherwise; when the float and integer types
+    have one item size, the float result is cast in place, a row tile at
+    a time.
     """
-    bound = x.shape[1] * _absmax(x) * _absmax(y)
+    bound = x.shape[1] * _absmax(x) * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
         )
-    ftype = np.float32 if bound < 2**24 else np.float64
+    ftype = np.dtype(np.float32 if bound < 2**24 else np.float64)
+    if y.dtype.kind == "f" and y.itemsize > ftype.itemsize:
+        ftype = y.dtype
     itype = np.int32 if bound < 2**31 else np.int64
     xf = x.astype(ftype, copy=False)
-    yf = xf.T if _is_transpose(y, x) else y.astype(ftype, copy=False)
+    yf = y.astype(ftype, copy=False)
     out = xf @ yf
     del xf, yf  # free the float inputs before the cast
     if out.itemsize != np.dtype(itype).itemsize:
@@ -133,80 +135,269 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(eq=False)
-class Powers:
-    """Lazily memoised exact powers of one graph's adjacency matrix A.
+def _multiset(counts: np.ndarray) -> dict[int, int]:
+    """Value -> multiplicity from a table of counts indexed by value."""
+    return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
-    ``a`` is the graph's own read-only boolean matrix; each product is
-    stored in the integer type `exact_matmul` gives it, int32 whenever
-    its bound is below 2^31: A^2 always, A^3 and ``lam_sums`` whenever
-    n k < 2^31, k the largest degree.  ``lam_sums`` is (A∘A²)A, whose
-    (x, y) entry sums lambda(x, z) over the common neighbours z of x and
-    y; A∘A² itself is formed only as the kernel's float input and is not
-    kept.  ``adj`` and ``nonadj`` mask the adjacent and non-adjacent
-    unordered pairs, and ``lam_vals`` and ``mu_vals`` are the A^2
-    entries on them, in row-major pair order.  Every cached array is
-    shared by all callers and read-only.  Integer combinations of the
-    powers are streamed in row tiles by `combination` and never cached.
-    Obtain it with `powers`.
+
+def _diagonal(h: int):
+    """Index of the diagonal entries of a tile of h rows: its entry
+    (r, r) is (x, x) for the tile's r-th row x."""
+    r = np.arange(h)
+    return r, r
+
+
+def _upper_pairs(a_tile: np.ndarray, adjacent: bool) -> np.ndarray:
+    """Mask of a tile's pairs x < y that are adjacent, or non-adjacent;
+    a_tile is the tile of A."""
+    h, w = a_tile.shape
+    upper = np.arange(w) > np.arange(h)[:, None]
+    return upper & a_tile if adjacent else upper > a_tile
+
+
+def _position(mask: np.ndarray, i: int, start: int) -> tuple[int, int]:
+    """(x, y) of the i-th True entry, in row-major order, of the mask of
+    a tile whose first row is ``start``."""
+    r, c = divmod(int(np.flatnonzero(mask)[i]), mask.shape[1])
+    return start + r, start + c
+
+
+class RowTile:
+    """Rows ``rows`` of A, A^2, ..., A^j_max as ``tile[j]``, and in
+    ``sums`` those of (A∘A^2)A when the stream forms them (else None),
+    each from column ``rows.start`` on: entry (r, c) is (x, x + c - r)
+    for the tile's r-th row x.  These are the pairs x <= y of the rows
+    and the mirror images of some of them, so the tiles of a pass hold
+    every pair x <= y once; all but (A∘A^2)A are symmetric.  Read-only;
+    A^1 is a view of the graph's boolean matrix, every other array int32
+    or int64 as `exact_matmul` gives it."""
+
+    __slots__ = ("rows", "pows", "sums")
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.pows[j - 1]
+
+
+class _Tally:
+    """A^2 on the pairs x < y, counted by value: in ``counts[v]`` the
+    non-adjacent pairs and in ``counts[m + v]`` the adjacent ones,
+    m = n + 1."""
+
+    def __init__(self, n: int):
+        self.m = n + 1
+        self.counts = np.zeros(2 * self.m, dtype=np.int64)
+
+    def feed(self, tile: RowTile) -> None:
+        a, a2 = tile[1], tile[2]
+        key = a2 + a * np.int32(self.m)  # one bincount for both kinds of pair
+        size = len(self.counts)
+        self.counts += np.bincount(key.ravel(), minlength=size)
+        # less the diagonal block's pairs x >= y
+        below = np.tri(len(key), dtype=bool)
+        self.counts -= np.bincount(key[:, : len(key)][below], minlength=size)
+
+    def multisets(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(lambda multiset, mu multiset) over unordered pairs."""
+        return _multiset(self.counts[self.m :]), _multiset(self.counts[: self.m])
+
+
+class _StrongScan:
+    """Least and greatest (A∘A^2)A entry over the non-adjacent pairs
+    x < y (None, None without such pairs)."""
+
+    def __init__(self):
+        self.lo = self.hi = None
+
+    def feed(self, tile: RowTile) -> None:
+        non = _upper_pairs(tile[1], adjacent=False)
+        vals = tile.sums[non]
+        if vals.size:
+            lo, hi = int(vals.min()), int(vals.max())
+            self.lo = lo if self.lo is None else min(self.lo, lo)
+            self.hi = hi if self.hi is None else max(self.hi, hi)
+
+
+class _WeakScan:
+    """(A∘A^2)A on the edges x < y, grouped by lambda = A^2(x, y): in
+    ``first`` the sum on each lambda's first edge in row-major order
+    (-1 for an absent lambda), and whether every sum equals its
+    lambda's first."""
+
+    def __init__(self, n: int):
+        self.first = np.full(n + 1, -1, dtype=np.int64)
+        self.uniform = True
+
+    def feed(self, tile: RowTile) -> None:
+        edges = np.flatnonzero(_upper_pairs(tile[1], adjacent=True))
+        lam, sums = tile[2].ravel().take(edges), tile.sums.ravel().take(edges)
+        new = np.flatnonzero(self.first[lam] < 0)
+        if new.size:
+            order = new[np.argsort(lam[new], kind="stable")]
+            heads = order[np.flatnonzero(np.diff(lam[order], prepend=-1))]
+            self.first[lam[heads]] = sums[heads]
+        self.uniform = self.uniform and np.array_equal(self.first[lam], sums)
+
+
+def _sum_extremes(p: Powers, adjacent: bool):
+    """(least, pair) and (greatest, pair) of (A∘A^2)A over the adjacent,
+    or non-adjacent, pairs x < y: the first of each in row-major order."""
+    lo = hi = None
+    for tile in p.rows(2, sums=True):
+        mask = _upper_pairs(tile[1], adjacent)
+        vals = tile.sums[mask]
+        if not vals.size:
+            continue
+        i, j = int(vals.argmin()), int(vals.argmax())
+        if lo is None or vals[i] < lo[0]:
+            lo = int(vals[i]), _position(mask, i, tile.rows.start)
+        if hi is None or vals[j] > hi[0]:
+            hi = int(vals[j]), _position(mask, j, tile.rows.start)
+    return lo, hi
+
+
+def _first_differing(i: int, tile: np.ndarray, target) -> tuple[int, int, int] | None:
+    """(row, column, value) of a combination tile's first entry, in
+    row-major order, that differs from ``target``; ``i`` is the tile's
+    first row."""
+    bad = tile != target
+    if not bad.any():
+        return None
+    r, c = divmod(int(bad.argmax()), tile.shape[1])
+    return i + r, i + c, int(tile[r, c])
+
+
+def _relation_key(coeffs, j_coeff) -> tuple:
+    c = [int(x) for x in coeffs]
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c), int(j_coeff)
+
+
+class Powers:
+    """Row tiles of the powers of one graph's adjacency matrix A, and
+    the O(n) results of full passes over them.
+
+    ``a`` is the graph's own read-only boolean matrix.  The one other
+    n x n array is A's float copy, the right operand of every tile
+    product: float32, widened for good to float64 by the first product
+    whose bound needs it.  A graph's checks therefore hold n^2 bytes for
+    A, 4n^2 (or 8n^2) for its float copy, and the tiles of one pass,
+    each of about _TILE_ENTRIES entries per array, or n^2 / _MAX_TILES
+    when that is more.  `rows` streams the tiles; `tally` and
+    `sum_scans` keep what a pass reduces them to; `combination` streams
+    integer combinations of the powers, and `vanishes` remembers those
+    found to be zero.  Obtain it with `powers`.
+
+    Setting ``want_sums`` makes the next pass that forms A^2 form
+    (A∘A^2)A as well, so that a strong or weak check after (say)
+    `spectral.certify` makes no pass of its own.
     """
 
-    a: np.ndarray
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.want_sums = False
+        self._af = None
+        self._tally = None
+        self._scans = None
+        self._zero = set()
 
     @cached_property
-    def a2(self) -> np.ndarray:
-        # A and A^2 are symmetric, so A^2 and A^4 are Gram products
-        return _frozen(exact_matmul(self.a, self.a.T))
+    def max_degree(self) -> int:
+        return int(self.a.sum(axis=1).max(initial=0))
 
-    @cached_property
-    def a3(self) -> np.ndarray:
-        return _frozen(exact_matmul(self.a2, self.a))
+    def _float_a(self, wide: bool = False) -> np.ndarray:
+        if self._af is None or (wide and self._af.dtype == np.float32):
+            self._af = None  # let the float32 copy go before the float64 one
+            self._af = _frozen(self.a.astype(np.float64 if wide else np.float32))
+        return self._af
 
-    @cached_property
-    def a4(self) -> np.ndarray:
-        return _frozen(exact_matmul(self.a2, self.a2.T))
+    def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
+        """x @ A[:, start:] exactly, through `exact_matmul` and A's float
+        copy."""
+        wide = x.shape[1] * _absmax(x) >= 2**24
+        return exact_matmul(x, self._float_a(wide)[:, start:], y_max=1)
 
-    @cached_property
-    def lam_sums(self) -> np.ndarray:
-        # A∘A² has entries lambda(x, y) <= n < 2^24, exact in float32
-        lam = np.multiply(self.a, self.a2, dtype=np.float32)
-        return _frozen(exact_matmul(lam, self.a))
+    def rows(self, j_max: int, sums: bool = False):
+        """Row tiles of A^1..A^j_max, and with ``sums`` of (A∘A^2)A, top
+        to bottom.
 
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """Strict upper triangle: each unordered pair once."""
-        return _frozen(np.triu(np.ones(self.a.shape, dtype=bool), 1))
+        A power is formed in full rows where a later product of the tile
+        reads it, and otherwise, like (A∘A^2)A, only from the tile's
+        first row on, at half the flops on average.  One `RowTile` is
+        yielded per `_row_tiles` slice and reused: its arrays are dropped
+        before the next tile is formed, so one tile is alive at a time.
+        A pass that reaches the last row stores the tally (once it forms
+        A^2) and the strong and weak scans (once it forms (A∘A^2)A) that
+        the graph still lacks.
+        """
+        n = len(self.a)
+        sums = sums or (self.want_sums and j_max >= 2 and self._scans is None)
+        if sums:
+            j_max = max(j_max, 2)
+        tally = _Tally(n) if j_max >= 2 and self._tally is None else None
+        scans = (_StrongScan(), _WeakScan(n)) if sums and self._scans is None else ()
+        riders = [r for r in (tally, *scans) if r is not None]
+        tile = RowTile()
+        for rows in _row_tiles(n, n):
+            tile.rows, tile.pows, tile.sums = rows, None, None
+            start = rows.start
+            pows, a2 = [self.a[rows, start:]], None
+            x = self._float_a()[rows]  # full rows of the last power formed
+            for j in range(2, j_max + 1):
+                full = j < j_max or (j == 2 and sums)
+                x = self.times_a(x, 0 if full else start)
+                pows.append(x[:, start:] if full else x)
+                if j == 2:
+                    a2 = x
+            if sums:
+                # entries lambda(x, y) <= n < 2^24: exact in float32
+                lam = np.multiply(self.a[rows], a2, dtype=np.float32)
+                tile.sums = _frozen(self.times_a(lam, start))
+                del lam
+            tile.pows = tuple(map(_frozen, pows))
+            del pows, a2, x
+            for r in riders:
+                r.feed(tile)
+            yield tile
+        tile.pows = tile.sums = None
+        if tally is not None:
+            self._tally = tally
+        if scans:
+            self._scans = scans
 
-    @cached_property
-    def adj(self) -> np.ndarray:
-        return _frozen(self.a & self.upper)
+    def tally(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(lambda multiset, mu multiset): the A^2 values on the adjacent
+        and on the non-adjacent unordered pairs."""
+        if self._tally is None:
+            for _ in self.rows(2):
+                pass
+        return self._tally.multisets()
 
-    @cached_property
-    def nonadj(self) -> np.ndarray:
-        return _frozen(~self.a & self.upper)
-
-    @cached_property
-    def lam_vals(self) -> np.ndarray:
-        return _frozen(self.a2[self.adj])
-
-    @cached_property
-    def mu_vals(self) -> np.ndarray:
-        return _frozen(self.a2[self.nonadj])
+    def sum_scans(self) -> tuple[_StrongScan, _WeakScan]:
+        """The strong and weak scans of (A∘A^2)A; their pass leaves the
+        tally too."""
+        if self._scans is None:
+            for _ in self.rows(2, sums=True):
+                pass
+        return self._scans
 
     def combination(self, coeffs, j_coeff=0):
         """sum_j coeffs[j] A^j + j_coeff J (coeffs ascending, j <= 4) as a
-        stream of (first row, int64 row tile) pairs, top to bottom.
+        stream of (first row i, int64 tile) pairs, top to bottom, each
+        tile from column i on, as in `RowTile`.  The combination is
+        symmetric, so a tile's mirror images stand for the columns before
+        i: the first entry, in row-major order, to differ from a constant
+        or to reach the largest magnitude lies at x <= y, in the tiles.
 
         Refuses at the call, before any tile, a combination whose entries
-        could reach 2^63 in absolute value.  Each tile widens its terms
-        to int64 before scaling them.
+        could reach 2^63 in absolute value: an entry of A^j (j >= 1)
+        counts walks of length j, at most k^(j-1) for the largest degree
+        k.  Each tile widens its terms to int64 before scaling them.
         """
         c0, j_coeff = int(coeffs[0]), int(j_coeff)
-        terms = [
-            (int(c), getattr(self, "a" if j == 1 else f"a{j}"))
-            for j, c in enumerate(coeffs) if j and c
-        ]
-        bound = abs(c0) + abs(j_coeff) + sum(abs(c) * _absmax(m) for c, m in terms)
+        terms = [(j, int(c)) for j, c in enumerate(coeffs) if j and c]
+        k = self.max_degree
+        bound = abs(c0) + abs(j_coeff) + sum(abs(c) * k ** (j - 1) for j, c in terms)
         if bound >= 2**63:
             raise ExactnessBoundExceeded(
                 f"combination bound {bound} is not below 2^63; int64 would wrap"
@@ -214,25 +405,35 @@ class Powers:
         return self._combination_tiles(c0, j_coeff, terms)
 
     def _combination_tiles(self, c0, j_coeff, terms):
-        n = len(self.a)
-        for rows in _row_tiles(n, n):
-            tile = np.full((rows.stop - rows.start, n), j_coeff, dtype=np.int64)
-            for c, m in terms:
-                tile += np.multiply(m[rows], c, dtype=np.int64)
-            diag = np.arange(rows.start, rows.stop)
-            tile[diag - rows.start, diag] += c0
-            yield rows.start, tile
+        for tile in self.rows(max((j for j, _ in terms), default=1)):
+            out = np.full(tile[1].shape, j_coeff, dtype=np.int64)
+            for j, c in terms:
+                out += np.multiply(tile[j], c, dtype=np.int64)
+            out[_diagonal(len(out))] += c0
+            yield tile.rows.start, out
+            del out
 
-    def first_mismatch(self, coeffs, j_coeff, target):
+    def first_mismatch(self, coeffs, j_coeff, target, *, to_end=False):
         """(i, j, value) of the first entry, in row-major order, at which
         `combination` (coeffs, j_coeff) differs from ``target``, or None.
-        Stops at the tile that holds it."""
+
+        Stops at the tile that holds it, unless ``to_end``: the pass then
+        runs on to the last row and leaves its tally behind.  A None is
+        remembered, see `vanishes`."""
+        hit = None
         for i, tile in self.combination(coeffs, j_coeff):
-            bad = tile != target
-            if bad.any():
-                r, c = divmod(int(bad.argmax()), tile.shape[1])
-                return i + r, c, int(tile[r, c])
-        return None
+            if hit is None:
+                hit = _first_differing(i, tile, target)
+                if hit is not None and not to_end:
+                    break
+            del tile  # before the next tile is formed
+        if hit is None:
+            self._zero.add(_relation_key(coeffs, int(j_coeff) - int(target)))
+        return hit
+
+    def vanishes(self, coeffs, j_coeff=0) -> bool:
+        """Whether `first_mismatch` has found the combination to be zero."""
+        return _relation_key(coeffs, j_coeff) in self._zero
 
 
 def powers(g: Graph) -> Powers:
@@ -240,12 +441,6 @@ def powers(g: Graph) -> Powers:
     if g._powers is None:
         g._powers = Powers(g.a)
     return g._powers
-
-
-def _multiset(values: np.ndarray) -> dict[int, int]:
-    """Value -> multiplicity of an array of non-negative integers."""
-    counts = np.bincount(values)
-    return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
 
 @dataclass
@@ -288,16 +483,19 @@ def profile(g: Graph, *, constants: bool = True) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
     regularity constants filled in whenever they are defined.
 
-    With ``constants=False`` the profile comes from the A^2 entries
-    alone: the strong and weak checks are skipped, so gamma, alpha and
-    beta stay None and (A∘A²)A is never formed.  The multisets, the
-    levels and mu are the same either way."""
+    A regular graph's constants take one pass, which forms each row of
+    A^2 and of (A∘A^2)A once and feeds the tallies and the strong and
+    weak scans.  With ``constants=False`` the profile comes from the A^2
+    entries alone: the strong and weak checks are skipped, so gamma,
+    alpha and beta stay None and (A∘A^2)A is never formed.  The
+    multisets, the levels and mu are the same either way."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     p = powers(g)
-    lam = _multiset(p.lam_vals)
-    mu = _multiset(p.mu_vals)
     regular, k = g.is_regular()
+    if regular and constants:
+        p.sum_scans()
+    lam, mu = p.tally()
     prof = RegularityProfile(
         n=g.n,
         regular=regular,
@@ -336,48 +534,33 @@ class StrongReport:
 
 def strong_co_edge_regular(g: Graph) -> StrongReport:
     """The constant gamma = sum of lambda(x, z) over common neighbours of
-    each non-adjacent pair, or a witness of two differing sums."""
+    each non-adjacent pair, or a witness of two differing sums: the
+    first least and the first greatest sum over pairs x < y, in
+    row-major order.
+
+    The sums are read on the pairs x < y alone, and need no transpose.
+    On a k-regular graph with constant mu, A∘A^2 = A^2 + mu A - mu J +
+    (mu - k) I, which commutes with A (AJ = JA = kJ), so (A∘A^2)A is
+    symmetric: the sum for (x, y) is the sum for (y, x)."""
     regular, _ = g.is_regular()
     if not regular:
         raise NotCoEdgeRegular("graph is not regular")
     p = powers(g)
-    nonadj = p.nonadj
-    mu_vals = p.mu_vals
-    if not mu_vals.size:
+    strong, _ = p.sum_scans()
+    _, mu_set = p.tally()
+    if not mu_set:
         return StrongReport(True, None, None)  # complete: vacuous
-    if mu_vals.min() != mu_vals.max():
+    if len(mu_set) > 1:
         raise NotCoEdgeRegular("mu is not constant over non-adjacent pairs")
-    mu = int(mu_vals[0])
-    sums = p.lam_sums
-    vals = sums[nonadj]
-    if not np.array_equal(vals, sums.T[nonadj]):
-        idx = np.argwhere(nonadj & (sums != sums.T))[0]
-        return StrongReport(
-            False,
-            mu,
-            None,
-            witness={
-                "pair": (int(idx[0]), int(idx[1])),
-                "sum_xy": int(sums[idx[0], idx[1]]),
-                "sum_yx": int(sums[idx[1], idx[0]]),
-                "reason": "ordered sums disagree",
-            },
-        )
-    if vals.min() == vals.max():
-        return StrongReport(True, mu, int(vals[0]))
-    coords = np.argwhere(nonadj)
-    lo = int(np.argmin(vals))
-    hi = int(np.argmax(vals))
+    mu = next(iter(mu_set))
+    if strong.lo == strong.hi:
+        return StrongReport(True, mu, strong.lo)
+    (lo, lo_pair), (hi, hi_pair) = _sum_extremes(p, adjacent=False)
     return StrongReport(
         False,
         mu,
         None,
-        witness={
-            "pair": tuple(int(v) for v in coords[lo]),
-            "sum": int(vals[lo]),
-            "other_pair": tuple(int(v) for v in coords[hi]),
-            "other_sum": int(vals[hi]),
-        },
+        witness={"pair": lo_pair, "sum": lo, "other_pair": hi_pair, "other_sum": hi},
     )
 
 
@@ -396,67 +579,69 @@ class WeakReport:
 def weak_edge_regular(g: Graph) -> WeakReport:
     """Exact rational fit of alpha * lambda(x,y) = sum + beta over edges.
 
-    With two distinct lambda values present the solution is unique; with
-    constant lambda every alpha works and the one-parameter family
+    With two distinct lambda values present the solution is unique, and
+    is read off the first edges of the least and the greatest lambda;
+    with constant lambda every alpha works and the one-parameter family
     (lambda0, sum0) with beta = alpha*lambda0 - sum0 is reported.
     """
     regular, _ = g.is_regular()
     if not regular:
         raise NotRegular("graph is not regular")
     p = powers(g)
-    adj, lam_vals = p.adj, p.lam_vals
-    if not lam_vals.size:
+    _, weak = p.sum_scans()
+    present = np.flatnonzero(weak.first >= 0)
+    if not present.size:
         return WeakReport(True, None, None, family=(0, 0))
-    sum_vals = p.lam_sums[adj]
-    lam_min, lam_max = int(lam_vals.min()), int(lam_vals.max())
+    lam_min, lam_max = int(present[0]), int(present[-1])
     if lam_min == lam_max:
-        if int(sum_vals.min()) == int(sum_vals.max()):
-            return WeakReport(True, None, None, family=(lam_min, int(sum_vals[0])))
-        coords = np.argwhere(adj)
-        lo, hi = int(np.argmin(sum_vals)), int(np.argmax(sum_vals))
+        if weak.uniform:
+            return WeakReport(True, None, None, family=(lam_min, int(weak.first[lam_min])))
+        (lo, lo_edge), (hi, hi_edge) = _sum_extremes(p, adjacent=True)
         return WeakReport(
             False,
             None,
             None,
             witness={
-                "edge": tuple(int(v) for v in coords[lo]),
-                "sum": int(sum_vals[lo]),
-                "other_edge": tuple(int(v) for v in coords[hi]),
-                "other_sum": int(sum_vals[hi]),
+                "edge": lo_edge,
+                "sum": lo,
+                "other_edge": hi_edge,
+                "other_sum": hi,
                 "lambda": lam_min,
             },
         )
-    i_min = int(np.argmax(lam_vals == lam_min))
-    i_max = int(np.argmax(lam_vals == lam_max))
-    s1, l1 = int(sum_vals[i_min]), lam_min
-    s2, l2 = int(sum_vals[i_max]), lam_max
+    s1, l1 = int(weak.first[lam_min]), lam_min
+    s2, l2 = int(weak.first[lam_max]), lam_max
     alpha = Fraction(s1 - s2, l1 - l2)
     beta = alpha * l1 - s1
     # sum = alpha*lambda - beta on every edge: one exact target per
     # distinct lambda; a target that is not an integer in [0, 2^63), which
     # no sum (a non-negative int64) can equal, becomes the sentinel -1
     target = np.full(lam_max + 1, -1, dtype=np.int64)
-    for v in np.flatnonzero(np.bincount(lam_vals)).tolist():
+    for v in present.tolist():
         t = alpha * v - beta
         if t.denominator == 1 and 0 <= t < 2**63:
             target[v] = int(t)
-    bad = target[lam_vals] != sum_vals
-    if bad.any():
-        coords = np.argwhere(adj)
-        first = int(np.argmax(bad))
-        return WeakReport(
-            False,
-            None,
-            None,
-            witness={
-                "edge": tuple(int(v) for v in coords[first]),
-                "lambda": int(lam_vals[first]),
-                "sum": int(sum_vals[first]),
-                "alpha_candidate": [alpha.numerator, alpha.denominator],
-                "beta_candidate": [beta.numerator, beta.denominator],
-            },
-        )
-    return WeakReport(True, alpha, beta)
+    if weak.uniform and np.array_equal(target[present], weak.first[present]):
+        return WeakReport(True, alpha, beta)
+    for tile in p.rows(2, sums=True):
+        edges = _upper_pairs(tile[1], adjacent=True)
+        lam, sums = tile[2][edges], tile.sums[edges]
+        bad = target[lam] != sums
+        if bad.any():
+            first = int(bad.argmax())
+            return WeakReport(
+                False,
+                None,
+                None,
+                witness={
+                    "edge": _position(edges, first, tile.rows.start),
+                    "lambda": int(lam[first]),
+                    "sum": int(sums[first]),
+                    "alpha_candidate": [alpha.numerator, alpha.denominator],
+                    "beta_candidate": [beta.numerator, beta.denominator],
+                },
+            )
+    raise AssertionError("a failed weak scan has an edge off its line")
 
 
 def level(g: Graph) -> tuple[int | None, int | None]:
@@ -549,7 +734,7 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     size = len(members)
     mask = np.zeros(g.n, dtype=bool)
     mask[idx] = True
-    degrees = _multiset(g.a[~mask][:, mask].sum(axis=1))
+    degrees = _multiset(np.bincount(g.a[~mask][:, mask].sum(axis=1)))
     tight = Fraction(size) == bound
     cross_size = None
     if cross is not None:

@@ -6,9 +6,9 @@ sum m_i theta_i^j = tr A^j hold for j = 0..d and (b) the product of the
 nontrivial factors (A - theta_i I) equals ell*J entrywise.  Claimed
 eigenvalues must be integers (the only rational roots of A's monic
 integer characteristic polynomial), so the product is an integer
-polynomial in A, checked as a combination of the graph's cached exact
-powers (`regularity.powers`) that is streamed in row tiles and stops at
-the first mismatching entry.  These two checks are the whole
+polynomial in A, checked as a combination of the graph's exact powers
+streamed in row tiles (`regularity.powers`), whose first mismatching
+entry in row-major order is the witness.  These two checks are the whole
 certificate: together they fix the spectrum, so no factor of the
 product can be dropped (see `certify`).
 
@@ -16,7 +16,8 @@ Claim-free spectra come from the Hoffman polynomial where a graph has
 one.  A k-regular graph is first searched for the smallest d <= 4 with
 A^d = sum_{j<d} c_j A^j + ell J for integers c_j, ell.  The
 coefficients are solved over Q from the distinct entry patterns of a few
-rows of the cached powers, and then the relation is checked on every
+rows of the powers, each row a vector-matrix product, and then the
+relation is checked on every
 entry in bound-checked int64 (`Powers.combination`), so it holds as a
 matrix identity.  Multiplying it by A^(t-d) and using AJ = kJ gives
 tr A^t = sum_j c_j tr A^(t-d+j) + ell n k^(t-d) for every t >= d, so the
@@ -50,7 +51,6 @@ from .regularity import (
     NotEdgeRegular,
     NotRegular,
     Powers,
-    _row_tiles,
     powers,
     profile,
 )
@@ -157,16 +157,19 @@ def claim_from_json(obj) -> list[tuple[Fraction, int]]:
 
 
 def _traces(g: Graph, up_to: int) -> list[int]:
-    """[tr A^0, ..., tr A^up_to] exactly (up_to <= 4)."""
-    p = powers(g)
-    out = [g.n, 0, int(p.a.sum())]
+    """[tr A^0, ..., tr A^up_to] exactly (up_to <= 4).
+
+    tr A^3 and tr A^4 come from the lambda/mu tally, which the graph
+    keeps from its first full pass over A^2 (`Powers.tally`)."""
+    out = [g.n, 0, int(np.count_nonzero(g.a))]
     if up_to >= 3:
+        lam, mu = powers(g).tally()
         # tr A^3 sums A^2 over ordered adjacent pairs, each unordered one twice
-        out.append(2 * int(p.lam_vals.sum(dtype=np.int64)))
-    if up_to >= 4:
-        # tr A^4 sums the squared entries of the symmetric A^2
-        sums = (np.square(p.a2[rows], dtype=np.int64).sum() for rows in _row_tiles(g.n, g.n))
-        out.append(sum(map(int, sums)))
+        out.append(2 * sum(v * c for v, c in lam.items()))
+        # tr A^4 sums the squared entries of the symmetric A^2: each
+        # unordered pair twice, and the degrees on the diagonal
+        off = sum(v * v * c for v, c in lam.items()) + sum(v * v * c for v, c in mu.items())
+        out.append(2 * off + sum(d * d for d in g.degrees()))
     return out[: up_to + 1]
 
 
@@ -179,8 +182,12 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
     moments pass, every |theta_i| <= sqrt(n k) (sum m_i theta_i^2 = n k
     with every m_i >= 1; for d = 1 the first moment gives <= k), which
     bounds the coefficients of the product of factors, formed as
-    sum c_j A^j from the cached powers and compared with ell*J one row
-    tile at a time.
+    sum c_j A^j from the streamed powers and compared with ell*J one row
+    tile at a time.  Moments j <= 2 need no product and are checked
+    first, and they already give that bound; the pass for the product
+    then runs to the last row, so that it also leaves behind the tally
+    that tr A^3 and tr A^4 come from, and a failing moment is still
+    reported before a failing product.
 
     The accepted factors are minimal, so no drop-one sub-product is
     checked.  Annihilation makes prod (A - theta_i I) vanish on the
@@ -217,13 +224,14 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
     if d > 4:
         raise WrongEigenvalueCount("more than 5 distinct eigenvalues is out of scope")
 
-    # moments j = 0..d determine the multiplicities via a Vandermonde system
-    traces = _traces(g, min(d, 4))
-    for j, tr in enumerate(traces):
-        claimed_moment = sum(Fraction(m) * t**j for t, m in pairs)
-        if claimed_moment != tr:
-            raise MomentMismatch(j, tr, claimed_moment)
+    def check_moments(traces, start=0):
+        # moments j = 0..d determine the multiplicities via a Vandermonde system
+        for j, tr in enumerate(traces[start:], start):
+            claimed_moment = sum(Fraction(m) * t**j for t, m in pairs)
+            if claimed_moment != tr:
+                raise MomentMismatch(j, tr, claimed_moment)
 
+    check_moments(_traces(g, min(d, 2)))
     if not nontrivial:  # only K_1 has a one-value spectrum
         return SpectrumCertificate(
             n=g.n,
@@ -235,14 +243,18 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
         )
     thetas = [t for t, _ in nontrivial]
     ell = math.prod(k - t for t in thetas) / g.n
+    rhs = ell.numerator
+    hit = None
+    if ell.denominator == 1:
+        product = poly_from_spectrum((t, 1) for t in thetas)
+        hit = powers(g).first_mismatch(product, 0, rhs, to_end=True)
+    if d >= 3:
+        check_moments(_traces(g, min(d, 4)), 3)
     if ell.denominator != 1:
         raise AnnihilationFailed(
             "ell is not an integer, claim cannot annihilate",
             {"ell": [ell.numerator, ell.denominator]},
         )
-    rhs = ell.numerator
-
-    hit = powers(g).first_mismatch(poly_from_spectrum((t, 1) for t in thetas), 0, rhs)
     if hit is not None:
         i, j, got = hit
         raise AnnihilationFailed(
@@ -350,16 +362,19 @@ def _hoffman_candidate(p: Powers, d: int):
     """(coeffs, ell) solving A^d = sum_{j<d} coeffs[j] A^j + ell J over Q
     on the distinct entry patterns of as few rows as determine it, or
     None when those rows contradict every solution or admit no unique
-    one.  Nothing here is trusted: the caller checks the candidate, as
-    integers, on every entry."""
+    one.  Row x of each power is one vector-matrix product from the last,
+    formed when the search reaches x.  Nothing here is trusted: the
+    caller checks the candidate, as integers, on every entry."""
     n = p.a.shape[0]
-    mats = [getattr(p, name) for name in ("a", "a2", "a3", "a4")[:d]]
     basis = []  # (pivot column, row) pairs in reduced echelon form
     seen = set()
     for x in range(n):
+        pows = [p.a[x]]  # row x of A, ..., A^d
+        for _ in range(1, d):
+            pows.append(p.times_a(pows[-1][None, :])[0])
         # row y holds (I, A, ..., A^(d-1), J | A^d) at entry (x, y)
-        terms = [np.arange(n) == x, *(m[x] for m in mats[:-1]), np.ones(n, np.int64)]
-        entries = np.stack([*terms, mats[-1][x]], axis=1)
+        terms = [np.arange(n) == x, *pows[:-1], np.ones(n, np.int64)]
+        entries = np.stack([*terms, pows[-1]], axis=1)
         for pattern in map(tuple, entries.tolist()):
             if pattern in seen:
                 continue
@@ -385,15 +400,19 @@ def _hoffman_candidate(p: Powers, d: int):
 
 def _hoffman_polynomial(g: Graph):
     """(coeffs, ell) with A^d = sum_{j<d} coeffs[j] A^j + ell J exactly,
-    for the smallest d <= 4 that has such a relation, or None."""
+    for the smallest d <= 4 that has such a relation, or None.  A
+    relation the graph has already verified is not checked again."""
     p = powers(g)
     for d in range(1, 5):
         cand = _hoffman_candidate(p, d)
         if cand is None:
             continue
         coeffs, ell = cand
+        relation = [-c for c in coeffs] + [1]
+        if p.vanishes(relation, -ell):
+            return coeffs, ell
         try:
-            hit = p.first_mismatch([-c for c in coeffs] + [1], -ell, 0)
+            hit = p.first_mismatch(relation, -ell, 0)
         except ExactnessBoundExceeded:
             continue
         if hit is None:
@@ -811,12 +830,16 @@ def eq1_residual(g: Graph, cert: SpectrumCertificate) -> Eq1Report:
         )
     den = cert.ell.denominator
     coeffs = [den * c for c in poly_from_spectrum((t, 1) for t in cert.eigenvalues[1:])]
+    p = powers(g)
+    if p.vanishes(coeffs, -cert.ell * den):  # as `certify` found it
+        return Eq1Report(Fraction(0), None)
     worst, where = 0, None
-    for i, tile in powers(g).combination(coeffs, -cert.ell * den):
+    for i, tile in p.combination(coeffs, -cert.ell * den):
         mag = np.abs(tile)
         r, c = divmod(int(mag.argmax()), tile.shape[1])
         if mag[r, c] > worst:  # strictly: the first maximum in row-major order
-            worst, where = int(mag[r, c]), (i + r, c, int(tile[r, c]))
+            worst, where = int(mag[r, c]), (i + r, i + c, int(tile[r, c]))
+        del tile, mag  # before the next tile is formed
     if where is None:
         return Eq1Report(Fraction(0), None)
     i, j, value = where

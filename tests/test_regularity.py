@@ -628,8 +628,18 @@ def test_float32_product_is_cast_in_place(tls22):
 
 
 def whole(tiles):
-    """The full matrix from a `Powers.combination` stream."""
-    return np.vstack([t for _, t in tiles])
+    """The full matrix from a `Powers.combination` stream: each tile holds
+    its rows from the column of its first row on, and the combination is
+    symmetric, so mirror images fill the columns before."""
+    tiles = list(tiles)
+    n = tiles[-1][0] + len(tiles[-1][1])
+    out = np.zeros((n, n), dtype=tiles[0][1].dtype)
+    for i, t in tiles:
+        out[i : i + len(t), i:] = t
+    out = np.triu(out) + np.triu(out, 1).T
+    for i, t in tiles:
+        assert np.array_equal(out[i : i + len(t), i:], t)  # each tile agrees with its mirror
+    return out
 
 
 def test_combination_scales_every_term_in_int64(tls22):
@@ -649,18 +659,26 @@ def test_combination_tiles_cover_every_row_once(tls22, monkeypatch):
     assert whole(tiles).tolist() == tls22.adjacency_matrix().tolist()
 
 
-def test_no_cached_power_is_int64_square(tls33):
+# the whole-matrix caches that row tiles replaced
+DELETED_CACHES = ("a2", "a3", "a4", "lam_sums", "upper", "adj", "nonadj", "lam_vals", "mu_vals")
+
+
+def test_no_cached_power_is_int64_square():
     from cerg.spectral import certify, eq1_residual
 
-    p = powers(tls33)
-    profile(tls33)
-    cert = certify(tls33, [(98, 1), (17, 32), (-1, 162), (-10, 48)])
-    eq1_residual(tls33, cert)
-    assert p.a4.dtype == np.int32  # 243 * 98^2 < 2^31
-    assert {"a2", "a3", "a4", "lam_sums", "lam_vals", "mu_vals"} <= set(vars(p))
-    for name, m in vars(p).items():
-        if isinstance(m, np.ndarray) and m.shape == (243, 243):
-            assert m.dtype in (np.bool_, np.int32), name
+    g = tls(3, 3)
+    p = powers(g)
+    profile(g)
+    cert = certify(g, [(98, 1), (17, 32), (-1, 162), (-10, 48)])
+    eq1_residual(g, cert)
+    for name in DELETED_CACHES:
+        assert not hasattr(p, name), name
+    squares = {name for name, m in vars(p).items()
+               if isinstance(m, np.ndarray) and m.size >= 243 * 243}
+    assert squares == {"a", "_af"}
+    assert p.a.dtype == np.bool_ and p._af.dtype == np.float32
+    tile = next(p.rows(4))
+    assert tile[4].dtype == np.int32  # 243 * 98^2 < 2^31
 
 
 def test_combination_refuses_int64_overflow(tls22):
@@ -668,12 +686,20 @@ def test_combination_refuses_int64_overflow(tls22):
         powers(tls22).combination([0, 2**62, 2**62])
 
 
-def test_powers_match_object_products_and_are_cached(tls22):
+def test_powers_match_object_products_and_are_cached(tls22, monkeypatch):
     p = powers(tls22)
     assert powers(tls22) is p
     a = tls22.adjacency_matrix().astype(object)
-    assert p.a3.tolist() == (a @ a @ a).tolist()
-    assert p.lam_sums.tolist() == ((a * (a @ a)) @ a).tolist()
+    want = [np.linalg.matrix_power(a, j) for j in range(1, 5)] + [(a * (a @ a)) @ a]
+    for rows in (2, 5, 32):
+        monkeypatch.setattr(regularity, "_TILE_ENTRIES", rows * 32)
+        starts = []
+        for t in p.rows(4, sums=True):
+            r = t.rows
+            starts.append(r.start)
+            for got, m in zip([t[j] for j in range(1, 5)] + [t.sums], want):
+                assert got.tolist() == m[r, r.start :].tolist()  # the rows, from column r.start on
+        assert starts == list(range(0, 32, rows))
     assert whole(p.combination([1, -2, 0, 1], 5)).tolist() == (
         a @ a @ a - 2 * a + np.eye(32, dtype=object) + 5
     ).tolist()
@@ -683,7 +709,7 @@ def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatc
     g6 = tmp_path / "tls22.g6"
     assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
 
-    def refuse(x, y):
+    def refuse(x, y, y_max=None):
         raise ExactnessBoundExceeded("product bound is not below 2^53")
 
     monkeypatch.setattr(regularity, "exact_matmul", refuse)
@@ -694,12 +720,13 @@ def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatc
 
 
 def count_products(monkeypatch):
+    """The number of rows of every product, in call order."""
     calls = []
     real = regularity.exact_matmul
 
-    def counted(x, y):
-        calls.append(x.shape)
-        return real(x, y)
+    def counted(x, y, y_max=None):
+        calls.append(x.shape[0])
+        return real(x, y, y_max)
 
     monkeypatch.setattr(regularity, "exact_matmul", counted)
     return calls
@@ -708,7 +735,17 @@ def count_products(monkeypatch):
 def test_profile_does_two_products(monkeypatch):
     calls = count_products(monkeypatch)
     profile(tls(2, 2))
-    assert 0 < len(calls) <= 2
+    assert calls == [32, 32]  # one tile: A^2 and (A∘A^2)A
+    # each row of both formed once, in one pass of four 8-row tiles
+    monkeypatch.setattr(regularity, "_TILE_ENTRIES", 8 * 32)
+    calls.clear()
+    g = tls(2, 2)
+    profile(g)
+    assert calls == [8] * 8
+    strong_co_edge_regular(g)
+    weak_edge_regular(g)
+    profile(g, constants=False)
+    assert len(calls) == 8
 
 
 def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
@@ -717,15 +754,25 @@ def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
     claim.write_text(json.dumps({"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]}))
     calls = count_products(monkeypatch)
     assert main(["verify", "theorem33", "-i", str(g6), "--claim", str(claim)]) == 0
-    assert 0 < len(calls) <= 3
+    assert calls == [32] * 3  # one pass: A^2, A^3 and (A∘A^2)A
 
 
 def test_cached_powers_are_read_only(tls22):
     p = powers(tls22)
-    assert not hasattr(p, "lam")
-    for m in (p.a2, p.a3, p.lam_sums, p.upper):
-        with pytest.raises(ValueError):
-            m[0, 0] = 7
+    for tile in p.rows(3, sums=True):
+        for m in (tile[1], tile[2], tile[3], tile.sums, p._af):
+            with pytest.raises(ValueError):
+                m[0, 0] = 7
+
+
+def test_a_stream_keeps_one_tile_alive(tls22, monkeypatch):
+    monkeypatch.setattr(regularity, "_TILE_ENTRIES", 8 * 32)
+    import weakref
+
+    seen = []
+    for tile in powers(tls22).rows(3, sums=True):
+        assert all(ref() is None for ref in seen)  # the last tile's arrays are gone
+        seen = [weakref.ref(m) for m in (tile[2], tile[3], tile.sums)]
 
 
 def test_level_needs_two_vertices():
@@ -739,10 +786,10 @@ def test_level_needs_two_vertices():
 def test_level_does_one_product(monkeypatch):
     calls = count_products(monkeypatch)
     assert level(tls(2, 2)) == (3, None)
-    assert len(calls) == 1
+    assert calls == [32]
 
 
-def test_claim_free_compare_does_at_most_four_products(tmp_path, monkeypatch):
+def test_claim_free_compare_forms_a2_and_a3_rows_once_a_graph(tmp_path, monkeypatch):
     from cerg.arrays import oa_macneish
     from cerg.constructions import latin_square_graph
     from cerg.graphs import write_graph6
@@ -751,19 +798,32 @@ def test_claim_free_compare_does_at_most_four_products(tmp_path, monkeypatch):
     write_graph6(clique_extension(latin_square_graph(oa_macneish(4), 3), 2), tmp_path / "ext.g6")
     calls = count_products(monkeypatch)
     assert main(["compare", str(tmp_path / "tls22.g6"), str(tmp_path / "ext.g6")]) == 0
-    assert 0 < len(calls) <= 4
+    # each graph: one-row products while the Hoffman search reads row 0,
+    # then one pass for the relation, whose A^2 rows also give the level;
+    # the extension's degree-2 candidate fails on its first A^2 tile
+    assert [c for c in calls if c > 1] == [32] * 5
+    assert calls.count(1) == 6
 
 
-def test_goldberg_and_hoffman_form_no_lambda_sums():
+def test_goldberg_and_hoffman_form_no_lambda_sums(monkeypatch):
     from cerg.arrays import oa_macneish
     from cerg.constructions import latin_square_graph
     from cerg.spectral import goldberg
 
+    real = regularity.Powers.rows
+    asked = []
+
+    def rows(self, j_max, sums=False):
+        asked.append(sums)
+        return real(self, j_max, sums)
+
+    monkeypatch.setattr(regularity.Powers, "rows", rows)
     oa = oa_macneish(4)
     g = latin_square_graph(oa, 3)
     goldberg(g, 1, -3)
     assert hoffman_check(g, row_clique(oa, 0, 0), "clique", 3).tight
-    assert "lam_sums" not in vars(powers(g))
+    assert asked and not any(asked)
+    assert powers(g)._scans is None
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ MA_WITH_NUMPY = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 
 # cerg.__all__ before the package became lazy
 EXPORTS = {
-    "Design", "FieldElement", "FieldSpec", "Graph", "GroupDivisibleArray", "NotAPrimePower",
+    "Design", "FieldSpec", "Graph", "GroupDivisibleArray", "NotAPrimePower",
     "OrthogonalArray", "ParallelClassSystem", "SpectrumCertificate", "TlsGraph", "TlsStructure",
     "arrays", "block_graph", "certify", "char_poly", "clique_extension", "complement",
     "constructions", "cospectral", "design_affine_lines", "design_one_factorization",
