@@ -4,8 +4,9 @@ Exit codes: 0 = pass, 1 = a check ran and failed (`graphs.CheckFailed`),
 2 = usage, I/O, or parameter errors.  All JSON output is deterministic
 for fixed inputs (the wall_time_s field aside), independent of --threads.
 
-Each subcommand imports only the modules it calls, so a child process
-compiles no checker or construction it does not run.
+The layers are the package's lazy modules: each runs its code at its
+first attribute access, so a subcommand compiles no checker or
+construction it does not run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 import time
 
-from . import graphs
+from . import arrays, constructions, geometry, graphs, regularity, spectral
 
 # malformed input or unusable parameters: exit 2
 PARAM_ERRORS = (ValueError, KeyError, TypeError, OSError)
@@ -55,8 +56,6 @@ def _run_report(args, inputs: dict, reports: dict, passed: bool, t0: float) -> d
 
 
 def _load_claim(path):
-    from . import spectral
-
     with open(path) as fh:
         return spectral.claim_from_json(json.load(fh))
 
@@ -88,18 +87,25 @@ def _summary(g: graphs.Graph) -> dict:
 
 
 def _design_from_args(args):
-    from . import geometry
-
     if args.design_file:
         return geometry.read_design(args.design_file)
+    # a design's blocks are the graph's vertices: refuse too many before
+    # building; parameters the builder rejects keep its error
     if args.design == "affine-lines":
-        if args.q is None or args.d is None:
+        q, d = args.q, args.d
+        if q is None or d is None:
             raise ValueError("affine-lines needs --q and --d")
-        return geometry.design_affine_lines(args.q, args.d)
+        if d in (2, 3):
+            geometry.field(q)  # raises unless q is a prime power
+            graphs._check_order(q ** (d - 1) * (q**d - 1) // (q - 1))
+        return geometry.design_affine_lines(q, d)
     if args.design == "one-factorization":
-        if args.m is None:
+        m = args.m
+        if m is None:
             raise ValueError("one-factorization needs --m")
-        return geometry.design_one_factorization(args.m)
+        if m >= 4 and m % 2 == 0:
+            graphs._check_order(m * (m - 1) // 2)
+        return geometry.design_one_factorization(m)
     raise ValueError("give --design affine-lines|one-factorization or --design-file")
 
 
@@ -109,8 +115,6 @@ def cmd_construct(args) -> int:
         if args.n is None or args.m is None:
             raise ValueError("ls needs --n and --m")
         graphs._check_order(args.n * args.n)
-        from . import arrays, constructions
-
         oa = arrays.read_array(args.oa) if args.oa else arrays.oa_macneish(args.n)
         g = constructions.latin_square_graph(oa, args.m)
     elif fam == "clique-ext":
@@ -120,19 +124,13 @@ def cmd_construct(args) -> int:
     elif fam == "tls":
         if args.q is None or args.n is None:
             raise ValueError("tls needs --q and --n")
-        from . import arrays, constructions
-
         goa = arrays.read_array(args.goa) if args.goa else None
         if goa is not None and not isinstance(goa, arrays.GroupDivisibleArray):
             raise constructions.ParameterMismatch("--goa file must hold a GOA")
         g = constructions.tls(args.q, args.n, goa=goa)
     elif fam == "block-graph":
-        from . import geometry
-
         g = geometry.block_graph(_design_from_args(args))
     elif fam == "h-graph":
-        from . import constructions
-
         g = constructions.h_graph(_design_from_args(args))
     elif fam == "complement":
         if not args.input:
@@ -141,8 +139,6 @@ def cmd_construct(args) -> int:
     elif fam == "spread-mod":
         if not args.input or not args.parts or not args.mode:
             raise ValueError("spread-mod needs -i, --parts, and --mode")
-        from . import constructions
-
         parts = _load_json(args.parts)["parts"]
         g = constructions.spread_modified(
             graphs.read_graph6(args.input), parts, args.mode
@@ -163,23 +159,17 @@ def cmd_construct(args) -> int:
 
 
 def _check_profile(g, args):
-    from . import regularity
-
     prof = regularity.profile(g)
     return prof.to_json_dict(), True
 
 
 def _check_strong(g, args):
-    from . import regularity
-
     rep = regularity.strong_co_edge_regular(g)
     body = {"mu": rep.mu, "gamma": rep.gamma, "witness": rep.witness}
     return body, rep.ok
 
 
 def _check_weak(g, args):
-    from . import regularity
-
     rep = regularity.weak_edge_regular(g)
     body = {
         "alpha": None if rep.alpha is None else [rep.alpha.numerator, rep.alpha.denominator],
@@ -191,8 +181,6 @@ def _check_weak(g, args):
 
 
 def _check_spectrum(g, args):
-    from . import spectral
-
     if not args.claim:
         raise ValueError("spectrum needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim))
@@ -200,8 +188,6 @@ def _check_spectrum(g, args):
 
 
 def _check_eq1(g, args):
-    from . import spectral
-
     if not args.claim:
         raise ValueError("eq1 needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim))
@@ -210,11 +196,9 @@ def _check_eq1(g, args):
 
 
 def _check_theorem33(g, args):
-    from . import regularity, spectral
-
     if not args.claim:
         raise ValueError("theorem33 needs --claim")
-    # one pass for the certificate's product and the strong and weak scans
+    # one pass for the certificate's product and the sums scan
     regularity.powers(g).want_sums = True
     cert = spectral.certify(g, _load_claim(args.claim))
     strong = regularity.strong_co_edge_regular(g)
@@ -231,8 +215,6 @@ def _check_theorem33(g, args):
 
 
 def _check_equitable(g, args):
-    from . import regularity
-
     if not args.parts:
         raise ValueError("equitable needs --parts")
     rep = regularity.equitable_check(g, _load_json(args.parts)["parts"])
@@ -244,8 +226,6 @@ def _check_equitable(g, args):
 
 
 def _check_hoffman(g, args):
-    from . import regularity
-
     if not args.set or not args.kind or args.m is None:
         raise ValueError("hoffman needs --set, --kind, and --m")
     vertex_set = _load_json(args.set)["set"]
@@ -254,8 +234,6 @@ def _check_hoffman(g, args):
 
 
 def _check_scheme(g, args):
-    from . import regularity
-
     if not args.relations:
         raise ValueError("scheme needs --relations")
     rels = [graphs.read_graph6(p) for p in args.relations]
@@ -269,8 +247,6 @@ def _check_scheme(g, args):
 
 
 def _check_goldberg(g, args):
-    from . import spectral
-
     if args.theta is None or args.theta2 is None:
         raise ValueError("goldberg needs --theta and --theta2")
     cert = None
@@ -333,8 +309,6 @@ def cmd_verify(args, argv) -> int:
 
 
 def _level(g) -> dict:
-    from . import regularity
-
     try:
         co, edge = regularity.level(g)
     except regularity.PreconditionFailed:
@@ -343,8 +317,6 @@ def _level(g) -> dict:
 
 
 def cmd_compare(args, argv) -> int:
-    from . import spectral
-
     t0 = time.monotonic()
     claim = _load_claim(args.claim) if args.claim else None
     # one input at a time: a graph and its cached powers go once its side

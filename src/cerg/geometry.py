@@ -189,7 +189,7 @@ class Design:
                 raise ValueError("resolution does not partition the block set")
             for cls in self.resolution:
                 pts = sorted(p for i in cls for p in self.blocks[i])
-                if pts != list(range(v)):
+                if len(pts) != v or pts != list(range(v)):
                     raise ValueError("a resolution class does not partition the points")
 
     @property

@@ -20,12 +20,13 @@ No power of a graph's adjacency matrix A is held whole.  `Powers.rows`
 streams row tiles of A, A^2, ... and (A∘A^2)A, each tile of A^j formed
 as A^(j-1)[r] @ A with its bound checked per tile, and every check is a
 reducer over that stream.  A pass that reaches the last row leaves
-behind only O(n) results: the lambda/mu tallies and the strong and weak
-scans, which later checks of the same graph read instead of passing
-again.  A check that fails makes a second pass for the witness a
-whole-matrix scan would give: the first in row-major order.  A graph's
-checks hold n^2 bytes for the boolean A, 4n^2 (8n^2 once a product
-needs float64) for A's float copy, and the tiles of one pass.
+behind only O(n) results: the lambda/mu tallies and the sums scan,
+which later checks of the same graph read instead of passing again.
+The scan keeps, as the pass goes, the witnesses a whole-matrix scan
+would give, the first in row-major order, so no check makes a second
+pass for its witness.  A graph's checks hold n^2 bytes for the boolean
+A, 4n^2 (8n^2 once a product needs float64) for A's float copy, and the
+tiles of one pass.
 """
 
 from __future__ import annotations
@@ -147,21 +148,6 @@ def _diagonal(h: int):
     return r, r
 
 
-def _upper_pairs(a_tile: np.ndarray, adjacent: bool) -> np.ndarray:
-    """Mask of a tile's pairs x < y that are adjacent, or non-adjacent;
-    a_tile is the tile of A."""
-    h, w = a_tile.shape
-    upper = np.arange(w) > np.arange(h)[:, None]
-    return upper & a_tile if adjacent else upper > a_tile
-
-
-def _position(mask: np.ndarray, i: int, start: int) -> tuple[int, int]:
-    """(x, y) of the i-th True entry, in row-major order, of the mask of
-    a tile whose first row is ``start``."""
-    r, c = divmod(int(np.flatnonzero(mask)[i]), mask.shape[1])
-    return start + r, start + c
-
-
 class RowTile:
     """Rows ``rows`` of A, A^2, ..., A^j_max as ``tile[j]``, and in
     ``sums`` those of (A∘A^2)A when the stream forms them (else None),
@@ -201,58 +187,62 @@ class _Tally:
         return _multiset(self.counts[self.m :]), _multiset(self.counts[: self.m])
 
 
-class _StrongScan:
-    """Least and greatest (A∘A^2)A entry over the non-adjacent pairs
-    x < y (None, None without such pairs)."""
-
-    def __init__(self):
-        self.lo = self.hi = None
-
-    def feed(self, tile: RowTile) -> None:
-        non = _upper_pairs(tile[1], adjacent=False)
-        vals = tile.sums[non]
-        if vals.size:
-            lo, hi = int(vals.min()), int(vals.max())
-            self.lo = lo if self.lo is None else min(self.lo, lo)
-            self.hi = hi if self.hi is None else max(self.hi, hi)
+def _extremes(cur, vals: np.ndarray, index: np.ndarray, at):
+    """``cur`` = ((least, position), (greatest, position)), or None,
+    updated with the values at a later tile's flat indices ``index``,
+    whose positions ``at`` gives: each the first in row-major order."""
+    if not vals.size:
+        return cur
+    i, j = int(vals.argmin()), int(vals.argmax())
+    lo, hi = (int(vals[i]), int(at(index[i]))), (int(vals[j]), int(at(index[j])))
+    if cur is None:
+        return lo, hi
+    return (lo if lo[0] < cur[0][0] else cur[0]), (hi if hi[0] > cur[1][0] else cur[1])
 
 
-class _WeakScan:
-    """(A∘A^2)A on the edges x < y, grouped by lambda = A^2(x, y): in
-    ``first`` the sum on each lambda's first edge in row-major order
-    (-1 for an absent lambda), and whether every sum equals its
-    lambda's first."""
+class _SumScan:
+    """(A∘A^2)A on the pairs x < y, reduced in row-major order, each pair
+    kept as its position x * n + y.  ``non`` and ``edge``: the first
+    least and the first greatest sum, each as (sum, position), over the
+    non-adjacent pairs and over the edges (None without such pairs).
+    Indexed by lambda = A^2(x, y): ``first`` and ``first_sum``, the
+    position of the lambda's first edge (-1 for an absent lambda) and
+    its sum; ``off`` and ``off_sum``, those of its first edge whose sum
+    differs from ``first_sum`` (-1 while there is none)."""
 
     def __init__(self, n: int):
-        self.first = np.full(n + 1, -1, dtype=np.int64)
-        self.uniform = True
+        self.n = n
+        self.non = self.edge = None
+        self.first, self.off = np.full((2, n + 1), -1, dtype=np.int64)
+        self.first_sum, self.off_sum = np.zeros((2, n + 1), dtype=np.int64)
+
+    def pair(self, position) -> tuple[int, int]:
+        return divmod(int(position), self.n)
 
     def feed(self, tile: RowTile) -> None:
-        edges = np.flatnonzero(_upper_pairs(tile[1], adjacent=True))
-        lam, sums = tile[2].ravel().take(edges), tile.sums.ravel().take(edges)
+        a, start = tile[1], tile.rows.start
+        h, w = a.shape
+        upper = np.arange(w) > np.arange(h)[:, None]
+        sums = tile.sums.ravel()
+
+        def at(i):  # positions x * n + y of flat indices of the tile
+            return (start + i // w) * self.n + start + i % w
+
+        non = np.flatnonzero(upper > a)
+        self.non = _extremes(self.non, sums.take(non), non, at)
+        edges = np.flatnonzero(upper & a)
+        del upper, non
+        s, lam = sums.take(edges), tile[2].ravel().take(edges)
+        self.edge = _extremes(self.edge, s, edges, at)
         new = np.flatnonzero(self.first[lam] < 0)
         if new.size:
-            order = new[np.argsort(lam[new], kind="stable")]
-            heads = order[np.flatnonzero(np.diff(lam[order], prepend=-1))]
-            self.first[lam[heads]] = sums[heads]
-        self.uniform = self.uniform and np.array_equal(self.first[lam], sums)
-
-
-def _sum_extremes(p: Powers, adjacent: bool):
-    """(least, pair) and (greatest, pair) of (A∘A^2)A over the adjacent,
-    or non-adjacent, pairs x < y: the first of each in row-major order."""
-    lo = hi = None
-    for tile in p.rows(2, sums=True):
-        mask = _upper_pairs(tile[1], adjacent)
-        vals = tile.sums[mask]
-        if not vals.size:
-            continue
-        i, j = int(vals.argmin()), int(vals.argmax())
-        if lo is None or vals[i] < lo[0]:
-            lo = int(vals[i]), _position(mask, i, tile.rows.start)
-        if hi is None or vals[j] > hi[0]:
-            hi = int(vals[j]), _position(mask, j, tile.rows.start)
-    return lo, hi
+            lams, i = np.unique(lam[new], return_index=True)  # first occurrences
+            self.first[lams], self.first_sum[lams] = at(edges[new[i]]), s[new[i]]
+        odd = np.flatnonzero(self.first_sum[lam] != s)
+        odd = odd[self.off[lam[odd]] < 0]
+        if odd.size:
+            lams, i = np.unique(lam[odd], return_index=True)
+            self.off[lams], self.off_sum[lams] = at(edges[odd[i]]), s[odd[i]]
 
 
 def _first_differing(i: int, tile: np.ndarray, target) -> tuple[int, int, int] | None:
@@ -284,7 +274,7 @@ class Powers:
     A, 4n^2 (or 8n^2) for its float copy, and the tiles of one pass,
     each of about _TILE_ENTRIES entries per array, or n^2 / _MAX_TILES
     when that is more.  `rows` streams the tiles; `tally` and
-    `sum_scans` keep what a pass reduces them to; `combination` streams
+    `sum_scan` keep what a pass reduces them to; `combination` streams
     integer combinations of the powers, and `vanishes` remembers those
     found to be zero.  Obtain it with `powers`.
 
@@ -298,7 +288,7 @@ class Powers:
         self.want_sums = False
         self._af = None
         self._tally = None
-        self._scans = None
+        self._scan = None
         self._zero = set()
 
     @cached_property
@@ -327,16 +317,16 @@ class Powers:
         yielded per `_row_tiles` slice and reused: its arrays are dropped
         before the next tile is formed, so one tile is alive at a time.
         A pass that reaches the last row stores the tally (once it forms
-        A^2) and the strong and weak scans (once it forms (A∘A^2)A) that
-        the graph still lacks.
+        A^2) and the sums scan (once it forms (A∘A^2)A) that the graph
+        still lacks.
         """
         n = len(self.a)
-        sums = sums or (self.want_sums and j_max >= 2 and self._scans is None)
+        sums = sums or (self.want_sums and j_max >= 2 and self._scan is None)
         if sums:
             j_max = max(j_max, 2)
         tally = _Tally(n) if j_max >= 2 and self._tally is None else None
-        scans = (_StrongScan(), _WeakScan(n)) if sums and self._scans is None else ()
-        riders = [r for r in (tally, *scans) if r is not None]
+        scan = _SumScan(n) if sums and self._scan is None else None
+        riders = [r for r in (tally, scan) if r is not None]
         tile = RowTile()
         for rows in _row_tiles(n, n):
             tile.rows, tile.pows, tile.sums = rows, None, None
@@ -362,8 +352,8 @@ class Powers:
         tile.pows = tile.sums = None
         if tally is not None:
             self._tally = tally
-        if scans:
-            self._scans = scans
+        if scan is not None:
+            self._scan = scan
 
     def tally(self) -> tuple[dict[int, int], dict[int, int]]:
         """(lambda multiset, mu multiset): the A^2 values on the adjacent
@@ -373,13 +363,12 @@ class Powers:
                 pass
         return self._tally.multisets()
 
-    def sum_scans(self) -> tuple[_StrongScan, _WeakScan]:
-        """The strong and weak scans of (A∘A^2)A; their pass leaves the
-        tally too."""
-        if self._scans is None:
+    def sum_scan(self) -> _SumScan:
+        """The scan of (A∘A^2)A; its pass leaves the tally too."""
+        if self._scan is None:
             for _ in self.rows(2, sums=True):
                 pass
-        return self._scans
+        return self._scan
 
     def combination(self, coeffs, j_coeff=0):
         """sum_j coeffs[j] A^j + j_coeff J (coeffs ascending, j <= 4) as a
@@ -484,17 +473,17 @@ def profile(g: Graph, *, constants: bool = True) -> RegularityProfile:
     regularity constants filled in whenever they are defined.
 
     A regular graph's constants take one pass, which forms each row of
-    A^2 and of (A∘A^2)A once and feeds the tallies and the strong and
-    weak scans.  With ``constants=False`` the profile comes from the A^2
-    entries alone: the strong and weak checks are skipped, so gamma,
-    alpha and beta stay None and (A∘A^2)A is never formed.  The
-    multisets, the levels and mu are the same either way."""
+    A^2 and of (A∘A^2)A once and feeds the tally and the sums scan.
+    With ``constants=False`` the profile comes from the A^2 entries
+    alone: the strong and weak checks are skipped, so gamma, alpha and
+    beta stay None and (A∘A^2)A is never formed.  The multisets, the
+    levels and mu are the same either way."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     p = powers(g)
     regular, k = g.is_regular()
     if regular and constants:
-        p.sum_scans()
+        p.sum_scan()
     lam, mu = p.tally()
     prof = RegularityProfile(
         n=g.n,
@@ -546,21 +535,22 @@ def strong_co_edge_regular(g: Graph) -> StrongReport:
     if not regular:
         raise NotCoEdgeRegular("graph is not regular")
     p = powers(g)
-    strong, _ = p.sum_scans()
+    scan = p.sum_scan()
     _, mu_set = p.tally()
     if not mu_set:
         return StrongReport(True, None, None)  # complete: vacuous
     if len(mu_set) > 1:
         raise NotCoEdgeRegular("mu is not constant over non-adjacent pairs")
     mu = next(iter(mu_set))
-    if strong.lo == strong.hi:
-        return StrongReport(True, mu, strong.lo)
-    (lo, lo_pair), (hi, hi_pair) = _sum_extremes(p, adjacent=False)
+    (lo, lo_at), (hi, hi_at) = scan.non
+    if lo == hi:
+        return StrongReport(True, mu, lo)
     return StrongReport(
         False,
         mu,
         None,
-        witness={"pair": lo_pair, "sum": lo, "other_pair": hi_pair, "other_sum": hi},
+        witness={"pair": scan.pair(lo_at), "sum": lo,
+                 "other_pair": scan.pair(hi_at), "other_sum": hi},
     )
 
 
@@ -587,61 +577,55 @@ def weak_edge_regular(g: Graph) -> WeakReport:
     regular, _ = g.is_regular()
     if not regular:
         raise NotRegular("graph is not regular")
-    p = powers(g)
-    _, weak = p.sum_scans()
-    present = np.flatnonzero(weak.first >= 0)
+    scan = powers(g).sum_scan()
+    present = np.flatnonzero(scan.first >= 0)
     if not present.size:
         return WeakReport(True, None, None, family=(0, 0))
-    lam_min, lam_max = int(present[0]), int(present[-1])
-    if lam_min == lam_max:
-        if weak.uniform:
-            return WeakReport(True, None, None, family=(lam_min, int(weak.first[lam_min])))
-        (lo, lo_edge), (hi, hi_edge) = _sum_extremes(p, adjacent=True)
+    l1, l2 = int(present[0]), int(present[-1])
+    s1, s2 = int(scan.first_sum[l1]), int(scan.first_sum[l2])
+    if l1 == l2:
+        if scan.off[l1] < 0:
+            return WeakReport(True, None, None, family=(l1, s1))
+        (lo, lo_at), (hi, hi_at) = scan.edge
         return WeakReport(
             False,
             None,
             None,
             witness={
-                "edge": lo_edge,
+                "edge": scan.pair(lo_at),
                 "sum": lo,
-                "other_edge": hi_edge,
+                "other_edge": scan.pair(hi_at),
                 "other_sum": hi,
-                "lambda": lam_min,
+                "lambda": l1,
             },
         )
-    s1, l1 = int(weak.first[lam_min]), lam_min
-    s2, l2 = int(weak.first[lam_max]), lam_max
     alpha = Fraction(s1 - s2, l1 - l2)
     beta = alpha * l1 - s1
-    # sum = alpha*lambda - beta on every edge: one exact target per
-    # distinct lambda; a target that is not an integer in [0, 2^63), which
-    # no sum (a non-negative int64) can equal, becomes the sentinel -1
-    target = np.full(lam_max + 1, -1, dtype=np.int64)
+    # the first edge off the line sum = alpha*lambda - beta: of each
+    # lambda, its first edge if that one is off, else its first edge
+    # whose sum differs from the first edge's
+    off = []
     for v in present.tolist():
-        t = alpha * v - beta
-        if t.denominator == 1 and 0 <= t < 2**63:
-            target[v] = int(t)
-    if weak.uniform and np.array_equal(target[present], weak.first[present]):
+        at, total = int(scan.first[v]), int(scan.first_sum[v])
+        if alpha * v - beta == total:
+            at, total = int(scan.off[v]), int(scan.off_sum[v])
+        if at >= 0:
+            off.append((at, v, total))
+    if not off:
         return WeakReport(True, alpha, beta)
-    for tile in p.rows(2, sums=True):
-        edges = _upper_pairs(tile[1], adjacent=True)
-        lam, sums = tile[2][edges], tile.sums[edges]
-        bad = target[lam] != sums
-        if bad.any():
-            first = int(bad.argmax())
-            return WeakReport(
-                False,
-                None,
-                None,
-                witness={
-                    "edge": _position(edges, first, tile.rows.start),
-                    "lambda": int(lam[first]),
-                    "sum": int(sums[first]),
-                    "alpha_candidate": [alpha.numerator, alpha.denominator],
-                    "beta_candidate": [beta.numerator, beta.denominator],
-                },
-            )
-    raise AssertionError("a failed weak scan has an edge off its line")
+    at, v, total = min(off)
+    return WeakReport(
+        False,
+        None,
+        None,
+        witness={
+            "edge": scan.pair(at),
+            "lambda": v,
+            "sum": total,
+            "alpha_candidate": [alpha.numerator, alpha.denominator],
+            "beta_candidate": [beta.numerator, beta.denominator],
+        },
+    )
 
 
 def level(g: Graph) -> tuple[int | None, int | None]:

@@ -316,16 +316,18 @@ def _hessenberg_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
         if nz.size == 0:
             continue
         piv = c + 1 + int(nz[0])
+        # rows c + 1 on are zero before column c: swap and update the rest
         if piv != c + 1:
-            h[[c + 1, piv], :] = h[[piv, c + 1], :]
+            h[[c + 1, piv], c:] = h[[piv, c + 1], c:]
             h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
         inv = pow(int(h[c + 1, c]), p - 2, p)
         factors = (h[c + 2 :, c] * inv) % p
-        h[c + 2 :, :] = (h[c + 2 :, :] - factors[:, None] * h[c + 1, :][None, :]) % p
+        h[c + 2 :, c:] = (h[c + 2 :, c:] - factors[:, None] * h[c + 1, c:][None, :]) % p
         h[:, c + 1] = (h[:, c + 1] + h[:, c + 2 :] @ factors) % p
     # p_m(x) = (x - h[m,m]) p_{m-1} - sum_i h[i,m] (prod subdiag) p_{i-1}
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    run = np.zeros(n, dtype=np.int64)  # run[i - 1] = prod_{l=i}^{m-1} h[l, l-1]
     for m in range(1, n + 1):
         hmm = int(h[m - 1, m - 1])
         prev = polys[m - 1]
@@ -333,11 +335,9 @@ def _hessenberg_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
         cur[1 : m + 1] = prev[:m]
         cur[: m + 1] = (cur[: m + 1] - hmm * prev[: m + 1]) % p
         if m >= 2:
-            weights = np.zeros(m - 1, dtype=np.int64)
-            run = 1
-            for i in range(m - 1, 0, -1):
-                run = run * int(h[i, i - 1]) % p
-                weights[i - 1] = int(h[i - 1, m - 1]) * run % p
+            run[m - 2] = 1
+            run[: m - 1] = run[: m - 1] * h[m - 1, m - 2] % p
+            weights = h[: m - 1, m - 1] * run[: m - 1] % p
             if weights.any():
                 acc = weights @ polys[: m - 1, : m + 1]
                 cur[: m + 1] = (cur[: m + 1] - acc) % p

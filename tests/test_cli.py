@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -74,6 +75,62 @@ def test_construct_oversized_ls_exits_2(tmp_path, capsys, n):
     assert peak < 2**20  # rejected before the n^4-byte adjacency matrix
     assert f"vertex count {n * n} outside" in json.loads(err)["detail"]
     assert not (tmp_path / "x.g6").exists()
+
+
+def traced_exit(argv):
+    """(exit code, traced peak bytes, seconds) of one CLI run."""
+    t0 = time.monotonic()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak, time.monotonic() - t0
+
+
+# the blocks are the vertices; building these designs took 36 s (AG(3, 16))
+# or memory growing as m^2 before the vertex count was checked
+@pytest.mark.parametrize("family", ["block-graph", "h-graph"])
+@pytest.mark.parametrize("design, blocks", [
+    (["affine-lines", "--q", "16", "--d", "3"], 16**2 * (16**3 - 1) // 15),
+    (["affine-lines", "--q", "64", "--d", "3"], 64**2 * (64**3 - 1) // 63),
+    (["affine-lines", "--q", "256", "--d", "2"], 256 * 257),
+    (["one-factorization", "--m", "2000"], 2000 * 1999 // 2),
+    (["one-factorization", "--m", "100000"], 100000 * 99999 // 2),
+])
+def test_construct_oversized_design_exits_2_before_building_it(tmp_path, capsys, family,
+                                                               design, blocks):
+    out = tmp_path / "x.g6"
+    code, peak, seconds = traced_exit(["construct", family, "--design", *design, "-o", str(out)])
+    _, err = capsys.readouterr()
+    assert code == 2 and peak < 2**20 and seconds < 1
+    assert json.loads(err)["detail"] == f"vertex count {blocks} outside [0, 20000]"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("design, error", [
+    (["affine-lines", "--q", "6", "--d", "2"], "q=6 has at least two distinct prime factors"),
+    (["affine-lines", "--q", "1", "--d", "3"], "q=1 is not a prime power"),
+    (["affine-lines", "--q", "100003", "--d", "2"], "q=100003 exceeds the 2^16 ceiling"),
+    (["affine-lines", "--q", "64", "--d", "4"], "d=4 must be 2 or 3"),
+    (["one-factorization", "--m", "100001"], "m=100001 must be even and at least 4"),
+    (["one-factorization", "--m", "2"], "m=2 must be even and at least 4"),
+])
+def test_construct_invalid_design_keeps_its_error(tmp_path, capsys, design, error):
+    code = main(["construct", "block-graph", "--design", *design, "-o", str(tmp_path / "x.g6")])
+    assert code == 2 and json.loads(capsys.readouterr().err)["detail"] == error
+
+
+def test_design_file_with_a_huge_point_count_exits_2_without_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.design"
+    path.write_text("DESIGN 1000000000 2 1 1\n0 1\n0\n")  # one block, one class, 10^9 points
+    code, peak, seconds = traced_exit(
+        ["construct", "h-graph", "--design-file", str(path), "-o", str(tmp_path / "x.g6")]
+    )
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and peak < 2**20 and seconds < 1
+    assert err["detail"] == "a resolution class does not partition the points"
 
 
 def test_construct_missing_params_exits_2(tmp_path, capsys):

@@ -535,6 +535,8 @@ from cerg import regularity
 from cerg.cli import main
 from cerg.constructions import tls
 from cerg.regularity import ExactnessBoundExceeded, exact_matmul, powers
+from test_row_tiles import GRAPHS as ROW_TILE_GRAPHS
+from test_row_tiles import tiles_of
 
 # entry magnitudes whose bounds inner * max|x| * max|y| fall on either
 # side of 2^24, so both the float32 and the float64 tier run
@@ -748,6 +750,27 @@ def test_profile_does_two_products(monkeypatch):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("first", ["profile", "strong", "weak"])
+@pytest.mark.parametrize("name", sorted(ROW_TILE_GRAPHS))
+def test_verdicts_and_witnesses_form_each_row_once(name, first, monkeypatch):
+    """profile, strong and weak, whichever runs first, read their
+    verdicts and witnesses, failing ones too, off one pass of 3-row
+    tiles: each row of A^2 and of (A∘A^2)A is formed once."""
+    a = ROW_TILE_GRAPHS[name]
+    n = len(a)
+    tiles_of(monkeypatch, 3, n)
+    calls = count_products(monkeypatch)
+    checks = {"profile": profile, "strong": strong_co_edge_regular, "weak": weak_edge_regular}
+    g = Graph(a)
+    for check in sorted(checks, key=lambda c: c != first):
+        try:
+            checks[check](g)
+        except NotCoEdgeRegular:
+            pass
+    # per tile, one product for A^2 and one for (A∘A^2)A
+    assert calls == [r.stop - r.start for r in regularity._row_tiles(n, n) for _ in range(2)]
+
+
 def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
     g6, claim = tmp_path / "tls22.g6", tmp_path / "tls22.spec.json"
     assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
@@ -823,7 +846,7 @@ def test_goldberg_and_hoffman_form_no_lambda_sums(monkeypatch):
     goldberg(g, 1, -3)
     assert hoffman_check(g, row_clique(oa, 0, 0), "clique", 3).tight
     assert asked and not any(asked)
-    assert powers(g)._scans is None
+    assert powers(g)._scan is None
 
 
 @pytest.fixture

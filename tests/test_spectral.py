@@ -68,6 +68,21 @@ def test_char_poly_against_sympy_oracle():
         assert char_poly(g) == sympy_charpoly(g), seed
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_char_poly_of_sparse_graphs_against_sympy_oracle(seed):
+    """Irregular graphs of order 40 with edge density 0.08: reducing
+    them to Hessenberg form mod the first CRT prime swaps pivot rows 7
+    and 32 times and meets 3 and 5 columns already zero below the
+    subdiagonal.  Small primes, whose images meet more zero pivots, are
+    checked image by image."""
+    g = random_graph(40, 0.08, seed)
+    want = sympy_charpoly(g)
+    assert char_poly(g) == want
+    for p in (2, 3, 5, 7):
+        image = spectral._hessenberg_charpoly_mod(g.adjacency_matrix(), p)
+        assert image.tolist() == [c % p for c in want], p
+
+
 def test_char_poly_tls22(tls22):
     assert char_poly(tls22) == poly_from_roots(TLS22_CLAIM)
 
