@@ -18,7 +18,9 @@ large ``verify`` cases (the circulants' strong and weak witnesses, one
 with a non-integer weak target, and ``profile`` on tls(4,5)) were
 recorded from the float64 kernel before the float32 tier, syrk Gram
 products and table-driven tallies; they pin the witnesses those must
-keep.
+keep.  The goldberg, hoffman, equitable and scheme cases and the
+rejected spectrum claim were recorded from the per-report hand-written
+``[numerator, denominator]`` encoders that preceded the one JSON hook.
 ``PYTHONPATH=src python tests/test_golden.py`` prints any case that
 differs (``--write`` records the current outputs instead).
 """
@@ -36,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from cerg.arrays import oa_macneish
 from cerg.cli import main
 from cerg.graphs import Graph, write_graph6
 
@@ -80,6 +83,37 @@ CASES["verify-c8-12-strong"] = ["verify", "strong", "-i", "c8-12.g6"]
 CASES["verify-c8-124-weak"] = ["verify", "weak", "-i", "c8-124.g6"]
 CASES["verify-c10-123-weak"] = ["verify", "weak", "-i", "c10-123.g6"]
 CASES["verify-tls45-profile"] = ["verify", "profile", "-i", "tls45.g6"]
+# the checks outside the grid above, each passing and failing, and the
+# error bodies of a rejected claim and a rejected eigenvalue
+GOLDBERG = ["verify", "goldberg", "-i", "ls34.g6", "--theta2", "-3"]
+CASES["verify-ls34-goldberg"] = [*GOLDBERG, "--theta", "1"]
+CASES["verify-ls34-goldberg-claim"] = [*GOLDBERG, "--theta", "1", "--claim", "ls34.spec.json"]
+CASES["verify-ls34-goldberg-not-eigenvalue"] = [*GOLDBERG, "--theta", "2"]
+HOFFMAN = ["verify", "hoffman", "-i", "ls34.g6", "--m", "3"]
+CASES["verify-ls34-hoffman-clique"] = [*HOFFMAN, "--set", "clique.json", "--kind", "clique"]
+CASES["verify-ls34-hoffman-coclique"] = [
+    *HOFFMAN, "--set", "coclique.json", "--kind", "coclique",
+]
+CASES["verify-ls34-hoffman-not-clique"] = [
+    *HOFFMAN, "--set", "coclique.json", "--kind", "clique",
+]
+CASES["verify-tls22-equitable"] = ["verify", "equitable", "-i", "tls22.g6", "--parts", "fibers.json"]
+CASES["verify-tls22-equitable-fails"] = [
+    "verify", "equitable", "-i", "tls22.g6", "--parts", "vertex0.json",
+]
+# the graph of order 0: its one partition has an empty quotient, reported null
+CASES["verify-k0-equitable"] = ["verify", "equitable", "-i", "k0.g6", "--parts", "no-parts.json"]
+CASES["verify-ls34-scheme"] = [
+    "verify", "scheme", "-i", "ls34.g6", "--relations", "ls34.g6", "ls34-co.g6",
+]
+CASES["verify-c8-12-scheme"] = [
+    "verify", "scheme", "-i", "c8-12.g6", "--relations", "c8-12.g6", "c8-12-co.g6",
+]
+# moments 0..2 of C_8(1, 2) match 4, 0^6, -4^1 and ell = 4 is an integer,
+# but A(A + 4I) is not 4J: the error body names the first differing entry
+CASES["verify-c8-12-spectrum"] = [
+    "verify", "spectrum", "-i", "c8-12.g6", "--claim", "c8-12-wrong.spec.json",
+]
 
 # irregular graphs: the star K_{1,4} and C_4 plus an isolated vertex,
 # the smallest cospectral pair
@@ -91,13 +125,25 @@ EDGE_LISTS = {
 CIRCULANTS = {"c8-12": (8, (1, 2)), "c8-124": (8, (1, 2, 4)), "c10-123": (10, (1, 2, 3))}
 
 
+# LS_3(4) from the MacNeish OA(4, 5): a row-0 class is a clique, a class
+# of the unused row 3 a co-clique; both meet the Hoffman bound 4
+OA4 = oa_macneish(4).cells
+VERIFY_FILES = {
+    "clique.json": json.dumps({"set": [c for c in range(16) if OA4[0, c] == 0]}),
+    "coclique.json": json.dumps({"set": [c for c in range(16) if OA4[3, c] == 0]}),
+    # the four fibers of tls(2,2), each an 8-clique
+    "fibers.json": json.dumps({"parts": [list(range(8 * i, 8 * i + 8)) for i in range(4)]}),
+    "vertex0.json": json.dumps({"parts": [[0], list(range(1, 32))]}),
+    "no-parts.json": json.dumps({"parts": []}),
+    "c8-12-wrong.spec.json": json.dumps({"eigs": [4, 0, -4], "mults": [1, 6, 1]}),
+}
+
 # OA(5, 4) over Z_5 on columns 5x + y: rows x, y, x + y, x + 2y
 OA5 = [[(x, y, x + y, x + 2 * y)[r] % 5 for x in range(5) for y in range(5)]
        for r in range(4)]
 INPUT_FILES = {
     "oa5.txt": "OA 5 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in OA5),
-    # the four fibers of tls(2,2), each an 8-clique
-    "fibers.json": json.dumps({"parts": [list(range(8 * i, 8 * i + 8)) for i in range(4)]}),
+    "fibers.json": VERIFY_FILES["fibers.json"],
     # the classes of the OA's third row, co-cliques of LS_2(5)
     "transversal.json": json.dumps(
         {"parts": [[c for c in range(25) if OA5[2][c] == s] for s in range(5)]}
@@ -153,6 +199,12 @@ def build_inputs(workdir: Path) -> None:
             edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
             write_graph6(Graph.from_edges(n, sorted(edges)), f"{name}.g6")
         assert _quiet(["construct", "tls", "--q", "4", "--n", "5", "-o", "tls45.g6"])[0] == 0
+        for name in ("ls34", "c8-12"):
+            co = ["construct", "complement", "-i", f"{name}.g6", "-o", f"{name}-co.g6"]
+            assert _quiet(co)[0] == 0
+        write_graph6(Graph.from_edges(0, []), "k0.g6")
+        for name, text in VERIFY_FILES.items():
+            Path(name).write_text(text)
 
 
 def _sha256(path: Path) -> str | None:
