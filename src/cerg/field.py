@@ -132,10 +132,6 @@ class FieldSpec:
             a = a * self.p + d % self.p
         return a
 
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.q:
-            raise ValueError(f"encoding {a} out of range for GF({self.q})")
-
     # -- arithmetic on encodings
 
     def add(self, a: int, b: int) -> int:

@@ -197,16 +197,20 @@ class Design:
         return len(self.blocks)
 
     def pair_coverage_violation(self):
-        """First point pair not covered exactly once, or None."""
-        count = {}
-        for blk in self.blocks:
-            for x, y in combinations(blk, 2):
-                count[(x, y)] = count.get((x, y), 0) + 1
+        """First point pair (x, y), x < y in row-major order, not covered
+        exactly once, as (x, y, count); or None.  Each point x counts the
+        points on the blocks through it, so the check holds O(v + bt)
+        integers at a time, not one count per pair."""
+        blocks = np.array(self.blocks, dtype=np.intp).reshape(self.b, self.t)
+        flat = blocks.ravel()
+        order = np.argsort(flat, kind="stable")  # incidences grouped by point
+        starts = np.searchsorted(flat, np.arange(self.v + 1), sorter=order)
         for x in range(self.v):
-            for y in range(x + 1, self.v):
-                c = count.get((x, y), 0)
-                if c != 1:
-                    return (x, y, c)
+            through = blocks[order[starts[x] : starts[x + 1]] // self.t]
+            count = np.bincount(through.ravel(), minlength=self.v)[x + 1 :]
+            off = np.flatnonzero(count != 1)
+            if off.size:
+                return (x, x + 1 + int(off[0]), int(count[off[0]]))
         return None
 
     def __repr__(self):
@@ -216,10 +220,12 @@ class Design:
 
 def design_affine_lines(q: int, d: int) -> Design:
     """Resolvable 2-(q^d, q, 1): blocks are the lines of AG(d, q), one
-    resolution class per direction."""
+    resolution class per direction.  The blocks are a block graph's
+    vertices, so more than `graphs.MAX_VERTICES` lines are refused unbuilt."""
     if d not in (2, 3):
         raise ValueError(f"d={d} must be 2 or 3")
     spec = field(q)
+    _check_order(q ** (d - 1) * (q**d - 1) // (q - 1))
     space = q**d
     points = [decode_point(v, q, d) for v in range(space)]
     directions = []
@@ -253,9 +259,11 @@ def design_affine_lines(q: int, d: int) -> Design:
 
 def design_one_factorization(m: int) -> Design:
     """Resolvable 2-(m, 2, 1): the edges of K_m resolved by the
-    circle-method round robin (m-1 rounds of m/2 matches)."""
+    circle-method round robin (m-1 rounds of m/2 matches); more than
+    `graphs.MAX_VERTICES` edges are refused unbuilt."""
     if m < 4 or m % 2:
         raise OddOrder(f"m={m} must be even and at least 4")
+    _check_order(m * (m - 1) // 2)
     blocks = []
     resolution = []
     index = {}

@@ -27,11 +27,15 @@ would give, the first in row-major order, so no check makes a second
 pass for its witness.  A graph's checks hold n^2 bytes for the boolean
 A, 4n^2 (8n^2 once a product needs float64) for A's float copy, and the
 tiles of one pass.
+
+Reports carry exact values as they are, `Fraction`s and tuples; one
+`json` hook, `jsonable`, writes every exact rational of every report as
+its [numerator, denominator] pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -76,6 +80,17 @@ class PreconditionFailed(CheckFailed):
 
 class ExactnessBoundExceeded(ValueError):
     """An integer product or combination could leave its exact range."""
+
+
+def jsonable(obj):
+    """The JSON form of a report value that `json` cannot write itself,
+    as its ``default`` hook: an exact rational is its [numerator,
+    denominator] pair, a report dataclass its fields in order."""
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _absmax(x: np.ndarray) -> int:
@@ -446,27 +461,6 @@ class RegularityProfile:
     alpha: Fraction | None = None
     beta: Fraction | None = None
 
-    def to_json_dict(self) -> dict:
-        def frac(x):
-            if x is None:
-                return None
-            f = Fraction(x)
-            return [f.numerator, f.denominator]
-
-        return {
-            "n": self.n,
-            "regular": self.regular,
-            "k": self.k,
-            "lambda_multiset": {str(v): c for v, c in sorted(self.lambda_multiset.items())},
-            "mu_multiset": {str(v): c for v, c in sorted(self.mu_multiset.items())},
-            "level_co_edge": self.level_co_edge,
-            "level_edge": self.level_edge,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "alpha": frac(self.alpha),
-            "beta": frac(self.beta),
-        }
-
 
 def profile(g: Graph, *, constants: bool = True) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
@@ -622,8 +616,8 @@ def weak_edge_regular(g: Graph) -> WeakReport:
             "edge": scan.pair(at),
             "lambda": v,
             "sum": total,
-            "alpha_candidate": [alpha.numerator, alpha.denominator],
-            "beta_candidate": [beta.numerator, beta.denominator],
+            "alpha_candidate": jsonable(alpha),
+            "beta_candidate": jsonable(beta),
         },
     )
 
@@ -663,20 +657,6 @@ class HoffmanReport:
     outside_degrees: dict[int, int]
     expected_outside: Fraction
     cross_intersection: int | None = None
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "bound": [self.bound.numerator, self.bound.denominator],
-            "tight": self.tight,
-            "outside_degrees": {str(v): c for v, c in sorted(self.outside_degrees.items())},
-            "expected_outside": [
-                self.expected_outside.numerator,
-                self.expected_outside.denominator,
-            ],
-            "cross_intersection": self.cross_intersection,
-        }
 
 
 def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanReport:
@@ -771,7 +751,7 @@ def equitable_check(g: Graph, parts) -> EquitableReport:
                 },
             )
         quotient.append(tuple(int(x) for x in ref))
-    return EquitableReport(True, tuple(quotient))
+    return EquitableReport(True, tuple(quotient) or None)  # order 0: no quotient
 
 
 @dataclass

@@ -51,6 +51,7 @@ from .regularity import (
     NotEdgeRegular,
     NotRegular,
     Powers,
+    jsonable,
     powers,
     profile,
 )
@@ -115,15 +116,15 @@ class SpectrumCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "eigs": [[t.numerator, t.denominator] for t in self.eigenvalues],
-            "mults": list(self.multiplicities),
-            "ell": [self.ell.numerator, self.ell.denominator],
-            "checks": dict(self.checks),
+            "eigs": self.eigenvalues,
+            "mults": self.multiplicities,
+            "ell": self.ell,
+            "checks": self.checks,
         }
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            json.dump(self.to_json_dict(), fh, default=jsonable)
 
 
 def _is_int(x) -> bool:
@@ -243,23 +244,22 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
         )
     thetas = [t for t, _ in nontrivial]
     ell = math.prod(k - t for t in thetas) / g.n
-    rhs = ell.numerator
     hit = None
     if ell.denominator == 1:
         product = poly_from_spectrum((t, 1) for t in thetas)
-        hit = powers(g).first_mismatch(product, 0, rhs, to_end=True)
+        hit = powers(g).first_mismatch(product, 0, int(ell), to_end=True)
     if d >= 3:
         check_moments(_traces(g, min(d, 4)), 3)
     if ell.denominator != 1:
         raise AnnihilationFailed(
             "ell is not an integer, claim cannot annihilate",
-            {"ell": [ell.numerator, ell.denominator]},
+            {"ell": jsonable(ell)},
         )
     if hit is not None:
         i, j, got = hit
         raise AnnihilationFailed(
-            f"entry ({i}, {j}) of the annihilating product is {got}, expected {rhs}",
-            {"entry": (i, j), "got": got, "expected": int(rhs)},
+            f"entry ({i}, {j}) of the annihilating product is {got}, expected {ell}",
+            {"entry": (i, j), "got": got, "expected": int(ell)},
         )
 
     return SpectrumCertificate(
@@ -606,14 +606,6 @@ class IdentityCheck:
     rhs: Fraction
     equal: bool
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs": [self.lhs.numerator, self.lhs.denominator],
-            "rhs": [self.rhs.numerator, self.rhs.denominator],
-            "equal": self.equal,
-        }
-
 
 @dataclass
 class TheoremIdentityReport:
@@ -646,18 +638,15 @@ class TheoremIdentityReport:
     def to_json_dict(self):
         return {
             "constants": {
-                "alpha": [self.alpha.numerator, self.alpha.denominator],
-                "beta": [self.beta.numerator, self.beta.denominator],
+                "alpha": self.alpha,
+                "beta": self.beta,
                 "gamma": self.gamma,
                 "mu": self.mu,
                 "k": self.k,
                 "n": self.n,
             },
-            "f": [
-                [f.numerator, f.denominator]
-                for f in (self.f1, self.f2, self.f3, self.f4)
-            ],
-            "identities": [c.to_json_dict() for c in self.identities],
+            "f": (self.f1, self.f2, self.f3, self.f4),
+            "identities": self.identities,
             "sign_flipped": self.sign_flipped,
             "pass": self.ok,
         }
@@ -727,12 +716,12 @@ class GoldbergReport:
 
     def to_json_dict(self):
         return {
-            "theta": [self.theta.numerator, self.theta.denominator],
-            "theta2": [self.theta2.numerator, self.theta2.denominator],
+            "theta": self.theta,
+            "theta2": self.theta2,
             "lambda": self.lam,
             "k": self.k,
-            "lhs": [self.lhs.numerator, self.lhs.denominator],
-            "rhs": [self.rhs.numerator, self.rhs.denominator],
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "violated": self.violated,
         }
 
@@ -816,8 +805,8 @@ class Eq1Report:
 
     def to_json_dict(self):
         return {
-            "residual": [self.residual.numerator, self.residual.denominator],
-            "position": list(self.position) if self.position else None,
+            "residual": self.residual,
+            "position": self.position,
             "pass": self.ok,
         }
 

@@ -133,6 +133,23 @@ def test_design_file_with_a_huge_point_count_exits_2_without_allocating(tmp_path
     assert err["detail"] == "a resolution class does not partition the points"
 
 
+def test_out_of_memory_exits_2_with_json_on_stderr(tmp_path, capsys, monkeypatch):
+    from cerg import geometry
+
+    def exhausted(q, d):
+        raise MemoryError("Unable to allocate 14.0 GiB for an array")
+
+    monkeypatch.setattr(geometry, "design_affine_lines", exhausted)
+    out = tmp_path / "x.g6"
+    argv = ["construct", "block-graph", "--design", "affine-lines", "--q", "61", "--d", "2"]
+    code = main([*argv, "-o", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == "" and not out.exists()
+    assert json.loads(err) == {
+        "error": "MemoryError", "detail": "Unable to allocate 14.0 GiB for an array",
+    }
+
+
 def test_construct_missing_params_exits_2(tmp_path, capsys):
     code, _ = run(capsys, "construct", "tls", "-o", str(tmp_path / "x.g6"))
     assert code == 2

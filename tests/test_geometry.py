@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +185,56 @@ def test_block_graph_rejects_nonlinear():
     d = Design(4, 2, [(0, 1), (0, 1), (2, 3)])
     with pytest.raises(NotALinearDesign):
         block_graph(d)
+
+
+def first_uncovered_pair(d):
+    """The first pair x < y in row-major order not covered exactly once,
+    by counting every pair of every block."""
+    count = {}
+    for blk in d.blocks:
+        for pair in itertools.combinations(blk, 2):
+            count[pair] = count.get(pair, 0) + 1
+    for x, y in itertools.combinations(range(d.v), 2):
+        if count.get((x, y), 0) != 1:
+            return (x, y, count.get((x, y), 0))
+    return None
+
+
+def test_pair_coverage_violation_is_the_first_in_row_major_order():
+    rng = random.Random(7)
+    designs = [Design(4, 2, [(0, 1), (0, 1), (2, 3)]), Design(5, 2, []), Design(1, 1, [(0,)])]
+    for _ in range(500):
+        v = rng.randint(1, 9)
+        t = rng.randint(1, v)
+        designs.append(Design(v, t, [rng.sample(range(v), t) for _ in range(rng.randint(0, 12))]))
+    for d in designs:
+        assert d.pair_coverage_violation() == first_uncovered_pair(d), d
+
+
+# a count per point pair took 204 MB on the one block of 2000 points and
+# 51 MB on AG(2, 31); a count per point takes 0.1 MB and 0.5 MB
+def test_pair_coverage_violation_memory_is_linear_in_the_incidences(tmp_path):
+    path = tmp_path / "one-block.design"
+    path.write_text("DESIGN 2000 2000 1 0\n" + " ".join(map(str, range(2000))) + "\n")
+    for d in (read_design(path), design_affine_lines(31, 2)):
+        tracemalloc.start()
+        try:
+            violation = d.pair_coverage_violation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert violation is None
+        assert peak < 32 * (d.v + d.b * d.t) + 2**16, d
+
+
+@pytest.mark.parametrize("build, args, blocks", [
+    (design_affine_lines, (256, 2), 256 * 257),
+    (design_affine_lines, (16, 3), 16**2 * (16**3 - 1) // 15),
+    (design_one_factorization, (2000,), 2000 * 1999 // 2),
+])
+def test_oversized_design_is_refused_before_it_is_built(build, args, blocks):
+    with pytest.raises(ValueError, match=f"vertex count {blocks} outside"):
+        build(*args)
 
 
 def test_design_file_round_trip(tmp_path):
