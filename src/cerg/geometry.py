@@ -196,18 +196,24 @@ class Design:
     def b(self) -> int:
         return len(self.blocks)
 
+    def blocks_through(self):
+        """The blocks as a b x t array, and for each point in turn the
+        ascending indices of the blocks through it, from one sort of the
+        incidences: O(v + bt) integers, not a v x b incidence matrix."""
+        blocks = np.array(self.blocks, dtype=np.intp).reshape(self.b, self.t)
+        flat = blocks.ravel()
+        order = np.argsort(flat, kind="stable")  # incidences grouped by point
+        starts = np.searchsorted(flat, np.arange(self.v + 1), sorter=order)
+        return blocks, (order[starts[x] : starts[x + 1]] // self.t for x in range(self.v))
+
     def pair_coverage_violation(self):
         """First point pair (x, y), x < y in row-major order, not covered
         exactly once, as (x, y, count); or None.  Each point x counts the
         points on the blocks through it, so the check holds O(v + bt)
         integers at a time, not one count per pair."""
-        blocks = np.array(self.blocks, dtype=np.intp).reshape(self.b, self.t)
-        flat = blocks.ravel()
-        order = np.argsort(flat, kind="stable")  # incidences grouped by point
-        starts = np.searchsorted(flat, np.arange(self.v + 1), sorter=order)
-        for x in range(self.v):
-            through = blocks[order[starts[x] : starts[x + 1]] // self.t]
-            count = np.bincount(through.ravel(), minlength=self.v)[x + 1 :]
+        blocks, through = self.blocks_through()
+        for x, group in enumerate(through):
+            count = np.bincount(blocks[group].ravel(), minlength=self.v)[x + 1 :]
             off = np.flatnonzero(count != 1)
             if off.size:
                 return (x, x + 1 + int(off[0]), int(count[off[0]]))
@@ -289,12 +295,8 @@ def block_graph(d: Design) -> Graph:
     if violation is not None:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
-    incidence = np.zeros((d.v, d.b), dtype=bool)
-    for idx, blk in enumerate(d.blocks):
-        incidence[list(blk), idx] = True
     a = np.zeros((d.b, d.b), dtype=bool)
-    for point_blocks in incidence:
-        group = np.flatnonzero(point_blocks)
+    for group in d.blocks_through()[1]:
         a[np.ix_(group, group)] = True
     np.fill_diagonal(a, False)
     return Graph(a)

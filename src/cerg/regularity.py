@@ -25,8 +25,9 @@ which later checks of the same graph read instead of passing again.
 The scan keeps, as the pass goes, the witnesses a whole-matrix scan
 would give, the first in row-major order, so no check makes a second
 pass for its witness.  A graph's checks hold n^2 bytes for the boolean
-A, 4n^2 (8n^2 once a product needs float64) for A's float copy, and the
-tiles of one pass.
+A, 4n^2 (8n^2 once a product needs float64) for A's float copy, and one
+tile: a few arrays of max(2^17, n^2/16) entries, which the reducers read
+in place or in row slices, with no whole-tile temporary of a wider type.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -97,10 +98,11 @@ def _absmax(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-# entries per row tile: 2 MB of int32, next to A's 10 MB float32 copy at
-# n = 1600; but at most _MAX_TILES tiles a pass, since each tile's
-# product reads all of A's float copy (150 MB at n = 6125) again
-_TILE_ENTRIES = 2**19
+# entries per row tile: 0.5 MB of int32, next to A's 10 MB float32 copy
+# at n = 1600; but at most _MAX_TILES tiles a pass, since each tile's
+# product reads all of A's float copy (150 MB at n = 6125) again.  The
+# second rule wins from n = 1450 on: 100 rows at n = 1600, 383 at 6125
+_TILE_ENTRIES = 2**17
 _MAX_TILES = 16
 
 
@@ -112,20 +114,24 @@ def _row_tiles(n_rows: int, n_cols: int):
         yield slice(i, min(i + step, n_rows))
 
 
-def exact_matmul(x: np.ndarray, y: np.ndarray, y_max: int | None = None) -> np.ndarray:
+def exact_matmul(
+    x: np.ndarray, y: np.ndarray, y_max: int | None = None, x_max: int | None = None
+) -> np.ndarray:
     """x @ y for integer matrices, exactly, through BLAS.
 
     With B = inner_dim * max|x| * max|y|, the product runs in float32
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
-    `ExactnessBoundExceeded`.  ``y_max``, when given, stands in for
-    max|y|, so a large y is not scanned; a float y wider than the tier's
-    type is used as it is.  No entry exceeds B, so the result is int32
-    when B < 2^31 and int64 otherwise; when the float and integer types
-    have one item size, the float result is cast in place, a row tile at
-    a time.
+    `ExactnessBoundExceeded`.  ``y_max`` and ``x_max``, when given,
+    stand in for max|y| and max|x|, so an operand is not scanned again;
+    a float y wider than the tier's type is used as it is.  No entry
+    exceeds B, so the result is int32 when B < 2^31 and int64 otherwise;
+    when the float and integer types have one item size, the float
+    result is cast in place, a row tile at a time.
     """
-    bound = x.shape[1] * _absmax(x) * (_absmax(y) if y_max is None else y_max)
+    if x_max is None:
+        x_max = _absmax(x)
+    bound = x.shape[1] * x_max * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
@@ -190,29 +196,30 @@ class _Tally:
 
     def feed(self, tile: RowTile) -> None:
         a, a2 = tile[1], tile[2]
-        key = a2 + a * np.int32(self.m)  # one bincount for both kinds of pair
         size = len(self.counts)
-        self.counts += np.bincount(key.ravel(), minlength=size)
-        # less the diagonal block's pairs x >= y
-        below = np.tri(len(key), dtype=bool)
-        self.counts -= np.bincount(key[:, : len(key)][below], minlength=size)
+        for rows in _row_tiles(*a2.shape):  # slices: bincount's int64 copy stays small
+            i, h = rows.start, rows.stop - rows.start
+            key = np.multiply(a[rows], self.m, dtype=a2.dtype)  # one bincount
+            key += a2[rows]  # for both kinds of pair
+            key[:, : i + h][np.tri(h, i + h, i, dtype=bool)] = size  # x >= y: a spare bin
+            self.counts += np.bincount(key.ravel(), minlength=size + 1)[:size]
 
     def multisets(self) -> tuple[dict[int, int], dict[int, int]]:
         """(lambda multiset, mu multiset) over unordered pairs."""
         return _multiset(self.counts[self.m :]), _multiset(self.counts[: self.m])
 
 
-def _extremes(cur, vals: np.ndarray, index: np.ndarray, at):
+def _extremes(cur, lo, hi, first):
     """``cur`` = ((least, position), (greatest, position)), or None,
-    updated with the values at a later tile's flat indices ``index``,
-    whose positions ``at`` gives: each the first in row-major order."""
-    if not vals.size:
-        return cur
-    i, j = int(vals.argmin()), int(vals.argmax())
-    lo, hi = (int(vals[i]), int(at(index[i]))), (int(vals[j]), int(at(index[j])))
-    if cur is None:
-        return lo, hi
-    return (lo if lo[0] < cur[0][0] else cur[0]), (hi if hi[0] > cur[1][0] else cur[1])
+    updated with a later tile's least and greatest values ``lo`` and
+    ``hi``.  ``first(v)`` is the position of v's first occurrence in the
+    tile in row-major order, sought only for a value that beats ``cur``."""
+    least, greatest = cur or (None, None)
+    if least is None or lo < least[0]:
+        least = int(lo), first(lo)
+    if greatest is None or hi > greatest[0]:
+        greatest = int(hi), first(hi)
+    return least, greatest
 
 
 class _SumScan:
@@ -235,20 +242,31 @@ class _SumScan:
         return divmod(int(position), self.n)
 
     def feed(self, tile: RowTile) -> None:
-        a, start = tile[1], tile.rows.start
+        a, start, sums = tile[1], tile.rows.start, tile.sums
         h, w = a.shape
         upper = np.arange(w) > np.arange(h)[:, None]
-        sums = tile.sums.ravel()
 
         def at(i):  # positions x * n + y of flat indices of the tile
             return (start + i // w) * self.n + start + i % w
 
-        non = np.flatnonzero(upper > a)
-        self.non = _extremes(self.non, sums.take(non), non, at)
-        edges = np.flatnonzero(upper & a)
-        del upper, non
+        # most pairs are non-adjacent: with sums >= 0, products with the mask find
+        # their extremes many times faster than masked reductions, indexing none
+        non = upper > a
+        if non.any():
+            top = sums.max()
+            lo, hi = top - ((top - sums) * non).max(), (sums * non).max()
+            self.non = _extremes(
+                self.non, lo, hi, lambda v: at(int(((sums == v) & non).argmax()))
+            )
+        del non
+        upper &= a  # the edges x < y
+        edges = np.flatnonzero(upper)
+        del upper
         s, lam = sums.take(edges), tile[2].ravel().take(edges)
-        self.edge = _extremes(self.edge, s, edges, at)
+        if edges.size:
+            self.edge = _extremes(
+                self.edge, s.min(), s.max(), lambda v: at(int(edges[int((s == v).argmax())]))
+            )
         new = np.flatnonzero(self.first[lam] < 0)
         if new.size:
             lams, i = np.unique(lam[new], return_index=True)  # first occurrences
@@ -286,9 +304,9 @@ class Powers:
     n x n array is A's float copy, the right operand of every tile
     product: float32, widened for good to float64 by the first product
     whose bound needs it.  A graph's checks therefore hold n^2 bytes for
-    A, 4n^2 (or 8n^2) for its float copy, and the tiles of one pass,
-    each of about _TILE_ENTRIES entries per array, or n^2 / _MAX_TILES
-    when that is more.  `rows` streams the tiles; `tally` and
+    A, 4n^2 (or 8n^2) for its float copy, and one tile at a time, a few
+    arrays of max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 100 rows at
+    n = 1600, 383 at n = 6125.  `rows` streams the tiles; `tally` and
     `sum_scan` keep what a pass reduces them to; `combination` streams
     integer combinations of the powers, and `vanishes` remembers those
     found to be zero.  Obtain it with `powers`.
@@ -319,8 +337,9 @@ class Powers:
     def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
         """x @ A[:, start:] exactly, through `exact_matmul` and A's float
         copy."""
-        wide = x.shape[1] * _absmax(x) >= 2**24
-        return exact_matmul(x, self._float_a(wide)[:, start:], y_max=1)
+        x_max = _absmax(x)  # the one scan of x: it picks the copy and bounds the product
+        af = self._float_a(x.shape[1] * x_max >= 2**24)
+        return exact_matmul(x, af[:, start:], y_max=1, x_max=x_max)
 
     def rows(self, j_max: int, sums: bool = False):
         """Row tiles of A^1..A^j_max, and with ``sums`` of (A∘A^2)A, top
@@ -387,16 +406,16 @@ class Powers:
 
     def combination(self, coeffs, j_coeff=0):
         """sum_j coeffs[j] A^j + j_coeff J (coeffs ascending, j <= 4) as a
-        stream of (first row i, int64 tile) pairs, top to bottom, each
+        stream of (first row i, integer tile) pairs, top to bottom, each
         tile from column i on, as in `RowTile`.  The combination is
         symmetric, so a tile's mirror images stand for the columns before
         i: the first entry, in row-major order, to differ from a constant
         or to reach the largest magnitude lies at x <= y, in the tiles.
 
-        Refuses at the call, before any tile, a combination whose entries
-        could reach 2^63 in absolute value: an entry of A^j (j >= 1)
-        counts walks of length j, at most k^(j-1) for the largest degree
-        k.  Each tile widens its terms to int64 before scaling them.
+        An entry of A^j (j >= 1) counts walks, at most k^(j-1) for the
+        largest degree k, so the sum B of the terms' bounds bounds every
+        partial sum.  Tiles are int32 when B < 2^31, else int64, each term
+        added in place; B >= 2^63 is refused at the call, before any tile.
         """
         c0, j_coeff = int(coeffs[0]), int(j_coeff)
         terms = [(j, int(c)) for j, c in enumerate(coeffs) if j and c]
@@ -406,13 +425,14 @@ class Powers:
             raise ExactnessBoundExceeded(
                 f"combination bound {bound} is not below 2^63; int64 would wrap"
             )
-        return self._combination_tiles(c0, j_coeff, terms)
+        itype = np.int32 if bound < 2**31 else np.int64
+        return self._combination_tiles(c0, j_coeff, terms, itype)
 
-    def _combination_tiles(self, c0, j_coeff, terms):
+    def _combination_tiles(self, c0, j_coeff, terms, itype):
         for tile in self.rows(max((j for j, _ in terms), default=1)):
-            out = np.full(tile[1].shape, j_coeff, dtype=np.int64)
+            out = np.full(tile[1].shape, j_coeff, dtype=itype)
             for j, c in terms:
-                out += np.multiply(tile[j], c, dtype=np.int64)
+                out += np.multiply(tile[j], c, dtype=itype)
             out[_diagonal(len(out))] += c0
             yield tile.rows.start, out
             del out

@@ -363,8 +363,9 @@ def _hoffman_candidate(p: Powers, d: int):
     on the distinct entry patterns of as few rows as determine it, or
     None when those rows contradict every solution or admit no unique
     one.  Row x of each power is one vector-matrix product from the last,
-    formed when the search reaches x.  Nothing here is trusted: the
-    caller checks the candidate, as integers, on every entry."""
+    formed when the search reaches x; a solution must fit every entry of
+    the rows formed.  Nothing here is trusted: the caller checks the
+    candidate, as integers, on every entry."""
     n = p.a.shape[0]
     basis = []  # (pivot column, row) pairs in reduced echelon form
     seen = set()
@@ -390,11 +391,11 @@ def _hoffman_candidate(p: Powers, d: int):
             row = [v / row[col] for v in row]
             basis = [(c, [u - b[col] * v for u, v in zip(b, row)]) for c, b in basis]
             basis.append((col, row))
-            if len(basis) == d + 1:
-                sol = [0] * (d + 1)
-                for c, b in basis:
-                    sol[c] = int(b[-1])  # integral at the minimal d; checked later
-                return sol[:-1], sol[-1]
+        if len(basis) == d + 1:  # and every entry of rows 0..x agrees with it
+            sol = [0] * (d + 1)
+            for c, b in basis:
+                sol[c] = int(b[-1])  # integral at the minimal d; checked later
+            return sol[:-1], sol[-1]
     return None
 
 

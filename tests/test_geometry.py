@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cerg.geometry import (
@@ -19,6 +20,7 @@ from cerg.geometry import (
     verify_parallel_classes,
     write_design,
 )
+from cerg.graphs import Graph, graph6_bytes
 from cerg.regularity import is_strongly_regular
 
 
@@ -225,6 +227,62 @@ def test_pair_coverage_violation_memory_is_linear_in_the_incidences(tmp_path):
             tracemalloc.stop()
         assert violation is None
         assert peak < 32 * (d.v + d.b * d.t) + 2**16, d
+
+
+def incidence_block_graph(d):
+    """The block graph through a v x b incidence matrix, as it was built
+    before the blocks through a point came from one sort."""
+    incidence = np.zeros((d.v, d.b), dtype=bool)
+    for idx, blk in enumerate(d.blocks):
+        incidence[list(blk), idx] = True
+    a = np.zeros((d.b, d.b), dtype=bool)
+    for point_blocks in incidence:
+        group = np.flatnonzero(point_blocks)
+        a[np.ix_(group, group)] = True
+    np.fill_diagonal(a, False)
+    return Graph(a)
+
+
+AG2_ORDERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
+
+
+@pytest.mark.parametrize("q", AG2_ORDERS)
+def test_block_graph_bytes_equal_the_incidence_build(q):
+    d = design_affine_lines(q, 2)
+    assert graph6_bytes(block_graph(d)) == graph6_bytes(incidence_block_graph(d))
+
+
+def test_block_graph_of_a_design_file_equals_the_incidence_build(tmp_path):
+    # AG(2, 4) with its points relabelled and its blocks shuffled
+    ag = design_affine_lines(4, 2)
+    rng = random.Random(11)
+    label = list(range(ag.v))
+    rng.shuffle(label)
+    blocks = [[label[p] for p in blk] for blk in ag.blocks]
+    rng.shuffle(blocks)
+    path = tmp_path / "ag24.design"
+    write_design(Design(ag.v, ag.t, blocks), path)
+    d = read_design(path)
+    assert graph6_bytes(block_graph(d)) == graph6_bytes(incidence_block_graph(d))
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_graph_builds_no_incidence_matrix():
+    # past the b x b matrix and Graph's own checks, the parent build held
+    # the v x b incidence (953 kB on AG(2, 31)); now about 1 kB
+    d = design_affine_lines(31, 2)
+    g = block_graph(d)
+    own = traced_peak(lambda: Graph(g.a))
+    extra = traced_peak(lambda: block_graph(d)) - d.b * d.b - own
+    assert extra < d.v * d.b // 4, (extra, d.v * d.b)
 
 
 @pytest.mark.parametrize("build, args, blocks", [

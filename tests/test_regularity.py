@@ -711,7 +711,7 @@ def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatc
     g6 = tmp_path / "tls22.g6"
     assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
 
-    def refuse(x, y, y_max=None):
+    def refuse(x, y, y_max=None, x_max=None):
         raise ExactnessBoundExceeded("product bound is not below 2^53")
 
     monkeypatch.setattr(regularity, "exact_matmul", refuse)
@@ -726,9 +726,9 @@ def count_products(monkeypatch):
     calls = []
     real = regularity.exact_matmul
 
-    def counted(x, y, y_max=None):
+    def counted(x, y, y_max=None, x_max=None):
         calls.append(x.shape[0])
-        return real(x, y, y_max)
+        return real(x, y, y_max, x_max)
 
     monkeypatch.setattr(regularity, "exact_matmul", counted)
     return calls
@@ -823,8 +823,8 @@ def test_claim_free_compare_forms_a2_and_a3_rows_once_a_graph(tmp_path, monkeypa
     assert main(["compare", str(tmp_path / "tls22.g6"), str(tmp_path / "ext.g6")]) == 0
     # each graph: one-row products while the Hoffman search reads row 0,
     # then one pass for the relation, whose A^2 rows also give the level;
-    # the extension's degree-2 candidate fails on its first A^2 tile
-    assert [c for c in calls if c > 1] == [32] * 5
+    # the wrong lower-degree candidates fail on row 0 and form no tile
+    assert [c for c in calls if c > 1] == [32] * 4
     assert calls.count(1) == 6
 
 

@@ -20,7 +20,13 @@ from cerg import regularity
 from cerg.constructions import tls
 from cerg.graphs import Graph
 from cerg.regularity import NotCoEdgeRegular, profile, strong_co_edge_regular, weak_edge_regular
-from cerg.spectral import AnnihilationFailed, SpectrumCertificate, certify, eq1_residual
+from cerg.spectral import (
+    AnnihilationFailed,
+    SpectrumCertificate,
+    _power_sums,
+    certify,
+    eq1_residual,
+)
 
 
 def circulant(n, steps):
@@ -252,3 +258,95 @@ def test_peak_is_the_float_copy_plus_a_few_tiles(run, tls45_matrix):
     # 4n^2 bytes are A's float32 copy; the boolean A predates the trace
     assert peak < 4 * n * n + 4 * TILE, (peak, 4 * n * n)
     assert next(regularity._row_tiles(n, n)).stop * n <= 2**19
+
+
+def power_sums_to_9(g):
+    assert _power_sums(g, 9) is not None
+
+
+# what a pass holds past A's float copy: one tile of 100 rows at n = 1600
+# and the reducers' slices of it (measured 2.9 MB; the 327-row tiles of
+# 2^19 entries and whole-tile temporaries took 10.1-12.1 MB)
+LEAN = 3.5 * 2**20
+
+
+@pytest.mark.parametrize("run", [profile, strong_then_weak, certify_then_eq1, power_sums_to_9])
+def test_a_pass_holds_one_small_tile_past_the_float_copy(run, tls45_matrix):
+    n = len(tls45_matrix)
+    g = Graph(tls45_matrix)
+    peak = traced_peak(lambda: run(g))
+    assert peak < 4 * n * n + LEAN, (peak - 4 * n * n) / 2**20
+
+
+@pytest.mark.parametrize("n, rows", [(32, 32), (288, 288), (432, 303), (1600, 100), (6125, 383)])
+def test_tile_heights(n, rows):
+    tiles = list(regularity._row_tiles(n, n))
+    assert tiles[0] == slice(0, rows) and tiles[-1].stop == n and len(tiles) <= 16
+
+
+def combination_reference(a, coeffs, j_coeff):
+    x = a.astype(object)
+    out = np.full(a.shape, j_coeff, dtype=object)
+    term = np.eye(len(a), dtype=object)
+    for c in coeffs:
+        out += c * term
+        term = term @ x
+    return out
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_combination_tiles_are_int32_below_2_31(past, monkeypatch):
+    a = relabelled("rook44-switched", "shuffled")
+    tiles_of(monkeypatch, 5, len(a))
+    p = regularity.powers(Graph(a))
+    k = p.max_degree
+    coeffs = [3, -5, 2, 1]
+    rest = sum(abs(c) * k ** max(j - 1, 0) for j, c in enumerate(coeffs))
+    j_coeff = -(2**31 - rest) + 1 - past  # bound 2^31 - 1, then 2^31
+    want = combination_reference(a, coeffs, j_coeff)
+    for i, tile in p.combination(coeffs, j_coeff):
+        assert tile.dtype == (np.int64 if past else np.int32)
+        assert np.array_equal(tile.astype(object), want[i : i + len(tile), i:])
+
+
+@pytest.mark.parametrize("target", [2**31, 2**40, -(2**31) - 1, -(2**45)])
+def test_a_target_outside_int32_is_not_part_of_the_bound(target, monkeypatch):
+    """The int32 tiles of A^2 - 4I differ everywhere from such a target,
+    so the first mismatch is entry (0, 0); shifting both the J
+    coefficient and the target by it takes the tiles to int64 and gives
+    the mismatch of target 0."""
+    a = relabelled("rook44-switched", "as-built")
+    tiles_of(monkeypatch, 3, len(a))
+    p = regularity.powers(Graph(a))
+    coeffs = [-4, 0, 1]
+    assert next(p.combination(coeffs))[1].dtype == np.int32
+    residual = combination_reference(a, coeffs, 0)
+    assert p.first_mismatch(coeffs, 0, target) == (0, 0, residual[0, 0])
+    assert next(p.combination(coeffs, target))[1].dtype == np.int64
+    i, j = np.argwhere(residual != 0)[0].tolist()
+    assert p.first_mismatch(coeffs, target, target) == (i, j, residual[i, j] + target)
+    assert p.first_mismatch(coeffs, 0, 0) == (i, j, residual[i, j])
+
+
+def test_each_tile_product_scans_its_left_operand_once(monkeypatch):
+    a = relabelled("k7+c10-123", "shuffled")
+    tiles_of(monkeypatch, 4, len(a))
+    events = []
+    absmax, matmul = regularity._absmax, regularity.exact_matmul
+
+    def scanned(x):
+        events.append(("scan", id(x)))
+        return absmax(x)
+
+    def product(x, y, *args, **kwargs):
+        events.append(("product", id(x)))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_absmax", scanned)
+    monkeypatch.setattr(regularity, "exact_matmul", product)
+    p = regularity.powers(Graph(a))
+    for _ in p.rows(4, sums=True):
+        pass
+    products = [x for kind, x in events if kind == "product"]
+    assert len(products) == 5 * 4  # five tiles of A^2, A^3, A^4, (A∘A^2)A
+    assert events == [(kind, x) for x in products for kind in ("scan", "product")]

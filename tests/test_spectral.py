@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cerg import spectral
+from cerg.arrays import oa_macneish
+from cerg.constructions import latin_square_graph, tls
 from cerg.graphs import Graph, clique_extension, complement
-from cerg.regularity import NotEdgeRegular, strong_co_edge_regular, weak_edge_regular
+from cerg.regularity import NotEdgeRegular, Powers, strong_co_edge_regular, weak_edge_regular
 from cerg.spectral import (
     AnnihilationFailed,
     ClaimInvalid,
@@ -179,6 +181,36 @@ def test_corrupted_hoffman_coefficient_is_never_returned(index, tls22, monkeypat
     monkeypatch.setattr(spectral, "_hoffman_candidate", corrupt)
     assert spectral._hoffman_polynomial(tls22) is None
     assert char_poly(tls22) == poly_from_roots(TLS22_CLAIM)
+
+
+def clique_extended_ls(q, n):
+    """clique-ext(LS_{q+1}(qn), q), the cospectral partner of tls(q, n)."""
+    return clique_extension(latin_square_graph(oa_macneish(q * n), q + 1), q)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: clique_extended_ls(2, 2),
+    lambda: clique_extended_ls(3, 3),
+    lambda: clique_extended_ls(4, 5),
+    lambda: tls(2, 2),
+    lambda: tls(3, 3),
+], ids=["ext-ls3-4-2", "ext-ls4-9-3", "ext-ls5-20-4", "tls22", "tls33"])
+def test_hoffman_search_checks_only_the_relation_that_holds(build, monkeypatch):
+    """The wrong lower-degree candidates contradict an entry of the rows
+    already formed, so they never reach a tile pass: only the degree-3
+    relation is checked entrywise (the parent checked d = 1 and 2 too on
+    the clique extensions, d = 1 on tls)."""
+    checked = []
+    check = Powers.first_mismatch
+
+    def counted(self, coeffs, *args, **kwargs):
+        checked.append(len(coeffs) - 1)
+        return check(self, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(Powers, "first_mismatch", counted)
+    found = spectral._hoffman_polynomial(build())
+    assert found is not None and len(found[0]) == 3
+    assert checked == [3]
 
 
 def test_hoffman_candidate_past_the_int64_bound_is_skipped(tls22, monkeypatch):
