@@ -100,28 +100,11 @@ def oa_prime_power(q: int) -> OrthogonalArray:
     final row.
     """
     spec = field(q)  # raises NotAPrimePower
-    cells = np.empty((q + 1, q * q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            col = a * q + b
-            for c in range(q):
-                cells[c, col] = spec.add(spec.mul(a, c), b)
-            cells[q, col] = a
-    return OrthogonalArray(q, q + 1, cells)
-
-
-def _mixed_radix_combine(digits: list[int], radices: list[int]) -> int:
-    v = 0
-    for d, r in zip(digits, radices):
-        v = v * r + d
-    return v
-
-
-def _mixed_radix_split(v: int, radices: list[int]) -> list[int]:
-    digits = [0] * len(radices)
-    for i in range(len(radices) - 1, -1, -1):
-        v, digits[i] = divmod(v, radices[i])
-    return digits
+    elements = np.arange(q)
+    cells = np.empty((q + 1, q, q), dtype=np.int64)  # row, a, b
+    cells[:q] = spec.add(spec.mul_table.T[:, :, None], elements)
+    cells[q] = elements[:, None]
+    return OrthogonalArray(q, q + 1, cells.reshape(q + 1, q * q))
 
 
 def oa_macneish(n: int) -> OrthogonalArray:
@@ -146,22 +129,17 @@ def oa_macneish(n: int) -> OrthogonalArray:
             factors.append(pk)
     if m > 1:
         factors.append(m)
+    if len(factors) == 1:
+        return oa_prime_power(n)
     r = min(factors) + 1
-    parts = [oa_prime_power(pk) for pk in factors]
-    radices = [pk for pk in factors]
-    cells = np.empty((r, n * n), dtype=np.int64)
-    for col_a in range(n):
-        da = _mixed_radix_split(col_a, radices)
-        for col_b in range(n):
-            db = _mixed_radix_split(col_b, radices)
-            col = col_a * n + col_b
-            for j in range(r):
-                digits = [
-                    int(parts[i].cells[j, da[i] * radices[i] + db[i]])
-                    for i in range(len(factors))
-                ]
-                cells[j, col] = _mixed_radix_combine(digits, radices)
-    return OrthogonalArray(n, r, cells)
+    labels = np.arange(n)
+    cells = np.zeros((r, n, n), dtype=np.int64)  # row, column label a, b
+    place = n
+    for pk in factors:
+        place //= pk
+        digit = labels // place % pk  # this factor's digit of each label
+        cells += oa_prime_power(pk).cells[:r, digit[:, None] * pk + digit] * place
+    return OrthogonalArray(n, r, cells.reshape(r, n * n))
 
 
 def goa_from_oa(oa: OrthogonalArray, s: int) -> GroupDivisibleArray:

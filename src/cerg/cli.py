@@ -260,12 +260,13 @@ CHECKS = {
 
 
 def _split_schema(body: dict):
-    """(constants, witness, multisets) per the report schema."""
+    """(constants, witness, multisets) per the report schema; a failed
+    check's error and detail stay under its report only."""
     witness = body.get("witness")
     multisets = {}
     constants = {}
     for key, value in body.items():
-        if key == "witness":
+        if key in ("witness", "error", "detail"):
             continue
         if "multiset" in key or key == "outside_degrees":
             multisets[key] = value

@@ -72,9 +72,6 @@ class TlsGraph(Graph):
         self.goa = goa
         self.pcs = pcs
 
-    def vertex_id(self, point: int, fiber: int) -> int:
-        return fiber * self.q**3 + point
-
     def vertex_of(self, vid: int) -> tuple[int, int]:
         """(point encoding, fiber index) of a vertex id."""
         fiber, point = divmod(vid, self.q**3)

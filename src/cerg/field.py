@@ -1,16 +1,27 @@
-"""Exact arithmetic in GF(q) for prime powers q.
+"""Exact arithmetic in GF(q) for prime powers q <= 2^8, by table lookup.
 
 Elements are encoded as integers in [0, q): the base-p digits of an
 encoding are the coefficients of the residue polynomial, lowest degree
 first.  The integer order of these encodings is the single total order
 used by every downstream vertex enumeration, so two runs (or two
 machines) always label points identically.
+
+A field is its q x q uint8 addition and multiplication tables and its
+row of inverses, built once by vectorised digit arithmetic, so every
+operation is one lookup on ints and integer arrays alike.  A 2^16 table
+would take 4 GiB, and no construction under `graphs.MAX_VERTICES` uses
+q > 141, hence the ceiling `MAX_Q`.  Lookups return uint8: widen them
+before further integer arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
+
+MAX_Q = 2**8
 
 
 class NotAPrimePower(ValueError):
@@ -44,65 +55,34 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-# -- dense polynomial helpers over Z_p (coefficient lists, lowest degree first)
-
-def _poly_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _poly_mul(u: list[int], v: list[int], p: int) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1) if u and v else []
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(u: list[int], m: list[int], p: int) -> list[int]:
-    # m must be monic
-    u = u[:]
-    dm = len(m) - 1
-    while len(u) - 1 >= dm and u:
-        lead = u[-1]
-        if lead:
-            shift = len(u) - 1 - dm
-            for i, c in enumerate(m):
-                u[shift + i] = (u[shift + i] - lead * c) % p
-        u.pop()
-    return _poly_trim(u)
-
-
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial-divide a monic polynomial by every monic poly of degree <= k/2."""
-    k = len(coeffs) - 1
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    for d in range(1, k // 2 + 1):
-        for lower in product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            if not _poly_mod(list(coeffs), divisor, p):
-                return False
-    return True
+def field_order(q: int) -> tuple[int, int]:
+    """(p, k) of GF(q), or the error `field(q)` raises; builds no table,
+    so a caller can check q before a size check and build after it."""
+    if q > MAX_Q:
+        raise ValueError(f"q={q} exceeds the 2^8 ceiling")
+    return factor_prime_power(q)
 
 
 class FieldSpec:
     """A concrete GF(p^k) with a fixed irreducible modulus.
 
-    Arithmetic methods operate directly on the canonical integer
-    encodings.
-    Instances are immutable and safe to share across threads.
+    `add`, `mul`, `inv` and `dot` take encodings as ints or integer
+    arrays and return uint8 lookups in their broadcast shape.  Instances
+    and their read-only tables are safe to share across threads.
     """
 
-    __slots__ = ("p", "k", "q", "modulus")
+    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "inv_table")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...], add_table, mul_table):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
+        self.add_table = add_table.astype(np.uint8)
+        self.mul_table = mul_table.astype(np.uint8)
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.uint8)
+        for table in (self.add_table, self.mul_table, self.inv_table):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"FieldSpec(q={self.q}, modulus={list(self.modulus)})"
@@ -134,70 +114,52 @@ class FieldSpec:
 
     # -- arithmetic on encodings
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % self.p for x, y in zip(da, db)])
+    def add(self, a, b):
+        return self.add_table[a, b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def mul(self, a, b):
+        return self.mul_table[a, b]
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.encode([(-x) % self.p for x in self.decode(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.decode(a), self.decode(b), self.p)
-        rem = _poly_mod(prod, list(self.modulus), self.p)
-        return self.encode(rem + [0] * (self.k - len(rem)))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        if np.any(np.asarray(a) == 0):
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        # a^(q-2) by square and multiply; the unit group has order q-1
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.inv_table[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def dot(self, u, v) -> int:
-        """Inner product of two coordinate vectors of encodings."""
-        acc = 0
-        for x, y in zip(u, v):
-            acc = self.add(acc, self.mul(x, y))
+    def dot(self, u, v):
+        """Inner product along the last axis of two coordinate arrays."""
+        u, v = np.asarray(u), np.asarray(v)
+        acc = self.mul(u[..., 0], v[..., 0])
+        for i in range(1, u.shape[-1]):
+            acc = self.add(acc, self.mul(u[..., i], v[..., i]))
         return acc
 
 
 @lru_cache(maxsize=None)
 def field(q: int) -> FieldSpec:
-    """Canonical GF(q): the lexicographically smallest monic irreducible
-    modulus (coefficients compared low-degree-first); x itself for k = 1.
+    """Canonical GF(q): the lexicographically smallest monic modulus
+    (coefficients compared low-degree-first) whose multiplication table
+    has no zero divisor, i.e. the smallest irreducible one, since
+    F_p[x]/(f) is a field exactly when f is irreducible; x itself for
+    k = 1.
     """
-    if q > 2**16:
-        raise ValueError(f"q={q} exceeds the 2^16 ceiling")
-    p, k = factor_prime_power(q)
-    if k == 1:
-        return FieldSpec(p, 1, (0, 1))
+    p, k = field_order(q)
+    weights = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // weights % p  # q x k, lowest degree first
+    add = (digits[:, None] + digits[None]) % p @ weights
+    # coefficient j < 2k - 1 of the unreduced product of a and b
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, :, i : i + k] += digits[:, None, i, None] * digits[None]
+    # a reducible modulus is a product with a factor of degree <= k/2, so
+    # the rows of the elements of such degrees show every zero divisor
+    low = p ** (k // 2 + 1)
     for lower in product(range(p), repeat=k):
-        coeffs = lower + (1,)
-        if _is_irreducible(coeffs, p):
-            return FieldSpec(p, k, coeffs)
+        # row j: the digits of x^j mod (x^k + lower), for j < 2k - 1
+        rows = list(np.eye(k, dtype=np.int64))
+        for _ in range(k - 1):
+            top = rows[-1]
+            rows.append((np.concatenate(([0], top[:-1])) - top[-1] * np.array(lower)) % p)
+        reduce = np.array(rows)
+        if (prod[1:low, 1:] @ reduce % p).any(axis=2).all():
+            return FieldSpec(p, k, lower + (1,), add, prod @ reduce % p @ weights)
     raise AssertionError(f"no irreducible polynomial of degree {k} over Z_{p}")

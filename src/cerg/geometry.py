@@ -12,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import FieldSpec, field
-from .graphs import Graph, _check_order
+from .field import FieldSpec, field, field_order
+from .graphs import MAX_VERTICES, Graph, _check_order
 
 PARALLEL_CLASS_MAX_Q = 16
 
@@ -28,13 +28,6 @@ class NotALinearDesign(ValueError):
 
 class DesignFormatError(ValueError):
     pass
-
-
-def encode_point(coords, q: int) -> int:
-    v = 0
-    for c in coords:
-        v = v * q + c
-    return v
 
 
 def decode_point(v: int, q: int, d: int) -> tuple[int, ...]:
@@ -53,29 +46,20 @@ class ParallelClassSystem:
     points u with <u, normal_a> = b.
     """
 
-    __slots__ = ("q", "spec", "normals", "classes", "_plane_of")
+    __slots__ = ("q", "spec", "normals", "classes")
 
     def __init__(self, q: int, spec: FieldSpec, normals, classes):
         self.q = q
         self.spec = spec
         self.normals = tuple(tuple(v) for v in normals)
         self.classes = tuple(tuple(tuple(pl) for pl in cls) for cls in classes)
-        # plane index of each point, per class, for O(1) lookups
-        lookup = []
-        for cls in self.classes:
-            where = [0] * q**3
-            for b, plane in enumerate(cls):
-                for pt in plane:
-                    where[pt] = b
-            lookup.append(tuple(where))
-        self._plane_of = tuple(lookup)
 
     def plane(self, a: int, b: int) -> tuple[int, ...]:
         return self.classes[a][b]
 
     def plane_index_of(self, a: int, point: int) -> int:
         """Which plane of class a contains the point."""
-        return self._plane_of[a][point]
+        return next(b for b, plane in enumerate(self.classes[a]) if point in plane)
 
     def __repr__(self):
         return f"ParallelClassSystem(q={self.q})"
@@ -86,18 +70,18 @@ def parallel_classes(q: int) -> ParallelClassSystem:
     if q > PARALLEL_CLASS_MAX_Q:
         raise ValueError(f"q={q} exceeds the ceiling {PARALLEL_CLASS_MAX_Q}")
     spec = field(q)
-    normals = [(0, 0, 1)]
-    for x in range(q):
-        xx1 = spec.mul(x, spec.add(x, 1))
-        normals.append((1, x, xx1))
-    classes = []
-    points = [decode_point(v, q, 3) for v in range(q**3)]
-    for normal in normals:
-        planes = [[] for _ in range(q)]
-        for v, u in enumerate(points):
-            planes[spec.dot(u, normal)].append(v)
-        classes.append([tuple(pl) for pl in planes])
-    return ParallelClassSystem(q, spec, normals, classes)
+    x = np.arange(q)
+    normals = np.vstack([(0, 0, 1), np.column_stack([x**0, x, spec.mul(x, spec.add(x, 1))])])
+    # plane of every point in every class; a stable sort lists each
+    # plane's q^2 points in ascending order
+    plane_of = spec.dot(_points(q, 3)[None], normals[:, None])
+    classes = np.argsort(plane_of, axis=1, kind="stable").reshape(q + 1, q, q * q)
+    return ParallelClassSystem(q, spec, normals.tolist(), classes.tolist())
+
+
+def _points(q: int, d: int) -> np.ndarray:
+    """The q^d x d coordinates of F_q^d in encoding order."""
+    return np.arange(q**d)[:, None] // q ** np.arange(d - 1, -1, -1) % q
 
 
 @dataclass(frozen=True)
@@ -224,43 +208,46 @@ class Design:
         return f"Design(v={self.v}, t={self.t}, b={self.b}, classes={res})"
 
 
+def _lines_along(spec: FieldSpec, tails: np.ndarray, lead: int) -> np.ndarray:
+    """The lines of AG(d, q) in the directions (0, ..., 0, 1, tail) with
+    the 1 at `lead`, as rows of ascending point encodings: direction by
+    direction, each direction's lines in the order of their least point."""
+    q, d = spec.q, tails.shape[1] + 1
+    vecs = np.zeros((q ** (d - 1 - lead), d), dtype=np.intp)
+    vecs[:, lead] = 1
+    vecs[:, lead + 1 :] = tails[: len(vecs), lead:]
+    # every line of such a direction meets the hyperplane x_lead = 0 once
+    starts = np.insert(tails, lead, 0, axis=1)
+    t = np.arange(q)
+    # encode each point start + t * direction, one coordinate at a time
+    lines = np.zeros((len(vecs), len(starts), q), dtype=np.intp)  # direction, start, t
+    for i in range(d):
+        lines *= q
+        lines += spec.add(starts[:, i, None], spec.mul(t, vecs[:, i, None])[:, None])
+    lines.sort(axis=2)
+    order = np.argsort(lines[:, :, 0], axis=1)
+    return np.take_along_axis(lines, order[:, :, None], axis=1).reshape(-1, q)
+
+
 def design_affine_lines(q: int, d: int) -> Design:
     """Resolvable 2-(q^d, q, 1): blocks are the lines of AG(d, q), one
-    resolution class per direction.  The blocks are a block graph's
-    vertices, so more than `graphs.MAX_VERTICES` lines are refused unbuilt."""
-    if d not in (2, 3):
-        raise ValueError(f"d={d} must be 2 or 3")
-    spec = field(q)
+    resolution class per direction, directions in the order of their
+    encodings.  The blocks are a block graph's vertices, so more than
+    `graphs.MAX_VERTICES` lines are refused unbuilt; with q >= 2 every
+    d > 15 is over that ceiling."""
+    if d < 2:
+        raise ValueError(f"d={d} must be at least 2")
+    field_order(q)  # raises NotAPrimePower or the ceiling error
+    if d > 15:
+        raise ValueError(f"d={d} gives more than {MAX_VERTICES} lines")
     _check_order(q ** (d - 1) * (q**d - 1) // (q - 1))
-    space = q**d
-    points = [decode_point(v, q, d) for v in range(space)]
-    directions = []
-    for v in range(1, space):
-        vec = points[v]
-        lead = next(c for c in vec if c != 0)
-        if lead == 1:  # canonical representative of the 1-dim subspace
-            directions.append(vec)
-    blocks = []
-    resolution = []
-    for vec in directions:
-        cls = []
-        seen = [False] * space
-        for start in range(space):
-            if seen[start]:
-                continue
-            line = []
-            pt = points[start]
-            for tscale in range(q):
-                coords = tuple(
-                    spec.add(pt[i], spec.mul(tscale, vec[i])) for i in range(d)
-                )
-                enc = encode_point(coords, q)
-                seen[enc] = True
-                line.append(enc)
-            cls.append(len(blocks))
-            blocks.append(sorted(line))
-        resolution.append(cls)
-    return Design(space, q, blocks, resolution)
+    spec = field(q)
+    tails = _points(q, d - 1)
+    # directions in encoding order: those whose leading 1 is last come first
+    leads = range(d - 1, -1, -1)
+    blocks = np.concatenate([_lines_along(spec, tails, lead) for lead in leads]).tolist()
+    resolution = np.arange(len(blocks)).reshape(-1, q ** (d - 1)).tolist()
+    return Design(q**d, q, blocks, resolution)
 
 
 def design_one_factorization(m: int) -> Design:

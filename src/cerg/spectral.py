@@ -622,19 +622,11 @@ class TheoremIdentityReport:
     f4: Fraction
     identities: list[IdentityCheck]
     sign_flipped: bool  # second identity holds with the opposite sign
-    gamma_recomputed: Fraction
-    alpha_recomputed: Fraction
 
     @property
     def ok(self) -> bool:
         first, second, third = self.identities
-        return (
-            first.equal
-            and third.equal
-            and (second.equal or self.sign_flipped)
-            and self.gamma_recomputed == self.gamma
-            and self.alpha_recomputed == self.alpha
-        )
+        return first.equal and third.equal and (second.equal or self.sign_flipped)
 
     def to_json_dict(self):
         return {
@@ -685,8 +677,6 @@ def theorem33_identities(
         IdentityCheck("mu(k-alpha)+gamma = ell", f4, ell, f4 == ell),
     ]
     sign_flipped = (f1 == -e2) and (f1 != e2)
-    gamma_re = mu * (e1 - k + mu) + ell
-    alpha_re = e1 + mu
     return TheoremIdentityReport(
         alpha=alpha,
         beta=beta,
@@ -700,8 +690,6 @@ def theorem33_identities(
         f4=f4,
         identities=identities,
         sign_flipped=sign_flipped,
-        gamma_recomputed=gamma_re,
-        alpha_recomputed=alpha_re,
     )
 
 

@@ -96,6 +96,7 @@ def traced_exit(argv):
     (["affine-lines", "--q", "16", "--d", "3"], 16**2 * (16**3 - 1) // 15),
     (["affine-lines", "--q", "64", "--d", "3"], 64**2 * (64**3 - 1) // 63),
     (["affine-lines", "--q", "256", "--d", "2"], 256 * 257),
+    (["affine-lines", "--q", "64", "--d", "4"], 64**3 * (64**4 - 1) // 63),
     (["one-factorization", "--m", "2000"], 2000 * 1999 // 2),
     (["one-factorization", "--m", "100000"], 100000 * 99999 // 2),
 ])
@@ -112,8 +113,9 @@ def test_construct_oversized_design_exits_2_before_building_it(tmp_path, capsys,
 @pytest.mark.parametrize("design, error", [
     (["affine-lines", "--q", "6", "--d", "2"], "q=6 has at least two distinct prime factors"),
     (["affine-lines", "--q", "1", "--d", "3"], "q=1 is not a prime power"),
-    (["affine-lines", "--q", "100003", "--d", "2"], "q=100003 exceeds the 2^16 ceiling"),
-    (["affine-lines", "--q", "64", "--d", "4"], "d=4 must be 2 or 3"),
+    (["affine-lines", "--q", "100003", "--d", "2"], "q=100003 exceeds the 2^8 ceiling"),
+    (["affine-lines", "--q", "4", "--d", "1"], "d=1 must be at least 2"),
+    (["affine-lines", "--q", "2", "--d", "1000000000"], "d=1000000000 gives more than 20000 lines"),
     (["one-factorization", "--m", "100001"], "m=100001 must be even and at least 4"),
     (["one-factorization", "--m", "2"], "m=2 must be even and at least 4"),
 ])

@@ -337,6 +337,22 @@ def test_h_graph_requires_resolution():
         h_graph(unresolved)
 
 
+# beyond the old d <= 3 guard: a cubic relation, co-edge level 2 and
+# smallest eigenvalue -(q + 1), as for d = 3
+@pytest.mark.parametrize("q, d, n, roots", [(2, 4, 120, (-3, 5, 11)), (3, 4, 1080, (-4, 23, 35))])
+def test_h_graph_of_ag_d_q_past_d_3(q, d, n, roots):
+    from cerg.regularity import level
+    from cerg.spectral import _hoffman_polynomial
+
+    g = h_graph(design_affine_lines(q, d))
+    assert g.n == n and level(g)[0] == 2
+    coeffs, _ = _hoffman_polynomial(g)  # A^3 = sum_j coeffs[j] A^j + ell J
+    r1, r2, r3 = roots
+    expanded = [-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3), 1]
+    assert [-c for c in coeffs] + [1] == expanded  # (x - r1)(x - r2)(x - r3)
+    assert min(roots) == -(q + 1)
+
+
 def test_h_graph_mu_parameter(h6, h27):
     _, mu6 = brute_lambda_mu(h6)
     assert set(mu6) == {8}  # t(t+2) at t=2

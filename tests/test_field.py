@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from cerg.field import (
+    MAX_Q,
     DivisionByZero,
     NotAPrimePower,
     factor_prime_power,
@@ -104,6 +106,44 @@ def test_encode_decode_round_trip(q):
     spec = field(q)
     for e in range(q):
         assert spec.encode(spec.decode(e)) == e
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_tables_match_digitwise_addition_and_long_division(q):
+    spec = field(q)
+    assert spec.add_table.dtype == spec.mul_table.dtype == np.uint8
+    for a in range(q):
+        for b in range(q):
+            digits = [x + y for x, y in zip(spec.decode(a), spec.decode(b))]
+            assert spec.add_table[a, b] == spec.encode(digits)
+            assert spec.mul_table[a, b] == poly_long_division_mul(spec, a, b)
+
+
+# the lexicographically smallest monic irreducible modulus of every
+# GF(p^k), k >= 2, up to the ceiling, as the trial-division search gave it
+MODULI = {
+    4: (1, 1, 1), 8: (1, 0, 1, 1), 9: (1, 0, 1), 16: (1, 0, 0, 1, 1), 25: (1, 1, 1),
+    27: (1, 0, 2, 1), 32: (1, 0, 0, 1, 0, 1), 49: (1, 0, 1), 64: (1, 0, 0, 0, 0, 1, 1),
+    81: (1, 0, 1, 1, 1), 121: (1, 0, 1), 125: (1, 0, 1, 1), 128: (1, 0, 0, 0, 0, 0, 1, 1),
+    169: (1, 3, 1), 243: (1, 0, 0, 0, 2, 1), 256: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+}
+
+
+def test_moduli_of_every_extension_field_up_to_the_ceiling():
+    assert {q: field(q).modulus for q in MODULI} == MODULI
+    with pytest.raises(ValueError, match="exceeds the 2\\^8 ceiling"):
+        field(MAX_Q + 1)
+
+
+def test_lookups_take_integer_arrays():
+    spec = field(9)
+    a = np.arange(9)
+    assert np.array_equal(spec.mul(a, 1), a)
+    assert np.array_equal(spec.mul(a[1:], spec.inv(a[1:])), np.ones(8))
+    with pytest.raises(DivisionByZero):
+        spec.inv(a)
+    points = np.array([[1, 2], [3, 4], [5, 6]])
+    assert spec.dot(points, [1, 1]).tolist() == [spec.add(1, 2), spec.add(3, 4), spec.add(5, 6)]
 
 
 def test_field_is_cached_and_deterministic():

@@ -478,8 +478,9 @@ def test_theorem33_tls22(tls22):
     assert not second.equal
     assert abs(second.lhs) == abs(second.rhs)
     assert rep.sign_flipped
-    assert rep.gamma_recomputed == s.gamma
-    assert rep.alpha_recomputed == w.alpha
+    # identities 1 and 3 give alpha and gamma back from the spectrum
+    assert w.alpha == first.rhs + s.mu
+    assert s.gamma == s.mu * (first.rhs - rep.k + s.mu) + third.rhs
     assert rep.ok
 
 
