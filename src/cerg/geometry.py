@@ -234,11 +234,11 @@ def design_affine_lines(q: int, d: int) -> Design:
     resolution class per direction, directions in the order of their
     encodings.  The blocks are a block graph's vertices, so more than
     `graphs.MAX_VERTICES` lines are refused unbuilt; with q >= 2 every
-    d > 15 is over that ceiling."""
+    d past the ceiling's bit length has q^(d-1) > MAX_VERTICES."""
     if d < 2:
         raise ValueError(f"d={d} must be at least 2")
     field_order(q)  # raises NotAPrimePower or the ceiling error
-    if d > 15:
+    if d > MAX_VERTICES.bit_length():
         raise ValueError(f"d={d} gives more than {MAX_VERTICES} lines")
     _check_order(q ** (d - 1) * (q**d - 1) // (q - 1))
     spec = field(q)
