@@ -259,6 +259,10 @@ CHECKS = {
 }
 
 
+# the checks that read --claim; the others ignore it
+CLAIM_CHECKS = ("spectrum", "eq1", "theorem33", "goldberg")
+
+
 def _split_schema(body: dict):
     """(constants, witness, multisets) per the report schema; a failed
     check's error and detail stay under its report only."""
@@ -284,7 +288,7 @@ def cmd_verify(args, argv) -> int:
         body = {"error": type(exc).__name__, "detail": str(exc), "witness": getattr(exc, "witness", None)}
         ok = False
     inputs = {"input": args.input}
-    if args.claim:
+    if args.claim and args.check in CLAIM_CHECKS:
         inputs["claim"] = args.claim
     report = _run_report(argv, inputs, {args.check: body}, ok, t0)
     constants, witness, multisets = _split_schema(body)

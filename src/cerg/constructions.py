@@ -82,18 +82,13 @@ class TlsGraph(Graph):
         return tuple(range(i * q3, (i + 1) * q3))
 
     def plane_copy(self, s: int, t: int, i: int) -> tuple[int, ...]:
-        q3 = self.q**3
-        return tuple(i * q3 + p for p in self.pcs.plane(s, t))
+        return tuple((i * self.q**3 + self.pcs.classes[s, t]).tolist())
 
     def clique(self, s: int, t: int, sym: int) -> tuple[int, ...]:
         """C(s, t, sym): plane t of class s crossed with the columns where
         group s's row t shows the symbol."""
-        q3 = self.q**3
-        row = self.goa.row(s, t)
-        plane = self.pcs.plane(s, t)
-        return tuple(
-            i * q3 + p for i in range(self.n_sym**2) if row[i] == sym for p in plane
-        )
+        columns = np.flatnonzero(self.goa.row(s, t) == sym)
+        return tuple((columns[:, None] * self.q**3 + self.pcs.classes[s, t]).ravel().tolist())
 
     def all_cliques(self):
         for s in range(self.q + 1):
@@ -142,7 +137,7 @@ def tls(
     a = np.kron(np.eye(n * n, dtype=bool), np.ones((q3, q3), dtype=bool))
     for s in range(q + 1):
         for t in range(q):
-            plane = np.array(pcs.plane(s, t))
+            plane = pcs.classes[s, t]
             row = goa.row(s, t)
             # a Python set: 1-D np.unique imports numpy.ma under NumPy 2.4
             for sym in set(row.tolist()):
@@ -260,7 +255,7 @@ def tls_metadata(g: TlsGraph) -> dict:
     planes = {}
     for s in range(g.q + 1):
         for t in range(g.q):
-            planes[f"{s},{t}"] = list(g.pcs.plane(s, t))
+            planes[f"{s},{t}"] = g.pcs.classes[s, t].tolist()
     return {
         "family": "tls",
         "q": g.q,

@@ -42,8 +42,9 @@ class ParallelClassSystem:
     and triple intersection 1.
 
     Class 0 is normal to (0, 0, 1); class 1 + x is normal to
-    (1, x, x(x+1)) for x in field order.  Plane b of class a collects the
-    points u with <u, normal_a> = b.
+    (1, x, x(x+1)) for x in field order.  Plane b of class a, the row
+    ``classes[a, b]`` of a read-only (q+1) x q x q^2 array (no other shape
+    is accepted), collects the points u with <u, normal_a> = b.
     """
 
     __slots__ = ("q", "spec", "normals", "classes")
@@ -51,15 +52,18 @@ class ParallelClassSystem:
     def __init__(self, q: int, spec: FieldSpec, normals, classes):
         self.q = q
         self.spec = spec
-        self.normals = tuple(tuple(v) for v in normals)
-        self.classes = tuple(tuple(tuple(pl) for pl in cls) for cls in classes)
+        self.normals = tuple(map(tuple, normals))
+        self.classes = np.array(classes, dtype=np.intp)
+        if self.classes.shape != (q + 1, q, q * q):
+            raise ValueError(f"classes of shape {self.classes.shape}, not ({q + 1}, {q}, {q * q})")
+        self.classes.flags.writeable = False
 
-    def plane(self, a: int, b: int) -> tuple[int, ...]:
-        return self.classes[a][b]
+    def plane(self, a: int, b: int) -> np.ndarray:
+        return self.classes[a, b]
 
     def plane_index_of(self, a: int, point: int) -> int:
         """Which plane of class a contains the point."""
-        return next(b for b, plane in enumerate(self.classes[a]) if point in plane)
+        return int(np.flatnonzero((self.classes[a] == point).any(axis=1))[0])
 
     def __repr__(self):
         return f"ParallelClassSystem(q={self.q})"
@@ -76,7 +80,7 @@ def parallel_classes(q: int) -> ParallelClassSystem:
     # plane's q^2 points in ascending order
     plane_of = spec.dot(_points(q, 3)[None], normals[:, None])
     classes = np.argsort(plane_of, axis=1, kind="stable").reshape(q + 1, q, q * q)
-    return ParallelClassSystem(q, spec, normals.tolist(), classes.tolist())
+    return ParallelClassSystem(q, spec, normals.tolist(), classes)
 
 
 def _points(q: int, d: int) -> np.ndarray:
@@ -101,110 +105,105 @@ class GeometryReport:
 
 
 def verify_parallel_classes(s: ParallelClassSystem) -> GeometryReport:
-    """Exhaustive check of the partition and both intersection conditions."""
-    q = s.q
-    space = q**3
-    failures = []
-    for a, cls in enumerate(s.classes):
-        if len(cls) != q:
-            failures.append(
-                GeometryFailure("class-size", (a,), f"{len(cls)} planes, expected {q}")
-            )
-            continue
-        covered = sorted(pt for plane in cls for pt in plane)
-        if covered != list(range(space)) or any(len(pl) != q * q for pl in cls):
-            failures.append(
-                GeometryFailure("partition", (a,), "class does not partition F_q^3")
-            )
-    if failures:
-        return GeometryReport(False, tuple(failures))
-    sets = [[frozenset(pl) for pl in cls] for cls in s.classes]
-    for a1, a2 in combinations(range(len(sets)), 2):
-        for b1, p1 in enumerate(sets[a1]):
-            for b2, p2 in enumerate(sets[a2]):
-                got = len(p1 & p2)
-                if got != q:
-                    failures.append(
-                        GeometryFailure(
-                            "pair-intersection",
-                            (a1, b1, a2, b2),
-                            f"|P∩Q| = {got}, expected {q}",
-                        )
-                    )
-                    return GeometryReport(False, tuple(failures))
-    for a1, a2, a3 in combinations(range(len(sets)), 3):
-        for b1, p1 in enumerate(sets[a1]):
-            for b2, p2 in enumerate(sets[a2]):
-                p12 = p1 & p2
-                for b3, p3 in enumerate(sets[a3]):
-                    got = len(p12 & p3)
-                    if got != 1:
-                        failures.append(
-                            GeometryFailure(
-                                "triple-intersection",
-                                (a1, b1, a2, b2, a3, b3),
-                                f"|P∩Q∩R| = {got}, expected 1",
-                            )
-                        )
-                        return GeometryReport(False, tuple(failures))
+    """Exhaustive check of the partition and both intersection conditions:
+    every class that is no partition of F_q^3, else the first pair (then
+    triple) of planes that meets in other than q (then 1) points.  A
+    point's planes in a pair (triple) of classes are the digits of a code,
+    and one `np.bincount` of the codes counts every intersection."""
+    q, space = s.q, s.q**3
+    by_class = np.sort(s.classes.reshape(q + 1, space), axis=1)
+    broken = np.flatnonzero((by_class != np.arange(space)).any(axis=1)).tolist()
+    if broken:
+        return GeometryReport(False, tuple(
+            GeometryFailure("partition", (a,), "class does not partition F_q^3") for a in broken))
+    # class, point: a plane index < q fits in 16 bits (classes holds q^4 integers)
+    plane_of = np.empty((q + 1, space), dtype=np.uint16)
+    plane_of[np.arange(q + 1)[:, None, None], s.classes] = np.arange(q)[:, None]
+    for size, kind, meet, expected in ((2, "pair", "P∩Q", q), (3, "triple", "P∩Q∩R", 1)):
+        groups = np.array(list(combinations(range(q + 1), size)))
+        codes = np.arange(len(groups))[:, None]
+        for a in groups.T:
+            codes = codes * q + plane_of[a]
+        counts = np.bincount(codes.ravel(), minlength=len(groups) * q**size)
+        off = np.flatnonzero(counts != expected)
+        if off.size:
+            g, *planes = np.unravel_index(off[0], (len(groups),) + (q,) * size)
+            where = tuple(int(x) for ab in zip(groups[g], planes) for x in ab)
+            detail = f"|{meet}| = {counts[off[0]]}, expected {expected}"
+            return GeometryReport(False, (GeometryFailure(f"{kind}-intersection", where, detail),))
     return GeometryReport(True, ())
 
 
 class Design:
-    """Point set [v] with t-element blocks and an optional resolution."""
+    """Point set [v] with t-element blocks and an optional resolution:
+    ``blocks`` is a read-only b x t integer array of ascending rows (rows
+    of another width are refused), ``resolution`` None or a read-only
+    array with one row of block indices per class."""
 
     __slots__ = ("v", "t", "blocks", "resolution")
 
     def __init__(self, v: int, t: int, blocks, resolution=None):
-        self.v = v
-        self.t = t
-        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
-        for b in self.blocks:
-            if len(b) != t or len(set(b)) != t:
-                raise ValueError(f"block {b} is not a {t}-subset")
-            if b[0] < 0 or b[-1] >= v:
-                raise ValueError(f"block {b} has points outside [0, {v})")
-        self.resolution = (
-            tuple(tuple(cls) for cls in resolution) if resolution is not None else None
-        )
-        if self.resolution is not None:
-            seen = sorted(i for cls in self.resolution for i in cls)
-            if seen != list(range(len(self.blocks))):
-                raise ValueError("resolution does not partition the block set")
-            for cls in self.resolution:
-                pts = sorted(p for i in cls for p in self.blocks[i])
-                if len(pts) != v or pts != list(range(v)):
-                    raise ValueError("a resolution class does not partition the points")
+        self.v, self.t = v, t
+        blocks = np.array(blocks, dtype=np.intp)
+        if blocks.shape == (0,):  # no blocks
+            blocks = blocks.reshape(0, t)
+        if blocks.ndim != 2 or blocks.shape[1] != t:
+            raise ValueError(f"blocks of shape {blocks.shape} are not rows of {t} points")
+        blocks.sort(axis=1)
+        repeated = (blocks[:, 1:] == blocks[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(repeated | ((blocks < 0) | (blocks >= v)).any(axis=1))
+        if bad.size:  # the first faulty block, as in a block-by-block check
+            fault = f"is not a {t}-subset" if repeated[bad[0]] else f"has points outside [0, {v})"
+            raise ValueError(f"block {tuple(blocks[bad[0]].tolist())} {fault}")
+        blocks.flags.writeable = False
+        self.blocks = blocks
+        self.resolution = None
+        if resolution is None:
+            return
+        res = np.array(resolution, dtype=np.intp)
+        if res.shape == (0,):  # no classes
+            res = res.reshape(0, 0)
+        if res.ndim != 2:
+            raise ValueError("resolution classes are not rows of block indices")
+        if not np.array_equal(np.sort(res, axis=None), np.arange(len(blocks))):
+            raise ValueError("resolution does not partition the block set")
+        # the widths first: v can be far too large for a row of v points
+        if res.shape[1] * t != v or (
+            np.sort(blocks[res].reshape(len(res), v)) != np.arange(v)
+        ).any():
+            raise ValueError("a resolution class does not partition the points")
+        res.flags.writeable = False
+        self.resolution = res
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
     def blocks_through(self):
-        """The blocks as a b x t array, and for each point in turn the
-        ascending indices of the blocks through it, from one sort of the
-        incidences: O(v + bt) integers, not a v x b incidence matrix."""
-        blocks = np.array(self.blocks, dtype=np.intp).reshape(self.b, self.t)
-        flat = blocks.ravel()
+        """The block indices grouped by point, each group ascending, and
+        the v + 1 group offsets, from one stable sort of the incidences:
+        O(v + bt) integers, not a v x b incidence matrix."""
+        flat = self.blocks.ravel()
         order = np.argsort(flat, kind="stable")  # incidences grouped by point
         starts = np.searchsorted(flat, np.arange(self.v + 1), sorter=order)
-        return blocks, (order[starts[x] : starts[x + 1]] // self.t for x in range(self.v))
+        return order // self.t, starts
 
     def pair_coverage_violation(self):
         """First point pair (x, y), x < y in row-major order, not covered
         exactly once, as (x, y, count); or None.  Each point x counts the
         points on the blocks through it, so the check holds O(v + bt)
         integers at a time, not one count per pair."""
-        blocks, through = self.blocks_through()
-        for x, group in enumerate(through):
-            count = np.bincount(blocks[group].ravel(), minlength=self.v)[x + 1 :]
+        through, starts = self.blocks_through()
+        for x in range(self.v):
+            group = through[starts[x] : starts[x + 1]]
+            count = np.bincount(self.blocks[group].ravel(), minlength=self.v)[x + 1 :]
             off = np.flatnonzero(count != 1)
             if off.size:
                 return (x, x + 1 + int(off[0]), int(count[off[0]]))
         return None
 
     def __repr__(self):
-        res = len(self.resolution) if self.resolution else 0
+        res = 0 if self.resolution is None else len(self.resolution)
         return f"Design(v={self.v}, t={self.t}, b={self.b}, classes={res})"
 
 
@@ -245,9 +244,8 @@ def design_affine_lines(q: int, d: int) -> Design:
     tails = _points(q, d - 1)
     # directions in encoding order: those whose leading 1 is last come first
     leads = range(d - 1, -1, -1)
-    blocks = np.concatenate([_lines_along(spec, tails, lead) for lead in leads]).tolist()
-    resolution = np.arange(len(blocks)).reshape(-1, q ** (d - 1)).tolist()
-    return Design(q**d, q, blocks, resolution)
+    blocks = np.concatenate([_lines_along(spec, tails, lead) for lead in leads])
+    return Design(q**d, q, blocks, np.arange(len(blocks)).reshape(-1, q ** (d - 1)))
 
 
 def design_one_factorization(m: int) -> Design:
@@ -257,65 +255,64 @@ def design_one_factorization(m: int) -> Design:
     if m < 4 or m % 2:
         raise OddOrder(f"m={m} must be even and at least 4")
     _check_order(m * (m - 1) // 2)
-    blocks = []
-    resolution = []
-    index = {}
-    for r in range(m - 1):
-        cls = []
-        pairs = [(m - 1, r)]
-        for i in range(1, m // 2):
-            pairs.append(((r + i) % (m - 1), (r - i) % (m - 1)))
-        for a, b in pairs:
-            key = (min(a, b), max(a, b))
-            if key not in index:
-                index[key] = len(blocks)
-                blocks.append(key)
-            cls.append(index[key])
-        resolution.append(cls)
-    return Design(m, 2, blocks, resolution)
+    # round r matches m-1 with r and r+i with r-i (mod m-1), 0 < i < m/2:
+    # each pair of points meets in exactly one round, so no block repeats
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(m // 2)
+    rounds = np.stack([(r + i) % (m - 1), (r - i) % (m - 1)], axis=2)
+    rounds[:, 0, 0] = m - 1
+    return Design(m, 2, rounds.reshape(-1, 2), np.arange(m * (m - 1) // 2).reshape(m - 1, -1))
 
 
 def block_graph(d: Design) -> Graph:
-    """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design."""
+    """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design.
+
+    Each point of one lies on r = (v-1)/(t-1) blocks (on all b if t = 1,
+    when v <= 1), so the blocks through the points are a v x r array, and
+    r writes, each of a column against the whole array, fill the matrix."""
     _check_order(d.b)
     violation = d.pair_coverage_violation()
     if violation is not None:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
     a = np.zeros((d.b, d.b), dtype=bool)
-    for group in d.blocks_through()[1]:
-        a[np.ix_(group, group)] = True
+    pencils = d.blocks_through()[0].reshape(d.v, d.b * d.t // d.v if d.v else 0)
+    for j in range(pencils.shape[1]):
+        a[pencils[:, j, None], pencils] = True
+    del pencils  # before Graph copies the matrix
     np.fill_diagonal(a, False)
     return Graph(a)
 
 
 def write_design(d: Design, path) -> None:
+    classes = [] if d.resolution is None else d.resolution.tolist()
     with open(path, "w") as fh:
-        c = len(d.resolution) if d.resolution else 0
-        fh.write(f"DESIGN {d.v} {d.t} {d.b} {c}\n")
-        for blk in d.blocks:
-            fh.write(" ".join(map(str, blk)) + "\n")
-        for cls in d.resolution or ():
-            fh.write(" ".join(map(str, cls)) + "\n")
+        fh.write(f"DESIGN {d.v} {d.t} {d.b} {len(classes)}\n")
+        for row in d.blocks.tolist() + classes:
+            fh.write(" ".join(map(str, row)) + "\n")
 
 
 def read_design(path) -> Design:
+    """Parse the plain-text design format; rejects ragged lines by number."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("DESIGN"):
         raise DesignFormatError("missing DESIGN header")
-    parts = lines[0].split()
-    if len(parts) != 5:
-        raise DesignFormatError(f"bad header: {lines[0]!r}")
     try:
-        v, t, b, c = map(int, parts[1:])
+        v, t, b, c = map(int, lines[0].split()[1:])  # four fields, or ValueError
     except ValueError as exc:
         raise DesignFormatError(f"bad header: {lines[0]!r}") from exc
+    if min(v, t, b, c) < 0:
+        raise DesignFormatError(f"bad header: {lines[0]!r}")
     if len(lines) - 1 != b + c:
         raise DesignFormatError(f"expected {b + c} data lines, got {len(lines) - 1}")
+    rows = [ln.split() for ln in lines[1:]]
+    for idx, row in enumerate(rows, start=2):
+        width, what = (t, "points") if idx < 2 + b else (len(rows[b]), "block indices")
+        if len(row) != width:
+            raise DesignFormatError(f"line {idx}: expected {width} {what}, got {len(row)}")
     try:
-        blocks = [[int(x) for x in lines[1 + i].split()] for i in range(b)]
-        classes = [[int(x) for x in lines[1 + b + i].split()] for i in range(c)]
+        rows = [[int(x) for x in row] for row in rows]
     except ValueError as exc:
         raise DesignFormatError("non-integer entry") from exc
-    return Design(v, t, blocks, classes if c else None)
+    return Design(v, t, rows[:b], rows[b:] if c else None)

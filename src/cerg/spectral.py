@@ -754,6 +754,8 @@ def goldberg(
     theta2 = Fraction(theta2)
     if theta == theta2:
         raise ValueError("the two eigenvalues must be distinct")
+    # the relation pass forms A^2 and leaves the tally that profile reads
+    hoffman = _hoffman_polynomial(g) if cert is None and g.is_regular()[0] else None
     prof = profile(g, constants=False)
     if not prof.regular:
         raise NotRegular("graph is not regular")
@@ -770,7 +772,6 @@ def goldberg(
                 raise NotAnEigenvalue(f"{t} is not in the certificate")
         else:
             if poly is None:
-                hoffman = _hoffman_polynomial(g)
                 if hoffman is not None:
                     poly, name = [-c for c in hoffman[0]] + [1], "Hoffman polynomial"
                 else:

@@ -2,7 +2,8 @@
 output's JSON, pinned from the builders that multiplied by polynomial
 long division, on the extension fields GF(32), GF(49) and GF(81), the
 prime 101, the three-factor order 140 = 4 * 5 * 7, the parallel classes
-over GF(16) and the affine lines of AG(2, 89) and AG(3, 11)."""
+over GF(16), the affine lines of AG(2, 89) and AG(3, 11), and the
+one-factorization of K_200."""
 
 import hashlib
 import json
@@ -10,17 +11,20 @@ import json
 import pytest
 
 from cerg.arrays import oa_macneish, oa_prime_power
-from cerg.geometry import design_affine_lines, parallel_classes
+from cerg.geometry import design_affine_lines, design_one_factorization, parallel_classes
+
+
+def _design(design):
+    return [design.v, design.t, design.blocks.tolist(), design.resolution.tolist()]
 
 
 def _lines(q, d):
-    design = design_affine_lines(q, d)
-    return [design.v, design.t, design.blocks, design.resolution]
+    return _design(design_affine_lines(q, d))
 
 
 def _classes(q):
     pcs = parallel_classes(q)
-    return [pcs.normals, pcs.classes]
+    return [pcs.normals, pcs.classes.tolist()]
 
 
 CASES = {
@@ -55,6 +59,10 @@ CASES = {
     "design_affine_lines(11, 3)": (
         lambda: _lines(11, 3),
         "3160bcda1be67b4a5218c0c16189d5735e2065e1cb92cbcfb0688279dd45b2f2",
+    ),
+    "design_one_factorization(200)": (
+        lambda: _design(design_one_factorization(200)),
+        "b07a4e838a95a64467758abbeffb25dcbcedd75404c04d948d49fe37f73d409f",
     ),
 }
 

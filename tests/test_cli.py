@@ -135,6 +135,15 @@ def test_design_file_with_a_huge_point_count_exits_2_without_allocating(tmp_path
     assert err["detail"] == "a resolution class does not partition the points"
 
 
+def test_ragged_design_file_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "ragged.design"
+    path.write_text("DESIGN 4 2 2 0\n0 1\n2 3 0 1\n")
+    code = main(["construct", "block-graph", "--design-file", str(path), "-o", str(tmp_path / "x.g6")])
+    assert code == 2 and json.loads(capsys.readouterr().err) == {
+        "error": "DesignFormatError", "detail": "line 3: expected 2 points, got 4",
+    }
+
+
 def test_out_of_memory_exits_2_with_json_on_stderr(tmp_path, capsys, monkeypatch):
     from cerg import geometry
 
@@ -174,6 +183,16 @@ def test_verify_spectrum_pass(tls22_file, capsys):
     assert rep["pass"] is True and rep["check"] == "spectrum"
     assert rep["reports"]["spectrum"]["ell"] == [240, 1]
     assert rep["inputs"][str(g6)].startswith("sha256:")
+
+
+def test_report_lists_the_claim_only_for_checks_that_read_it(tls22_file, tmp_path, capsys):
+    g6, claim = tls22_file
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text("not a claim")
+    code, text = run(capsys, "verify", "profile", "-i", str(g6), "--claim", str(bogus))
+    assert code == 0 and list(json.loads(text)["inputs"]) == [str(g6)]
+    code, text = run(capsys, "verify", "spectrum", "-i", str(g6), "--claim", str(claim))
+    assert code == 0 and list(json.loads(text)["inputs"]) == [str(g6), str(claim)]
 
 
 def test_verify_spectrum_bad_claim_exits_1(tls22_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -7,6 +8,8 @@ import pytest
 
 from cerg.geometry import (
     Design,
+    DesignFormatError,
+    GeometryFailure,
     GeometryReport,
     NotALinearDesign,
     OddOrder,
@@ -70,6 +73,71 @@ def test_pairwise_intersection_multiset():
             for b2 in range(3):
                 sizes.add(len(set(pcs.plane(a1, b1)) & set(pcs.plane(a2, b2))))
     assert sizes == {3}
+
+
+def frozenset_verifier(s):
+    """The exhaustive check by set intersections, plane by plane."""
+    q = s.q
+    failures = []
+    for a, cls in enumerate(s.classes.tolist()):
+        if sorted(pt for plane in cls for pt in plane) != list(range(q**3)):
+            failures.append(GeometryFailure("partition", (a,), "class does not partition F_q^3"))
+    if failures:
+        return GeometryReport(False, tuple(failures))
+    sets = [[frozenset(pl) for pl in cls] for cls in s.classes.tolist()]
+    for a1, a2 in itertools.combinations(range(len(sets)), 2):
+        for b1, p1 in enumerate(sets[a1]):
+            for b2, p2 in enumerate(sets[a2]):
+                if len(p1 & p2) != q:
+                    detail = f"|P∩Q| = {len(p1 & p2)}, expected {q}"
+                    failure = GeometryFailure("pair-intersection", (a1, b1, a2, b2), detail)
+                    return GeometryReport(False, (failure,))
+    for a1, a2, a3 in itertools.combinations(range(len(sets)), 3):
+        for b1, p1 in enumerate(sets[a1]):
+            for b2, p2 in enumerate(sets[a2]):
+                for b3, p3 in enumerate(sets[a3]):
+                    if len(p1 & p2 & p3) != 1:
+                        detail = f"|P∩Q∩R| = {len(p1 & p2 & p3)}, expected 1"
+                        where = (a1, b1, a2, b2, a3, b3)
+                        failure = GeometryFailure("triple-intersection", where, detail)
+                        return GeometryReport(False, (failure,))
+    return GeometryReport(True, ())
+
+
+def corrupted(rng, q):
+    """parallel_classes(q) with a point or two swapped between two planes
+    of a class (or inside one), or copied over a point of a plane."""
+    good = parallel_classes(q)
+    classes = good.classes.tolist()
+    for _ in range(rng.randint(1, 2)):
+        cls = classes[rng.randrange(q + 1)]
+        b1, b2 = rng.randrange(q), rng.randrange(q)
+        i, j = rng.randrange(q * q), rng.randrange(q * q)
+        if rng.random() < 0.5:
+            cls[b1][i], cls[b2][j] = cls[b2][j], cls[b1][i]
+        else:
+            cls[b1][i] = cls[b2][j]  # the point replaced is left in no plane
+    return ParallelClassSystem(q, good.spec, good.normals, classes)
+
+
+def test_verifier_matches_the_set_intersections_on_corrupted_systems():
+    rng = random.Random(17)
+    kinds = []
+    for _ in range(75):
+        for q in (2, 3, 4, 5):
+            s = corrupted(rng, q)
+            rep = verify_parallel_classes(s)
+            assert rep == frozenset_verifier(s)
+            kinds.append(rep.failures[0].kind if rep.failures else "ok")
+    # a swap inside a plane keeps the system valid
+    assert set(kinds) >= {"ok", "partition", "pair-intersection"}
+    # the normals z, x and x + z of GF(2)^3 are dependent: planes of the
+    # three classes meet in two points or none
+    x, z = np.arange(8) // 4, np.arange(8) % 2
+    classes = [np.argsort(f, kind="stable").reshape(2, 4) for f in (z, x, x ^ z)]
+    s = ParallelClassSystem(2, parallel_classes(2).spec, [(0, 0, 1), (1, 0, 0), (1, 0, 1)], classes)
+    rep = verify_parallel_classes(s)
+    assert rep == frozenset_verifier(s) and rep.failures[0].kind == "triple-intersection"
 
 
 def test_verifier_rejects_corrupted_system():
@@ -300,5 +368,41 @@ def test_design_file_round_trip(tmp_path):
     path = tmp_path / "ag23.design"
     write_design(d, path)
     back = read_design(path)
-    assert back.blocks == d.blocks
-    assert back.resolution == d.resolution
+    assert np.array_equal(back.blocks, d.blocks)
+    assert np.array_equal(back.resolution, d.resolution)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: design_affine_lines(3, 2),
+     "6160d2271deb44e2f2ca3d1f552a9345c771a01a429548bed9b5f6244cac0de2"),
+    (lambda: design_affine_lines(4, 2),
+     "1c968b4f6e1f38cac0c5e537608def8d3d7e132db442aa03065c8c54f792d1c7"),
+    (lambda: design_one_factorization(8),
+     "52f1eccc7a3ba252f5be55e30ee733a60020816c3b0ee4b3b523d4bc0b73f1b9"),
+], ids=["AG(2,3)", "AG(2,4)", "one-factorization(8)"])
+def test_design_file_keeps_its_bytes(tmp_path, build, digest):
+    # SHA-256 of the files written when blocks and classes were tuples
+    path = tmp_path / "x.design"
+    write_design(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text, error", [
+    ("DESIGN 4 2 2 0\n0 1\n2\n", "line 3: expected 2 points, got 1"),
+    ("DESIGN 4 2 2 0\n0 1 2\n2 3\n", "line 2: expected 2 points, got 3"),
+    ("DESIGN 4 2 6 3\n0 1\n2 3\n0 2\n1 3\n0 3\n1 2\n0 1\n2 3 4\n5\n",
+     "line 9: expected 2 block indices, got 3"),
+    ("DESIGN 4 2 -2 3\n0 1\n", "bad header: 'DESIGN 4 2 -2 3'"),
+], ids=["short-block", "long-block", "unequal-classes", "negative-count"])
+def test_ragged_design_file_names_the_line(tmp_path, text, error):
+    path = tmp_path / "x.design"
+    path.write_text(text)
+    with pytest.raises(DesignFormatError) as exc:
+        read_design(path)
+    assert str(exc.value) == error
+
+
+def test_design_refuses_rows_of_another_width():
+    with pytest.raises(ValueError, match="not rows of 2 points"):
+        Design(4, 2, [(0, 1, 2, 3)])  # never two blocks (0, 1), (2, 3)
+    assert Design(4, 2, []).blocks.shape == (0, 2)

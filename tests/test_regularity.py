@@ -812,6 +812,18 @@ def test_level_does_one_product(monkeypatch):
     assert calls == [32]
 
 
+def test_claim_free_goldberg_forms_a2_rows_once(monkeypatch):
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+    from cerg.spectral import goldberg
+
+    calls = count_products(monkeypatch)
+    assert goldberg(latin_square_graph(oa_macneish(4), 3), 1, -3).lam == 4
+    # a one-row product while the Hoffman search reads row 0, then the
+    # relation's pass, whose A^2 rows also give the lambda tally
+    assert calls == [1, 16]
+
+
 def test_claim_free_compare_forms_a2_and_a3_rows_once_a_graph(tmp_path, monkeypatch):
     from cerg.arrays import oa_macneish
     from cerg.constructions import latin_square_graph
