@@ -9,15 +9,27 @@ independent of --threads.  Every report writes an exact rational as its
 The layers are the package's lazy modules: each runs its code at its
 first attribute access, so a subcommand compiles no checker or
 construction it does not run.
+
+A process (`python -m cerg.cli`, the `cerg` script) runs `main` through
+`entry_point`, which turns the cyclic collector off, flushes stdout and
+stderr once `main` returns, and ends with `os._exit`: no interpreter
+teardown.  Nothing is lost by that.  Every file is written and closed
+inside a `with` block before `main` returns, and a prime pool is joined
+by its own `with`.  The cycles a command leaves are a few hundred
+argparse and closure objects, none an array, however large the graph.
+`main` itself is the in-process API: it returns the exit code and
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+from typing import NoReturn
 
 from . import arrays, constructions, geometry, graphs, regularity, spectral
 
@@ -321,14 +333,16 @@ def cmd_compare(args, argv) -> int:
             try:
                 sides.append(spectral.cospectral_side(g, claim))
             except graphs.CheckFailed as exc:
-                failure = exc
+                # the error's text, not the error: its traceback holds the
+                # frames that hold this graph's arrays
+                failure = {"error": type(exc).__name__, "detail": str(exc)}
         levels.append(_level(g))
         del g
     if failure is None:
         cosp = spectral.compare_sides(*sides, threads=args.threads or os.cpu_count())
         cosp_body, is_cosp = cosp.to_json_dict(), cosp.cospectral
     else:
-        cosp_body = {"error": type(failure).__name__, "detail": str(failure)}
+        cosp_body = failure
         is_cosp = False
     distinct_levels = (
         levels[0]["co_edge"] is not None
@@ -400,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -416,6 +429,17 @@ def main(argv=None) -> int:
     except graphs.CheckFailed as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code; the in-process API."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _run(argv)
+        # a buffered report that cannot be written fails here, as an I/O
+        # error, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except PARAM_ERRORS as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
@@ -424,5 +448,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry_point() -> NoReturn:
+    """`python -m cerg.cli` and the `cerg` script: `main` on sys.argv with
+    the cyclic collector off, then the process ends at once."""
+    gc.disable()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main has reported a failed stdout write
+            code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

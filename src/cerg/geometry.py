@@ -180,23 +180,26 @@ class Design:
         return len(self.blocks)
 
     def blocks_through(self):
-        """The block indices grouped by point, each group ascending, and
-        the v + 1 group offsets, from one stable sort of the incidences:
-        O(v + bt) integers, not a v x b incidence matrix."""
-        flat = self.blocks.ravel()
-        order = np.argsort(flat, kind="stable")  # incidences grouped by point
-        starts = np.searchsorted(flat, np.arange(self.v + 1), sorter=order)
-        return order // self.t, starts
+        """The block indices grouped by point, each group ascending, from
+        one stable sort of the incidences: O(bt) integers, not a v x b
+        incidence matrix."""
+        return np.argsort(self.blocks.ravel(), kind="stable") // self.t
 
     def pair_coverage_violation(self):
         """First point pair (x, y), x < y in row-major order, not covered
         exactly once, as (x, y, count); or None.  Each point x counts the
-        points on the blocks through it, so the check holds O(v + bt)
-        integers at a time, not one count per pair."""
-        through, starts = self.blocks_through()
-        for x in range(self.v):
+        points on the blocks through it, so the check holds O(bt)
+        integers at a time, not one count per pair.  Every point past
+        the largest on a block has count 0 against every x, so two of
+        them stand for all the rest, however large v is."""
+        points = min(self.v, int(self.blocks.max(initial=-1)) + 3)
+        through = self.blocks_through()
+        # group offsets: the incidences of the points before each point
+        per_point = np.bincount(self.blocks.ravel(), minlength=points)
+        starts = np.concatenate(([0], np.cumsum(per_point)))
+        for x in range(points):
             group = through[starts[x] : starts[x + 1]]
-            count = np.bincount(self.blocks[group].ravel(), minlength=self.v)[x + 1 :]
+            count = np.bincount(self.blocks[group].ravel(), minlength=points)[x + 1 :]
             off = np.flatnonzero(count != 1)
             if off.size:
                 return (x, x + 1 + int(off[0]), int(count[off[0]]))
@@ -276,7 +279,7 @@ def block_graph(d: Design) -> Graph:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
     a = np.zeros((d.b, d.b), dtype=bool)
-    pencils = d.blocks_through()[0].reshape(d.v, d.b * d.t // d.v if d.v else 0)
+    pencils = d.blocks_through().reshape(d.v, d.b * d.t // d.v if d.v else 0)
     for j in range(pencils.shape[1]):
         a[pencils[:, j, None], pencils] = True
     del pencils  # before Graph copies the matrix

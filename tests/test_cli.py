@@ -135,6 +135,20 @@ def test_design_file_with_a_huge_point_count_exits_2_without_allocating(tmp_path
     assert err["detail"] == "a resolution class does not partition the points"
 
 
+# the coverage check counted over all 10^9 points: 7.45 GiB asked for
+def test_design_file_with_a_huge_point_count_and_no_resolution_exits_2_without_allocating(
+    tmp_path, capsys
+):
+    path = tmp_path / "huge.design"
+    path.write_text("DESIGN 1000000000 2 1 0\n0 1\n")  # one block, 10^9 points
+    code, peak, seconds = traced_exit(
+        ["construct", "block-graph", "--design-file", str(path), "-o", str(tmp_path / "x.g6")]
+    )
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and peak < 2**20 and seconds < 1
+    assert err["detail"] == "pair (0, 2) covered 0 times, expected 1"
+
+
 def test_ragged_design_file_exits_2_naming_the_line(tmp_path, capsys):
     path = tmp_path / "ragged.design"
     path.write_text("DESIGN 4 2 2 0\n0 1\n2 3 0 1\n")

@@ -277,6 +277,9 @@ def test_pair_coverage_violation_is_the_first_in_row_major_order():
         v = rng.randint(1, 9)
         t = rng.randint(1, v)
         designs.append(Design(v, t, [rng.sample(range(v), t) for _ in range(rng.randint(0, 12))]))
+        # points past the largest on a block: every pair with one of them is uncovered
+        top = rng.randint(t, v)
+        designs.append(Design(v, t, [rng.sample(range(top), t) for _ in range(rng.randint(0, 3))]))
     for d in designs:
         assert d.pair_coverage_violation() == first_uncovered_pair(d), d
 
