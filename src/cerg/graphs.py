@@ -213,8 +213,9 @@ def graph6_bytes(g: Graph) -> bytes:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         raise ValueError("graph too large for the supported graph6 sizes")
-    bits = g.a[np.tri(n, k=-1, dtype=bool)]
-    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    # the pairs i < j column by column: row j of A up to the diagonal
+    pad = np.zeros(-(n * (n - 1) // 2) % 6, dtype=bool)
+    bits = np.concatenate([*(g.a[j, :j] for j in range(1, n)), pad])
     groups = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
     return bytes(v + 63 for v in head) + (groups + 63).tobytes()
 

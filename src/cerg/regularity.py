@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -289,13 +289,6 @@ def _first_differing(i: int, tile: np.ndarray, target) -> tuple[int, int, int] |
     return i + r, i + c, int(tile[r, c])
 
 
-def _relation_key(coeffs, j_coeff) -> tuple:
-    c = [int(x) for x in coeffs]
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c), int(j_coeff)
-
-
 class Powers:
     """Row tiles of the powers of one graph's adjacency matrix A, and
     the O(n) results of full passes over them.
@@ -308,12 +301,15 @@ class Powers:
     arrays of max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 100 rows at
     n = 1600, 383 at n = 6125.  `rows` streams the tiles; `tally` and
     `sum_scan` keep what a pass reduces them to; `combination` streams
-    integer combinations of the powers, and `vanishes` remembers those
-    found to be zero.  Obtain it with `powers`.
+    integer combinations of the powers, and `first_mismatch` checks one
+    against a constant.  Obtain it with `powers`.
 
-    Setting ``want_sums`` makes the next pass that forms A^2 form
-    (A∘A^2)A as well, so that a strong or weak check after (say)
-    `spectral.certify` makes no pass of its own.
+    A pass decides its own work from what the graph holds: it forms
+    (A∘A^2)A exactly when ``want_sums`` is set and the graph has no sums
+    scan, runs on past a relation's first mismatch only while it feeds a
+    tally or sums scan the graph lacks, and never forms a relation found
+    to hold again.  So with ``want_sums`` set before (say)
+    `spectral.certify`, the strong and weak checks read its pass.
     """
 
     def __init__(self, a: np.ndarray):
@@ -341,9 +337,16 @@ class Powers:
         af = self._float_a(x.shape[1] * x_max >= 2**24)
         return exact_matmul(x, af[:, start:], y_max=1, x_max=x_max)
 
-    def rows(self, j_max: int, sums: bool = False):
-        """Row tiles of A^1..A^j_max, and with ``sums`` of (A∘A^2)A, top
-        to bottom.
+    def _plan(self, j_max: int) -> tuple[int, bool, bool]:
+        """(j_max, whether it forms sums, whether it feeds a tally) of a pass."""
+        sums = self.want_sums and self._scan is None
+        if sums:
+            j_max = max(j_max, 2)
+        return j_max, sums, j_max >= 2 and self._tally is None
+
+    def rows(self, j_max: int):
+        """Row tiles of A^1..A^j_max, top to bottom, and of (A∘A^2)A
+        when ``want_sums`` is set and the graph has no sums scan.
 
         A power is formed in full rows where a later product of the tile
         reads it, and otherwise, like (A∘A^2)A, only from the tile's
@@ -355,11 +358,9 @@ class Powers:
         still lacks.
         """
         n = len(self.a)
-        sums = sums or (self.want_sums and j_max >= 2 and self._scan is None)
-        if sums:
-            j_max = max(j_max, 2)
-        tally = _Tally(n) if j_max >= 2 and self._tally is None else None
-        scan = _SumScan(n) if sums and self._scan is None else None
+        j_max, sums, tallies = self._plan(j_max)
+        tally = _Tally(n) if tallies else None
+        scan = _SumScan(n) if sums else None
         riders = [r for r in (tally, scan) if r is not None]
         tile = RowTile()
         for rows in _row_tiles(n, n):
@@ -400,7 +401,8 @@ class Powers:
     def sum_scan(self) -> _SumScan:
         """The scan of (A∘A^2)A; its pass leaves the tally too."""
         if self._scan is None:
-            for _ in self.rows(2, sums=True):
+            self.want_sums = True
+            for _ in self.rows(2):
                 pass
         return self._scan
 
@@ -437,27 +439,33 @@ class Powers:
             yield tile.rows.start, out
             del out
 
-    def first_mismatch(self, coeffs, j_coeff, target, *, to_end=False):
+    def first_mismatch(self, coeffs, j_coeff, target):
         """(i, j, value) of the first entry, in row-major order, at which
         `combination` (coeffs, j_coeff) differs from ``target``, or None.
 
-        Stops at the tile that holds it, unless ``to_end``: the pass then
-        runs on to the last row and leaves its tally behind.  A None is
-        remembered, see `vanishes`."""
+        A combination found to equal ``target`` is remembered, under its
+        relation with the target moved into the J coefficient, and is not
+        formed again.  Past a mismatch the pass runs on to the last row
+        only while it feeds a tally or sums scan the graph lacks, which it
+        then leaves behind; otherwise it stops at the mismatching tile."""
+        c = [int(x) for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        key = tuple(c), int(j_coeff) - int(target)
+        if key in self._zero:
+            return None
+        tiles = self.combination(coeffs, j_coeff)
+        _, sums, tallies = self._plan(max(len(c) - 1, 1))  # the pass's degree
         hit = None
-        for i, tile in self.combination(coeffs, j_coeff):
+        for i, tile in tiles:
             if hit is None:
                 hit = _first_differing(i, tile, target)
-                if hit is not None and not to_end:
+                if hit is not None and not (sums or tallies):
                     break
             del tile  # before the next tile is formed
         if hit is None:
-            self._zero.add(_relation_key(coeffs, int(j_coeff) - int(target)))
+            self._zero.add(key)
         return hit
-
-    def vanishes(self, coeffs, j_coeff=0) -> bool:
-        """Whether `first_mismatch` has found the combination to be zero."""
-        return _relation_key(coeffs, j_coeff) in self._zero
 
 
 def powers(g: Graph) -> Powers:
@@ -800,9 +808,9 @@ def scheme_check(relations) -> AssociationSchemeReport:
         raise NotAPartition("relations live on different vertex sets")
     if any(r.edge_count() == 0 for r in relations):
         raise NotAPartition("relations must be non-empty")
-    mats = [np.eye(n, dtype=np.int64)] + [r.adjacency_matrix() for r in relations]
-    total = sum(mats[1:], start=mats[0].copy())
-    if not np.array_equal(total, np.ones((n, n), dtype=np.int64)):
+    mats = [np.eye(n, dtype=bool)] + [r.a for r in relations]
+    # no gap, and no overlap: n^2 entries in all
+    if not reduce(np.logical_or, mats).all() or sum(map(np.count_nonzero, mats)) != n * n:
         raise NotAPartition("identity plus relations do not partition X x X")
     d = len(relations)
     table = {}
@@ -810,12 +818,11 @@ def scheme_check(relations) -> AssociationSchemeReport:
         for j in range(i, d + 1):
             prod = exact_matmul(mats[i], mats[j])
             for h in range(d + 1):
-                sel = mats[h] == 1
-                vals = prod[sel]
+                vals = prod[mats[h]]
                 if vals.size == 0:
                     continue
                 if int(vals.min()) != int(vals.max()):
-                    pos = np.argwhere(sel)
+                    pos = np.argwhere(mats[h])
                     flat_lo = int(np.argmin(vals))
                     flat_hi = int(np.argmax(vals))
                     return AssociationSchemeReport(

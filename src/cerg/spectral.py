@@ -185,10 +185,10 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
     bounds the coefficients of the product of factors, formed as
     sum c_j A^j from the streamed powers and compared with ell*J one row
     tile at a time.  Moments j <= 2 need no product and are checked
-    first, and they already give that bound; the pass for the product
-    then runs to the last row, so that it also leaves behind the tally
-    that tr A^3 and tr A^4 come from, and a failing moment is still
-    reported before a failing product.
+    first, and they already give that bound.  The product's pass leaves
+    the tally that tr A^3 and tr A^4 come from, even past a mismatch, so
+    a failing moment is still reported before a failing product, and a
+    product already verified is not formed again (`Powers.first_mismatch`).
 
     The accepted factors are minimal, so no drop-one sub-product is
     checked.  Annihilation makes prod (A - theta_i I) vanish on the
@@ -233,21 +233,12 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
                 raise MomentMismatch(j, tr, claimed_moment)
 
     check_moments(_traces(g, min(d, 2)))
-    if not nontrivial:  # only K_1 has a one-value spectrum
-        return SpectrumCertificate(
-            n=g.n,
-            k=Fraction(k),
-            eigenvalues=(Fraction(k),),
-            multiplicities=(1,),
-            ell=Fraction(0),
-            checks={"annihilation": True, "moments": True, "minimality": True},
-        )
     thetas = [t for t, _ in nontrivial]
-    ell = math.prod(k - t for t in thetas) / g.n
+    ell = Fraction(math.prod(k - t for t in thetas), g.n)
     hit = None
     if ell.denominator == 1:
         product = poly_from_spectrum((t, 1) for t in thetas)
-        hit = powers(g).first_mismatch(product, 0, int(ell), to_end=True)
+        hit = powers(g).first_mismatch(product, 0, int(ell))
     if d >= 3:
         check_moments(_traces(g, min(d, 4)), 3)
     if ell.denominator != 1:
@@ -410,8 +401,6 @@ def _hoffman_polynomial(g: Graph):
             continue
         coeffs, ell = cand
         relation = [-c for c in coeffs] + [1]
-        if p.vanishes(relation, -ell):
-            return coeffs, ell
         try:
             hit = p.first_mismatch(relation, -ell, 0)
         except ExactnessBoundExceeded:
@@ -802,24 +791,24 @@ class Eq1Report:
 
 
 def eq1_residual(g: Graph, cert: SpectrumCertificate) -> Eq1Report:
-    """Largest entry of A^3 - e1 A^2 + e2 A - e3 I - ell J, exactly."""
+    """Largest entry of A^3 - e1 A^2 + e2 A - e3 I - ell J, exactly; a
+    certificate from `certify` has verified it zero, with no new pass."""
     if cert.distinct_count != 4:
         raise WrongEigenvalueCount(
             f"need exactly 4 distinct eigenvalues, certificate has {cert.distinct_count}"
         )
     den = cert.ell.denominator
     coeffs = [den * c for c in poly_from_spectrum((t, 1) for t in cert.eigenvalues[1:])]
+    j_coeff = -cert.ell * den
     p = powers(g)
-    if p.vanishes(coeffs, -cert.ell * den):  # as `certify` found it
+    if p.first_mismatch(coeffs, j_coeff, 0) is None:
         return Eq1Report(Fraction(0), None)
-    worst, where = 0, None
-    for i, tile in p.combination(coeffs, -cert.ell * den):
+    worst = 0
+    for i, tile in p.combination(coeffs, j_coeff):
         mag = np.abs(tile)
         r, c = divmod(int(mag.argmax()), tile.shape[1])
         if mag[r, c] > worst:  # strictly: the first maximum in row-major order
             worst, where = int(mag[r, c]), (i + r, i + c, int(tile[r, c]))
         del tile, mag  # before the next tile is formed
-    if where is None:
-        return Eq1Report(Fraction(0), None)
     i, j, value = where
     return Eq1Report(Fraction(value, den), (i, j))

@@ -518,6 +518,15 @@ def test_compare_library_error_is_not_a_null_level(tls22_file, capsys, monkeypat
     assert json.loads(captured.err)["error"] == "ExactnessBoundExceeded"
 
 
+def test_verify_spectrum_of_k1_reports_ell_one(tmp_path, capsys):
+    (tmp_path / "k1.g6").write_text("@\n")
+    (tmp_path / "k1.json").write_text(json.dumps({"eigs": [0], "mults": [1]}))
+    code, text = run(capsys, "verify", "spectrum", "-i", str(tmp_path / "k1.g6"),
+                     "--claim", str(tmp_path / "k1.json"))
+    assert code == 0
+    assert json.loads(text)["constants"]["ell"] == [1, 1]
+
+
 def test_compare_one_vertex_graphs_keeps_null_levels(tmp_path, capsys):
     from cerg.graphs import Graph, write_graph6
 

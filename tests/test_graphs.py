@@ -123,6 +123,31 @@ def test_graph6_long_form_boundary():
     assert set(nx.from_graph6_bytes(data).edges()) == {(0, 62)}
 
 
+def test_graph6_of_zero_and_one_vertex():
+    assert graph6_bytes(Graph.empty(0)) == b"?"
+    assert graph6_bytes(Graph.empty(1)) == b"@"
+    assert from_graph6_bytes(b"?").n == 0 and from_graph6_bytes(b"@").n == 1
+
+
+def test_graph6_encoding_holds_no_n_squared_mask():
+    """The lower-triangle bits come from row slices of A: the traced
+    peak of encoding tls(4, 5), n = 1600, stays under 1.2 n^2 bytes (an
+    n^2 triangle mask took it to 1.5 n^2)."""
+    import tracemalloc
+
+    from cerg.constructions import tls
+
+    g = tls(4, 5)
+    tracemalloc.start()
+    try:
+        data = graph6_bytes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert from_graph6_bytes(data) == g
+    assert peak < 1.2 * g.n**2
+
+
 def test_malformed_graph6_reports_offset():
     with pytest.raises(MalformedGraph6) as exc:
         from_graph6_bytes(b"B\x07")

@@ -473,7 +473,30 @@ def test_c6_distance_relations_form_scheme():
 def test_scheme_rejects_non_partition():
     c6 = cycle(6)
     with pytest.raises(NotAPartition):
-        scheme_check([c6, c6])
+        scheme_check([c6, c6])  # an overlap
+    with pytest.raises(NotAPartition):
+        scheme_check([c6])  # a gap
+
+
+def test_scheme_check_reads_the_boolean_relations():
+    """LS_3(32) and its complement, n = 1024: the relations are read as
+    the graphs' boolean matrices, with no int64 copy of any of them."""
+    import tracemalloc
+
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+
+    g = latin_square_graph(oa_macneish(32), 3)
+    relations = [g, complement(g)]
+    tracemalloc.start()
+    try:
+        rep = scheme_check(relations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.intersection_numbers[(1, 1, 0)] == 93
+    assert (rep.intersection_numbers[(1, 1, 1)], rep.intersection_numbers[(1, 1, 2)]) == (32, 6)
+    assert peak < 30 * 1024**2  # 52.6 n^2 bytes with int64 copies
 
 
 def test_scheme_witness_on_non_scheme():
@@ -688,15 +711,22 @@ def test_combination_refuses_int64_overflow(tls22):
         powers(tls22).combination([0, 2**62, 2**62])
 
 
+def summing_powers(g):
+    """The graph's `Powers`, set to form (A∘A^2)A in its next pass."""
+    p = powers(g)
+    p.want_sums = True
+    return p
+
+
 def test_powers_match_object_products_and_are_cached(tls22, monkeypatch):
-    p = powers(tls22)
-    assert powers(tls22) is p
+    assert powers(tls22) is powers(tls22)
     a = tls22.adjacency_matrix().astype(object)
     want = [np.linalg.matrix_power(a, j) for j in range(1, 5)] + [(a * (a @ a)) @ a]
     for rows in (2, 5, 32):
         monkeypatch.setattr(regularity, "_TILE_ENTRIES", rows * 32)
+        p = summing_powers(tls(2, 2))  # fresh: a pass forms sums only for a graph without a scan
         starts = []
-        for t in p.rows(4, sums=True):
+        for t in p.rows(4):
             r = t.rows
             starts.append(r.start)
             for got, m in zip([t[j] for j in range(1, 5)] + [t.sums], want):
@@ -780,20 +810,20 @@ def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
     assert calls == [32] * 3  # one pass: A^2, A^3 and (A∘A^2)A
 
 
-def test_cached_powers_are_read_only(tls22):
-    p = powers(tls22)
-    for tile in p.rows(3, sums=True):
+def test_cached_powers_are_read_only():
+    p = summing_powers(tls(2, 2))
+    for tile in p.rows(3):
         for m in (tile[1], tile[2], tile[3], tile.sums, p._af):
             with pytest.raises(ValueError):
                 m[0, 0] = 7
 
 
-def test_a_stream_keeps_one_tile_alive(tls22, monkeypatch):
+def test_a_stream_keeps_one_tile_alive(monkeypatch):
     monkeypatch.setattr(regularity, "_TILE_ENTRIES", 8 * 32)
     import weakref
 
     seen = []
-    for tile in powers(tls22).rows(3, sums=True):
+    for tile in summing_powers(tls(2, 2)).rows(3):
         assert all(ref() is None for ref in seen)  # the last tile's arrays are gone
         seen = [weakref.ref(m) for m in (tile[2], tile[3], tile.sums)]
 
@@ -848,9 +878,9 @@ def test_goldberg_and_hoffman_form_no_lambda_sums(monkeypatch):
     real = regularity.Powers.rows
     asked = []
 
-    def rows(self, j_max, sums=False):
-        asked.append(sums)
-        return real(self, j_max, sums)
+    def rows(self, j_max):
+        asked.append(self.want_sums)
+        return real(self, j_max)
 
     monkeypatch.setattr(regularity.Powers, "rows", rows)
     oa = oa_macneish(4)
@@ -859,6 +889,120 @@ def test_goldberg_and_hoffman_form_no_lambda_sums(monkeypatch):
     assert hoffman_check(g, row_clique(oa, 0, 0), "clique", 3).tight
     assert asked and not any(asked)
     assert powers(g)._scan is None
+
+
+# -- a pass decides its own work: sums, run-on and verified relations
+
+
+def latin_extension(n, m, s):
+    """clique-ext(LS_m(n), s)."""
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+
+    return clique_extension(latin_square_graph(oa_macneish(n), m), s)
+
+
+TLS22_CLAIM = [(19, 1), (3, 9), (-1, 16), (-5, 6)]
+TLS33_CLAIM = [(98, 1), (17, 32), (-1, 162), (-10, 48)]
+EXT22_CLAIM = [(13, 1), (5, 6), (-1, 16), (-3, 9)]
+
+
+@pytest.mark.parametrize("build, claim", [
+    (lambda: tls(2, 2), TLS22_CLAIM),
+    (lambda: tls(3, 3), TLS33_CLAIM),
+    (lambda: latin_extension(4, 2, 2), EXT22_CLAIM),
+], ids=["tls22", "tls33", "ext-ls2-4-2"])
+def test_certify_after_the_hoffman_relation_forms_no_tile(build, claim, monkeypatch):
+    """The claim's product is the Hoffman polynomial the relation search
+    has verified, so `certify` forms no product (two, one pass of A^2
+    and A^3, when it checked the relation again)."""
+    from cerg.spectral import _hoffman_polynomial, certify
+
+    g = build()
+    assert _hoffman_polynomial(g) is not None
+    calls = count_products(monkeypatch)
+    cert = certify(g, claim)
+    assert cert.eigenvalues == tuple(t for t, _ in claim)
+    assert calls == []
+
+
+@pytest.mark.parametrize("j_max", [1, 3])
+@pytest.mark.parametrize("want_sums", [False, True])
+@pytest.mark.parametrize("scanned", [False, True])
+def test_rows_form_sums_iff_wanted_and_unscanned(j_max, want_sums, scanned):
+    p = powers(tls(2, 2))
+    if scanned:
+        p.sum_scan()
+    p.want_sums = want_sums
+    formed = [tile.sums is not None for tile in p.rows(j_max)]
+    assert formed == [want_sums and not scanned] * len(formed)
+
+
+def test_a_failing_relation_runs_on_only_to_feed_what_the_graph_lacks(monkeypatch):
+    """A^2 differs from 0 at (0, 0), in the first of eight 4-row tiles.
+    Without its tally the pass runs to the last row and leaves the tally;
+    with it the pass stops at that tile; wanting sums, it runs on again
+    and leaves the sums scan."""
+    tiles_of(monkeypatch, 4, 32)
+    calls = count_products(monkeypatch)
+    p = powers(tls(2, 2))
+    square = [0, 0, 1]
+    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
+    assert calls == [4] * 8 and p._tally is not None
+    calls.clear()
+    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
+    assert calls == [4]
+    calls.clear()
+    p.want_sums = True
+    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
+    assert calls == [4, 4] * 8 and p._scan is not None
+    assert p.tally() == powers(tls(2, 2)).tally()
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory):
+    """tls(3,4) and tls(4,5) with tls(3,4)'s claim and that claim with two
+    multiplicities swapped; the cospectral pairs tls(3,3) and tls(2,6)
+    with their claims; tls(2,2) and clique-ext(LS_2(4), 2)."""
+    from cerg.graphs import write_graph6
+
+    d = tmp_path_factory.mktemp("ladder")
+    graphs = {
+        "tls34": tls(3, 4), "tls45": tls(4, 5), "tls33": tls(3, 3), "tls26": tls(2, 6),
+        "tls22": tls(2, 2), "ext33": latin_extension(9, 4, 3), "ext26": latin_extension(12, 3, 2),
+        "ext22": latin_extension(4, 2, 2),
+    }
+    for name, g in graphs.items():
+        write_graph6(g, d / f"{name}.g6")
+    claims = {
+        "c34": {"eigs": [134, 26, -1, -10], "mults": [1, 44, 288, 99]},
+        "c34-swapped": {"eigs": [134, 26, -1, -10], "mults": [1, 288, 44, 99]},
+        "c33": {"eigs": [98, 17, -1, -10], "mults": [1, 32, 162, 48]},
+        "c26": {"eigs": [67, 19, -1, -5], "mults": [1, 33, 144, 110]},
+    }
+    for name, claim in claims.items():
+        (d / f"{name}.json").write_text(json.dumps(claim))
+    return d
+
+
+@pytest.mark.parametrize("argv, products", [
+    *[(("verify", check, "-i", "tls34.g6"), 4) for check in ("profile", "strong", "weak")],
+    *[(("verify", check, "-i", "tls34.g6", "--claim", "c34.json"), 4) for check in ("spectrum", "eq1")],
+    (("verify", "theorem33", "-i", "tls34.g6", "--claim", "c34.json"), 6),
+    (("verify", "theorem33", "-i", "tls34.g6", "--claim", "c34-swapped.json"), 0),
+    (("verify", "profile", "-i", "tls45.g6"), 32),
+    (("compare", "tls33.g6", "ext33.g6", "--claim", "c33.json"), 4),
+    (("compare", "tls26.g6", "ext26.g6", "--claim", "c26.json"), 4),
+    (("compare", "tls33.g6", "ext33.g6"), 10),
+    (("compare", "tls26.g6", "ext26.g6"), 10),
+    (("compare", "tls22.g6", "ext22.g6"), 10),
+], ids=lambda x: "-".join(x).replace(".g6", "").replace(".json", "") if isinstance(x, tuple) else None)
+def test_products_per_command(ladder, argv, products, monkeypatch, capsys):
+    """Each command's count of `exact_matmul` calls: every tile product
+    and every one-row product of the Hoffman search."""
+    calls = count_products(monkeypatch)
+    main([str(ladder / a) if a.endswith((".g6", ".json")) else a for a in argv])
+    assert len(calls) == products
 
 
 @pytest.fixture

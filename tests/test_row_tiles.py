@@ -345,7 +345,8 @@ def test_each_tile_product_scans_its_left_operand_once(monkeypatch):
     monkeypatch.setattr(regularity, "_absmax", scanned)
     monkeypatch.setattr(regularity, "exact_matmul", product)
     p = regularity.powers(Graph(a))
-    for _ in p.rows(4, sums=True):
+    p.want_sums = True
+    for _ in p.rows(4):
         pass
     products = [x for kind, x in events if kind == "product"]
     assert len(products) == 5 * 4  # five tiles of A^2, A^3, A^4, (A∘A^2)A

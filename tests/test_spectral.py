@@ -239,6 +239,13 @@ def test_certify_k4_two_eigenvalues():
     assert cert.ell == 1  # A + I = J
 
 
+def test_certify_k1_has_ell_one():
+    """With no nontrivial factor the product is I, which is J at n = 1."""
+    cert = certify(Graph.empty(1), [(0, 1)])
+    assert isinstance(cert.ell, Fraction) and cert.ell == 1
+    assert (cert.eigenvalues, cert.multiplicities) == ((0,), (1,))
+
+
 def test_certify_tls24_family_spectrum():
     """The general family spectrum at a non-acceptance instance."""
     from cerg.constructions import tls
