@@ -252,8 +252,7 @@ def _check_goldberg(g, args):
     cert = None
     if args.claim:
         cert = spectral.certify(g, _load_claim(args.claim))
-    threads = args.threads or os.cpu_count()
-    rep = spectral.goldberg(g, _fraction(args.theta), _fraction(args.theta2), cert, threads)
+    rep = spectral.goldberg(g, _fraction(args.theta), _fraction(args.theta2), cert, args.threads)
     return rep.to_json_dict(), not rep.violated
 
 
@@ -339,7 +338,7 @@ def cmd_compare(args, argv) -> int:
         levels.append(_level(g))
         del g
     if failure is None:
-        cosp = spectral.compare_sides(*sides, threads=args.threads or os.cpu_count())
+        cosp = spectral.compare_sides(*sides, threads=args.threads)
         cosp_body, is_cosp = cosp.to_json_dict(), cosp.cospectral
     else:
         cosp_body = failure

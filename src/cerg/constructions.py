@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
-from .geometry import Design, ParallelClassSystem, block_graph, decode_point, parallel_classes
-from .graphs import Graph, PartitionInvalid, _check_order
+from .geometry import Design, block_graph, decode_point, parallel_classes
+from .graphs import Graph, PartitionInvalid, _check_order, check_parts
 
 
 class TooFewRows(ValueError):
@@ -97,24 +97,16 @@ class TlsGraph(Graph):
                     yield (s, t, sym), self.clique(s, t, sym)
 
 
-def tls(
-    q: int,
-    n: int,
-    goa: GroupDivisibleArray | None = None,
-    pcs: ParallelClassSystem | None = None,
-) -> TlsGraph:
+def tls(q: int, n: int, goa: GroupDivisibleArray | None = None) -> TlsGraph:
     """Twisted Latin Square graph TLS(q, n) on q^3 n^2 vertices.
 
     Group p of the GOA is identified with parallel class p (in normal
     list order) and row j of the group with plane j of the class.
-    Defaults: the MacNeish OA(n, .) truncated to q+1 rows and repeated q
-    times per group, and the explicit parallel class system.
+    The GOA defaults to the MacNeish OA(n, .) truncated to q+1 rows and
+    repeated q times per group; the classes are `parallel_classes(q)`.
     """
     _check_order(q**3 * n * n)
-    if pcs is None:
-        pcs = parallel_classes(q)
-    if pcs.q != q:
-        raise ParameterMismatch(f"parallel class system is for q={pcs.q}, not {q}")
+    pcs = parallel_classes(q)
     if goa is None:
         base = oa_macneish(n)
         if base.t < q + 1:
@@ -231,9 +223,7 @@ def spread_modified(g: Graph, parts, mode: str) -> Graph:
     """
     if mode not in ("remove", "add"):
         raise ValueError(f"mode must be 'remove' or 'add', not {mode!r}")
-    seen = sorted(v for part in parts for v in part)
-    if seen != list(range(g.n)):
-        raise PartitionInvalid("parts do not partition the vertex set")
+    parts = check_parts(parts, g.n)
     a = g.a.copy()
     for pidx, part in enumerate(parts):
         idx = np.asarray(part, dtype=np.intp)

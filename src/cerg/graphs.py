@@ -45,6 +45,19 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
+def check_parts(parts, n: int) -> list[list]:
+    """The parts as lists, refused unless every member is an integer (a
+    bool or a float is not one) and together they partition range(n)."""
+    parts = [list(p) for p in parts]
+    strays = [v for p in parts for v in p
+              if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+    if strays:
+        raise PartitionInvalid(f"part member {strays[0]!r} is not an integer")
+    if sorted(v for p in parts for v in p) != list(range(n)):
+        raise PartitionInvalid("parts do not partition the vertex set")
+    return parts
+
+
 def _tiles(n: int, size: int = 1024):
     """Slice pairs (I, J) of the square blocks on and above the diagonal;
     a[I, J] against a[J, I].T reads the transpose one cached block at a
@@ -202,7 +215,7 @@ def local_graph(g: Graph, x: int) -> Graph:
 # -- graph6 serialization (formats.txt: 6-bit groups, upper triangle packed
 #    column by column, each byte offset by 63).  Column j of the upper
 #    triangle is row j of the strict lower triangle, so the bits are the
-#    matrix entries under a np.tri(n, k=-1) mask, in row-major order.
+#    row slices a[j, :j] in turn, for j = 1..n-1.
 
 
 def graph6_bytes(g: Graph) -> bytes:
@@ -260,7 +273,9 @@ def from_graph6_bytes(data: bytes) -> Graph:
     if bits[nbits:].any():
         raise MalformedGraph6("nonzero padding bits", len(data) - 1)
     a = np.zeros((n, n), dtype=bool)
-    a[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    for j in range(1, n):  # bits j(j-1)/2 on are row j of A up to the diagonal
+        a[j, :j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+    del bits  # before `Graph` copies the matrix
     for i, j in _tiles(n):
         a[i, j] |= a[j, i].T
     return Graph(a)

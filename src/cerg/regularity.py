@@ -42,7 +42,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .graphs import CheckFailed, Graph, PartitionInvalid, VertexOutOfRange
+from .graphs import CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, check_parts
 
 
 class NotRegular(CheckFailed):
@@ -746,14 +746,9 @@ class EquitableReport:
 
 def equitable_check(g: Graph, parts) -> EquitableReport:
     """Quotient matrix of a vertex partition, or a witness (u, u', j)."""
-    parts = [list(p) for p in parts]
-    strays = [v for p in parts for v in p
-              if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
-    if strays:
-        raise PartitionInvalid(f"part member {strays[0]!r} is not an integer")
-    seen = sorted(v for p in parts for v in p)
-    if seen != list(range(g.n)) or any(not p for p in parts):
-        raise PartitionInvalid("parts must be non-empty and partition the vertices")
+    parts = check_parts(parts, g.n)
+    if not all(parts):
+        raise PartitionInvalid("parts must be non-empty")
     m = len(parts)
     indicator = np.zeros((g.n, m), dtype=np.int64)
     for j, p in enumerate(parts):
@@ -816,7 +811,8 @@ def scheme_check(relations) -> AssociationSchemeReport:
     table = {}
     for i in range(d + 1):
         for j in range(i, d + 1):
-            prod = exact_matmul(mats[i], mats[j])
+            # relation 0 is I, and I M = M
+            prod = mats[j] if i == 0 else exact_matmul(mats[i], mats[j])
             for h in range(d + 1):
                 vals = prod[mats[h]]
                 if vals.size == 0:

@@ -30,9 +30,10 @@ divisions are exact because the coefficients are integers.  An
 irregular graph, or a regular one with no such relation (a connected
 one with more than five distinct eigenvalues, say), falls back to
 `char_poly`'s other route, and so to its n <= 512 cap: reducing the
-matrix mod a fixed sequence of 26-bit primes, taking the Hessenberg
-char poly of each image, and CRT-lifting the coefficients under a proven
-Hadamard-style bound.  No route lets a float into the result.
+matrix mod the primes of [2^26 - 2^13, 2^26) in descending order
+(`_crt_primes`), taking the Hessenberg char poly of each image, and
+CRT-lifting the coefficients under a proven Hadamard-style bound.  No
+route lets a float into the result.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -266,35 +270,17 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
 # -- exact characteristic polynomial (modular Hessenberg + CRT)
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_stream(start: int):
-    p = start
-    while True:
-        if _is_probable_prime(p):
-            yield p
-        p -= 1
+@cache
+def _crt_primes() -> tuple[int, ...]:
+    """The 477 primes of [2^26 - 2^13, 2^26), descending, sieved on first
+    use by every d < 2^13 = sqrt(2^26).  Their product has over 12000
+    bits; the largest bound `char_poly` meets under CHAR_POLY_MAX_N
+    (n = 512, k = 511) asks for 2818."""
+    lo = 2**26 - 2**13
+    prime = np.ones(2**13, dtype=bool)
+    for d in range(2, 2**13):
+        prime[-lo % d :: d] = False
+    return tuple((lo + np.flatnonzero(prime)[::-1]).tolist())
 
 
 def _hessenberg_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -454,7 +440,8 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
     A regular graph whose Hoffman polynomial has degree d <= 4 gets it
     from its power sums up to tr A^n (`_power_sums`) by Newton's
     identities.  Any other graph goes through the modular Hessenberg +
-    CRT path, whose prime images run on ``threads``.
+    CRT path, whose prime images run on ``threads`` (default: the CPU
+    count); one thread runs them in a loop, with no pool.
     """
     n = g.n
     _refuse_past_ceiling(n)
@@ -467,18 +454,16 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
     k_max = max(1, max(g.degrees()))
     # |c_j| <= C(n, j) * k_max^(j/2) by Hadamard on principal minors
     bound_bits = n + math.ceil(n / 2 * math.log2(k_max)) + 2
-    primes = []
-    bits = 0
-    stream = _prime_stream(2**26 - 1)
-    while bits <= bound_bits:
-        p = next(stream)
-        primes.append(p)
-        bits += math.log2(p)
+    # the fewest of the primes whose product passes 2^bound_bits
+    window = _crt_primes()
+    bits = accumulate(map(math.log2, window))
+    primes = window[: next(i for i, b in enumerate(bits, 1) if b > bound_bits)]
 
     def work(p):
         return _hessenberg_charpoly_mod(a, p)
 
-    if threads and threads > 1:
+    threads = threads or os.cpu_count() or 1
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -458,6 +458,20 @@ def test_construct_spread_mod(tmp_path, capsys):
     assert json.loads(text) == {"n": 9, "k": 2, "regular": True, "edges": 9}
 
 
+def test_construct_spread_mod_float_member_exits_2(tmp_path, capsys):
+    run(capsys, "construct", "ls", "--n", "3", "--m", "2", "-o", str(tmp_path / "rook.g6"))
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps({"parts": [[0.0, 3, 6], [True, 4, 7], [2, 5, 8]]}))
+    code = main([
+        "construct", "spread-mod", "-i", str(tmp_path / "rook.g6"), "--parts", str(parts),
+        "--mode", "remove", "-o", str(tmp_path / "out.g6"),
+    ])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2 and captured.out == "" and not (tmp_path / "out.g6").exists()
+    assert err["error"] == "PartitionInvalid" and "0.0" in err["detail"]
+
+
 def test_verify_goldberg_violation_exits_1(tmp_path, capsys):
     run(capsys, "construct", "tls", "--q", "2", "--n", "3", "-o", str(tmp_path / "t.g6"))
     run(capsys, "construct", "complement", "-i", str(tmp_path / "t.g6"), "-o", str(tmp_path / "c.g6"))

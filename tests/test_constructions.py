@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cerg.arrays import goa_from_oa, oa_macneish, oa_prime_power
@@ -392,6 +393,17 @@ def test_spread_modified_validates():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(PartNotClique):
         spread_modified(path, [[0, 2], [1, 3]], "remove")
+
+
+@pytest.mark.parametrize("member", [0.0, True, "0", None, np.float64(0)])
+def test_spread_modified_refuses_non_integer_members(rook33, member):
+    oa = oa_macneish(3)
+    parts = [[c for c in range(9) if oa.cells[0, c] == s] for s in range(3)]
+    v, *rest = parts[0]
+    with pytest.raises(PartitionInvalid, match="not an integer"):
+        spread_modified(rook33, [[member, *rest], *parts[1:]], "remove")
+    numpy_parts = [[np.int64(v), *rest], *parts[1:]]
+    assert spread_modified(rook33, numpy_parts, "remove") == spread_modified(rook33, parts, "remove")
 
 
 def test_one_partition_invalid_class():

@@ -148,6 +148,27 @@ def test_graph6_encoding_holds_no_n_squared_mask():
     assert peak < 1.2 * g.n**2
 
 
+def test_graph6_decoding_holds_no_n_squared_mask():
+    """The decoder fills row slices of A, with no triangle mask, and
+    drops its bit array before `Graph` copies the matrix: the traced peak
+    of decoding tls(4, 5), n = 1600, stays under 2.75 n^2 bytes (3 n^2
+    with the mask, 2.9 n^2 with the bits kept)."""
+    import tracemalloc
+
+    from cerg.constructions import tls
+
+    g = tls(4, 5)
+    data = graph6_bytes(g)
+    tracemalloc.start()
+    try:
+        h = from_graph6_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == g
+    assert peak < 2.75 * g.n**2
+
+
 def test_malformed_graph6_reports_offset():
     with pytest.raises(MalformedGraph6) as exc:
         from_graph6_bytes(b"B\x07")

@@ -764,6 +764,24 @@ def count_products(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scheme_check_multiplies_no_relation_by_the_identity(monkeypatch, rook33, d):
+    """d relations cost d(d+1)/2 products, one per pair 1 <= i <= j <= d:
+    relation 0 is I, and I M = M."""
+    # K_6, the 3 x 3 rook's graph and its complement, C_6 by distance
+    relations = {
+        1: [Graph.complete(6)],
+        2: [rook33, complement(rook33)],
+        3: [Graph.from_edges(6, [(i, (i + s) % 6) for i in range(6)]) for s in (1, 2, 3)],
+    }[d]
+    calls = count_products(monkeypatch)
+    rep = scheme_check(relations)
+    assert rep.ok and len(calls) == d * (d + 1) // 2
+    # relation 0 is the identity: p_{0j}^h = [j == h]
+    assert all(rep.intersection_numbers[(0, j, h)] == (j == h)
+               for j in range(d + 1) for h in range(d + 1))
+
+
 def test_profile_does_two_products(monkeypatch):
     calls = count_products(monkeypatch)
     profile(tls(2, 2))

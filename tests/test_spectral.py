@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -153,6 +154,45 @@ def test_char_poly_fallback_matches_oracle(monkeypatch):
         images.clear()
         assert char_poly(g) == sympy_charpoly(g)
         assert images
+
+
+def test_crt_primes_are_the_prevprime_chain_and_cover_every_bound():
+    """The sieved window [2^26 - 2^13, 2^26) is sympy's prevprime chain
+    down from 2^26, and its product passes the largest bound char_poly
+    meets: n = CHAR_POLY_MAX_N, k = n - 1 (2818 bits)."""
+    primes = spectral._crt_primes()
+    chain = [sympy.prevprime(2**26)]
+    while chain[-1] > primes[-1]:
+        chain.append(sympy.prevprime(chain[-1]))
+    assert primes == tuple(chain) and len(primes) == 477
+    assert sympy.prevprime(primes[-1]) < 2**26 - 2**13
+    n = spectral.CHAR_POLY_MAX_N
+    bound_bits = n + math.ceil(n / 2 * math.log2(n - 1)) + 2
+    assert bound_bits == 2818 and math.prod(primes) > 2**bound_bits
+
+
+def test_char_poly_prime_pool_defaults_to_the_cpu_count(monkeypatch):
+    """Without ``threads`` the fallback's prime images run on
+    os.cpu_count() threads (one, with no pool, when that is unknown);
+    every thread count gives the same coefficients."""
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 3)
+    g = random_graph(14, 0.4, 3)
+    want = sympy_charpoly(g)
+    assert char_poly(g) == want and sizes == [3]
+    assert char_poly(g, threads=1) == want and sizes == [3]
+    assert char_poly(g, threads=2) == want and sizes == [3, 2]
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: None)
+    assert char_poly(g) == want and sizes == [3, 2]
 
 
 def test_char_poly_tls33_takes_the_hoffman_route(tls33, monkeypatch):

@@ -197,6 +197,19 @@ def test_goldberg_without_claim_reaches_the_prime_pool(workdir):
     assert code == 0 and "concurrent.futures" in modules
 
 
+def test_only_the_fallback_sieves_its_primes():
+    code = (
+        "from cerg import Graph, spectral, tls\n"
+        "sieved = spectral._crt_primes.cache_info\n"
+        "print(sieved().currsize)\n"
+        "spectral.char_poly(tls(2, 2))  # the Hoffman route\n"
+        "print(sieved().currsize)\n"
+        "spectral.char_poly(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), threads=1)\n"
+        "print(sieved().currsize)"
+    )
+    assert python(code).split() == ["0", "0", "1"]
+
+
 @pytest.mark.skipif(MA_WITH_NUMPY, reason="NumPy 1 imports numpy.ma on import")
 def test_tls_build_does_not_import_numpy_ma():
     code = "import sys, cerg\ncerg.tls(2, 2)\nprint('numpy.ma' in sys.modules)"
