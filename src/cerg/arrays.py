@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import field
+from .field import field, prime_factors
 
 
 class InvalidOrder(ValueError):
@@ -116,19 +116,7 @@ def oa_macneish(n: int) -> OrthogonalArray:
     """
     if n < 2:
         raise InvalidOrder(f"n={n} must be at least 2")
-    factors = []
-    m = n
-    for p in range(2, n + 1):
-        if p * p > m:
-            break
-        if m % p == 0:
-            pk = 1
-            while m % p == 0:
-                m //= p
-                pk *= p
-            factors.append(pk)
-    if m > 1:
-        factors.append(m)
+    factors = [p**a for p, a in prime_factors(n)]
     if len(factors) == 1:
         # the loop below gives the same cells, but its freed n^3-int64
         # temporaries raise glibc's mmap threshold: `construct ls --n 128

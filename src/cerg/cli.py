@@ -185,23 +185,17 @@ def _check_weak(g, args):
 
 
 def _check_spectrum(g, args):
-    if not args.claim:
-        raise ValueError("spectrum needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim))
     return cert.to_json_dict(), True
 
 
 def _check_eq1(g, args):
-    if not args.claim:
-        raise ValueError("eq1 needs --claim")
     cert = spectral.certify(g, _load_claim(args.claim))
     rep = spectral.eq1_residual(g, cert)
     return rep.to_json_dict(), rep.ok
 
 
 def _check_theorem33(g, args):
-    if not args.claim:
-        raise ValueError("theorem33 needs --claim")
     # one pass for the certificate's product and the sums scan
     regularity.powers(g).want_sums = True
     cert = spectral.certify(g, _load_claim(args.claim))
@@ -270,8 +264,9 @@ CHECKS = {
 }
 
 
-# the checks that read --claim; the others ignore it
-CLAIM_CHECKS = ("spectrum", "eq1", "theorem33", "goldberg")
+# the checks that need --claim, and those that read it; the others ignore it
+NEEDS_CLAIM = ("spectrum", "eq1", "theorem33")
+CLAIM_CHECKS = NEEDS_CLAIM + ("goldberg",)
 
 
 def _split_schema(body: dict):
@@ -292,6 +287,8 @@ def _split_schema(body: dict):
 
 def cmd_verify(args, argv) -> int:
     t0 = time.monotonic()
+    if args.check in NEEDS_CLAIM and not args.claim:
+        raise ValueError(f"{args.check} needs --claim")  # before the graph is read
     g = graphs.read_graph6(args.input)
     try:
         body, ok = CHECKS[args.check](g, args)

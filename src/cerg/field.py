@@ -32,27 +32,32 @@ class DivisionByZero(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, a) with n = prod p^a, primes ascending, by trial
+    division."""
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            pairs.append((p, a))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise NotAPrimePower."""
     if q < 2:
         raise NotAPrimePower(f"q={q} is not a prime power")
-    p = None
-    m = q
-    for d in range(2, q + 1):
-        if d * d > m:
-            break
-        if m % d == 0:
-            p = d
-            break
-    if p is None:
-        p = m  # q itself is prime
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    pairs = prime_factors(q)
+    if len(pairs) > 1:
         raise NotAPrimePower(f"q={q} has at least two distinct prime factors")
-    return p, k
+    return pairs[0]
 
 
 def field_order(q: int) -> tuple[int, int]:

@@ -55,9 +55,9 @@ from .regularity import (
     NotEdgeRegular,
     NotRegular,
     Powers,
+    _tally_profile,
     jsonable,
     powers,
-    profile,
 )
 
 
@@ -619,6 +619,13 @@ class TheoremIdentityReport:
         }
 
 
+def _need_four(cert: SpectrumCertificate) -> None:
+    if cert.distinct_count != 4:
+        raise WrongEigenvalueCount(
+            f"need exactly 4 distinct eigenvalues, certificate has {cert.distinct_count}"
+        )
+
+
 def theorem33_identities(
     g: Graph, cert: SpectrumCertificate, alpha, beta, mu, gamma
 ) -> TheoremIdentityReport:
@@ -629,10 +636,7 @@ def theorem33_identities(
     coefficient is its negation; both sides are reported verbatim and
     ``sign_flipped`` records that |lhs| = |rhs| with lhs = -rhs.
     """
-    if cert.distinct_count != 4:
-        raise WrongEigenvalueCount(
-            f"need exactly 4 distinct eigenvalues, certificate has {cert.distinct_count}"
-        )
+    _need_four(cert)
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     k = cert.eigenvalues[0]
@@ -728,9 +732,9 @@ def goldberg(
     theta2 = Fraction(theta2)
     if theta == theta2:
         raise ValueError("the two eigenvalues must be distinct")
-    # the relation pass forms A^2 and leaves the tally that profile reads
+    # the relation pass forms A^2 and leaves the tally read here
     hoffman = _hoffman_polynomial(g) if cert is None and g.is_regular()[0] else None
-    prof = profile(g, constants=False)
+    prof = _tally_profile(g)
     if not prof.regular:
         raise NotRegular("graph is not regular")
     if len(prof.lambda_multiset) != 1:
@@ -778,10 +782,7 @@ class Eq1Report:
 def eq1_residual(g: Graph, cert: SpectrumCertificate) -> Eq1Report:
     """Largest entry of A^3 - e1 A^2 + e2 A - e3 I - ell J, exactly; a
     certificate from `certify` has verified it zero, with no new pass."""
-    if cert.distinct_count != 4:
-        raise WrongEigenvalueCount(
-            f"need exactly 4 distinct eigenvalues, certificate has {cert.distinct_count}"
-        )
+    _need_four(cert)
     den = cert.ell.denominator
     coeffs = [den * c for c in poly_from_spectrum((t, 1) for t in cert.eigenvalues[1:])]
     j_coeff = -cert.ell * den

@@ -209,6 +209,22 @@ def test_report_lists_the_claim_only_for_checks_that_read_it(tls22_file, tmp_pat
     assert code == 0 and list(json.loads(text)["inputs"]) == [str(g6), str(claim)]
 
 
+@pytest.mark.parametrize("check", ["spectrum", "eq1", "theorem33"])
+def test_verify_without_a_needed_claim_exits_2_before_reading_the_graph(
+    check, tmp_path, capsys, monkeypatch
+):
+    from cerg import graphs
+
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(graphs, "read_graph6", unread)
+    assert main(["verify", check, "-i", str(tmp_path / "absent.g6")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": f"{check} needs --claim"}
+
+
 def test_verify_spectrum_bad_claim_exits_1(tls22_file, tmp_path, capsys):
     g6, _ = tls22_file
     bad = tmp_path / "wrong.json"

@@ -7,6 +7,7 @@ from cerg.field import (
     NotAPrimePower,
     factor_prime_power,
     field,
+    prime_factors,
 )
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
@@ -35,8 +36,16 @@ def test_prime_power_factorization():
     assert factor_prime_power(4) == (2, 2)
     assert factor_prime_power(27) == (3, 3)
     for bad in (1, 6, 10, 12, 100):
-        with pytest.raises(NotAPrimePower):
+        why = "is not a prime power" if bad < 2 else "has at least two distinct prime factors"
+        with pytest.raises(NotAPrimePower, match=f"q={bad} {why}"):
             factor_prime_power(bad)
+
+
+def test_prime_factors_match_sympy():
+    import sympy
+
+    for n in range(1, 2000):
+        assert prime_factors(n) == sorted(sympy.factorint(n).items()), n
 
 
 def test_field_constructor_cases():

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -90,8 +91,34 @@ def test_char_poly_tls22(tls22):
     assert char_poly(tls22) == poly_from_roots(TLS22_CLAIM)
 
 
-def test_char_poly_threads_deterministic(tls22):
-    assert char_poly(tls22, threads=1) == char_poly(tls22, threads=4)
+def record_images(monkeypatch):
+    """The (prime, thread id) of each Hessenberg prime image char_poly
+    reduces, in a list that grows as it runs."""
+    images = []
+    reduce = spectral._hessenberg_charpoly_mod
+
+    def recorded(a, p):
+        images.append((p, threading.get_ident()))
+        return reduce(a, p)
+
+    monkeypatch.setattr(spectral, "_hessenberg_charpoly_mod", recorded)
+    return images
+
+
+def test_char_poly_threads_deterministic(monkeypatch):
+    """C_12 and an irregular graph take the Hessenberg fallback: one
+    thread reduces the prime images in a loop, four on a pool, and both
+    give the same polynomial from the same primes."""
+    images = record_images(monkeypatch)
+    for g in (cycle(12), random_graph(14, 0.4, 3)):
+        images.clear()
+        one = char_poly(g, threads=1)
+        looped = sorted(p for p, _ in images)
+        assert looped and {t for _, t in images} == {threading.get_ident()}
+        images.clear()
+        assert char_poly(g, threads=4) == one
+        assert sorted(p for p, _ in images) == looped
+        assert threading.get_ident() not in {t for _, t in images}
 
 
 def test_char_poly_size_cap():
@@ -143,11 +170,7 @@ def test_char_poly_fallback_matches_oracle(monkeypatch):
     degree <= 4, and irregular graphs are never tried (the star K_{1,4}
     has A^3 = 4A, but AJ is not a multiple of J): both go through
     Hessenberg + CRT."""
-    images = []
-    reduce = spectral._hessenberg_charpoly_mod
-    monkeypatch.setattr(
-        spectral, "_hessenberg_charpoly_mod", lambda a, p: images.append(p) or reduce(a, p)
-    )
+    images = record_images(monkeypatch)
     assert spectral._hoffman_polynomial(cycle(12)) is None
     star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
     for g in (cycle(12), random_graph(14, 0.4, 3), star):
