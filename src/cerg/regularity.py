@@ -490,40 +490,41 @@ class RegularityProfile:
     beta: Fraction | None = None
 
 
-def _tally_profile(g: Graph) -> RegularityProfile:
-    """The profile's lambda/mu facts, all read off the A^2 tally
-    (`Powers.tally`): regularity, k, the multisets, both levels and mu;
-    gamma, alpha and beta stay None.  Refuses n < 2."""
-    if g.n < 2:
-        raise ValueError("profile needs at least 2 vertices")
-    regular, k = g.is_regular()
-    lam, mu = powers(g).tally()
-    prof = RegularityProfile(n=g.n, regular=regular, k=k, lambda_multiset=lam, mu_multiset=mu)
-    if regular and len(mu) <= 1:
-        prof.level_co_edge = len(lam)
-        prof.mu = next(iter(mu), None)
-    if regular and len(lam) <= 1:
-        prof.level_edge = len(mu)
-    return prof
-
-
-def profile(g: Graph) -> RegularityProfile:
+def profile(g: Graph, *, constants: bool = True) -> RegularityProfile:
     """Full lambda/mu multisets by exhaustive pair scan, with the derived
     regularity constants filled in whenever they are defined.
 
-    The multisets, the levels and mu come from the A^2 tally through
-    `_tally_profile`, which `level`, `is_strongly_regular` and
-    `spectral.goldberg` read alone.  On a regular graph the tally's pass
-    also forms (A∘A^2)A for the strong and weak checks, so each row of
-    A^2 and of (A∘A^2)A is formed once."""
-    if g.is_regular()[0]:
-        powers(g).want_sums = True
-    prof = _tally_profile(g)
-    if prof.level_co_edge is not None:
-        strong = strong_co_edge_regular(g)
+    A regular graph's constants take one pass, which forms each row of
+    A^2 and of (A∘A^2)A once and feeds the tally and the sums scan.
+    With ``constants=False`` the profile comes from the A^2 entries
+    alone: the strong and weak checks are skipped, so gamma, alpha and
+    beta stay None and (A∘A^2)A is never formed.  The multisets, the
+    levels and mu are the same either way."""
+    if g.n < 2:
+        raise ValueError("profile needs at least 2 vertices")
+    p = powers(g)
+    regular, k = g.is_regular()
+    if regular and constants:
+        p.sum_scan()
+    lam, mu = p.tally()
+    prof = RegularityProfile(
+        n=g.n,
+        regular=regular,
+        k=k,
+        lambda_multiset=lam,
+        mu_multiset=mu,
+    )
+    mu_constant = len(mu) <= 1
+    lam_constant = len(lam) <= 1
+    if regular and mu_constant:
+        prof.level_co_edge = len(lam)
+        prof.mu = next(iter(mu), None)
+        strong = strong_co_edge_regular(g) if constants else None
         if strong:
             prof.gamma = strong.gamma
-    if prof.regular:
+    if regular and lam_constant:
+        prof.level_edge = len(mu)
+    if regular and constants:
         weak = weak_edge_regular(g)
         if weak.ok and weak.alpha is not None:
             prof.alpha = weak.alpha
@@ -653,7 +654,7 @@ def level(g: Graph) -> tuple[int | None, int | None]:
     """(#distinct lambda when mu constant, #distinct mu when lambda constant)."""
     if g.n < 2:
         raise PreconditionFailed("a level needs at least 2 vertices")
-    prof = _tally_profile(g)
+    prof = profile(g, constants=False)
     co = prof.level_co_edge
     edge = prof.level_edge
     if co is None and edge is None:
@@ -665,11 +666,14 @@ def level(g: Graph) -> tuple[int | None, int | None]:
 
 def is_strongly_regular(g: Graph):
     """(True, (n, k, lambda, mu)) for SRGs, else (False, None)."""
-    prof = _tally_profile(g)
-    # regular with constant mu, and at most one lambda
-    if prof.level_co_edge is None or prof.level_co_edge > 1:
+    prof = profile(g, constants=False)
+    if not prof.regular:
         return False, None
-    return True, (g.n, prof.k, next(iter(prof.lambda_multiset), 0), prof.mu or 0)
+    if len(prof.lambda_multiset) > 1 or len(prof.mu_multiset) > 1:
+        return False, None
+    lam = next(iter(prof.lambda_multiset), 0)
+    mu = next(iter(prof.mu_multiset), 0)
+    return True, (g.n, prof.k, lam, mu)
 
 
 @dataclass

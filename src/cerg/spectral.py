@@ -55,9 +55,9 @@ from .regularity import (
     NotEdgeRegular,
     NotRegular,
     Powers,
-    _tally_profile,
     jsonable,
     powers,
+    profile,
 )
 
 
@@ -732,9 +732,9 @@ def goldberg(
     theta2 = Fraction(theta2)
     if theta == theta2:
         raise ValueError("the two eigenvalues must be distinct")
-    # the relation pass forms A^2 and leaves the tally read here
+    # the relation pass forms A^2 and leaves the tally that profile reads
     hoffman = _hoffman_polynomial(g) if cert is None and g.is_regular()[0] else None
-    prof = _tally_profile(g)
+    prof = profile(g, constants=False)
     if not prof.regular:
         raise NotRegular("graph is not regular")
     if len(prof.lambda_multiset) != 1:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -793,8 +794,7 @@ def test_profile_does_two_products(monkeypatch):
     assert calls == [8] * 8
     strong_co_edge_regular(g)
     weak_edge_regular(g)
-    level(g)
-    is_strongly_regular(g)
+    profile(g, constants=False)
     assert len(calls) == 8
 
 
@@ -1044,20 +1044,7 @@ def test_level_agrees_with_profile(level_corpus):
             assert level(g) == levels
 
 
-def test_level_and_srg_test_agree_with_profile(level_corpus):
-    """level and is_strongly_regular, run first on a fresh copy of the
-    graph, read from their own A^2 pass what profile reports."""
+def test_constant_free_profile_leaves_out_only_the_constants(level_corpus):
     for g in level_corpus:
-        fresh = Graph(g.a)
-        srg = is_strongly_regular(fresh)
-        try:
-            levels = level(fresh)
-        except PreconditionFailed:
-            levels = (None, None)
         full = profile(g)
-        assert levels == (full.level_co_edge, full.level_edge)
-        lam, mu = full.lambda_multiset, full.mu_multiset
-        if full.regular and len(lam) <= 1 and len(mu) <= 1:
-            assert srg == (True, (g.n, full.k, next(iter(lam), 0), next(iter(mu), 0)))
-        else:
-            assert srg == (False, None)
+        assert profile(g, constants=False) == replace(full, gamma=None, alpha=None, beta=None)
