@@ -91,13 +91,8 @@ def _fraction(text):
 
 
 def _summary(g: graphs.Graph) -> dict:
-    regular, k = g.is_regular()
-    return {
-        "n": g.n,
-        "k": k if regular else None,
-        "regular": regular,
-        "edges": g.edge_count(),
-    }
+    regular, k = g.is_regular()  # k is None when g is irregular
+    return {"n": g.n, "k": k, "regular": regular, "edges": g.edge_count()}
 
 
 def _design_from_args(args):

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .field import FieldSpec, field, field_order
-from .graphs import MAX_VERTICES, Graph, _check_order
+from .graphs import MAX_VERTICES, Graph, _check_order, _frozen
 
 PARALLEL_CLASS_MAX_Q = 16
 
@@ -53,10 +53,9 @@ class ParallelClassSystem:
         self.q = q
         self.spec = spec
         self.normals = tuple(map(tuple, normals))
-        self.classes = np.array(classes, dtype=np.intp)
+        self.classes = _frozen(np.array(classes, dtype=np.intp))
         if self.classes.shape != (q + 1, q, q * q):
             raise ValueError(f"classes of shape {self.classes.shape}, not ({q + 1}, {q}, {q * q})")
-        self.classes.flags.writeable = False
 
     def plane(self, a: int, b: int) -> np.ndarray:
         return self.classes[a, b]
@@ -138,13 +137,19 @@ class Design:
     """Point set [v] with t-element blocks and an optional resolution:
     ``blocks`` is a read-only b x t integer array of ascending rows (rows
     of another width are refused), ``resolution`` None or a read-only
-    array with one row of block indices per class."""
+    array with one row of block indices per class.  ``by_point``, read-only
+    too, groups the block indices by point, each group ascending: the one
+    stable sort of the incidences, O(bt) integers, not a v x b matrix."""
 
-    __slots__ = ("v", "t", "blocks", "resolution")
+    __slots__ = ("v", "t", "blocks", "resolution", "by_point")
 
     def __init__(self, v: int, t: int, blocks, resolution=None):
         self.v, self.t = v, t
-        blocks = np.array(blocks, dtype=np.intp)
+        try:  # an entry past the index type is no point and no block
+            blocks = np.array(blocks, dtype=np.intp)
+            res = None if resolution is None else np.array(resolution, dtype=np.intp)
+        except OverflowError:
+            raise ValueError("a design entry is too large to be an index") from None
         if blocks.shape == (0,):  # no blocks
             blocks = blocks.reshape(0, t)
         if blocks.ndim != 2 or blocks.shape[1] != t:
@@ -155,12 +160,11 @@ class Design:
         if bad.size:  # the first faulty block, as in a block-by-block check
             fault = f"is not a {t}-subset" if repeated[bad[0]] else f"has points outside [0, {v})"
             raise ValueError(f"block {tuple(blocks[bad[0]].tolist())} {fault}")
-        blocks.flags.writeable = False
-        self.blocks = blocks
+        self.blocks = _frozen(blocks)
+        self.by_point = _frozen(np.argsort(blocks.ravel(), kind="stable") // t)
         self.resolution = None
-        if resolution is None:
+        if res is None:
             return
-        res = np.array(resolution, dtype=np.intp)
         if res.shape == (0,):  # no classes
             res = res.reshape(0, 0)
         if res.ndim != 2:
@@ -172,18 +176,11 @@ class Design:
             np.sort(blocks[res].reshape(len(res), v)) != np.arange(v)
         ).any():
             raise ValueError("a resolution class does not partition the points")
-        res.flags.writeable = False
-        self.resolution = res
+        self.resolution = _frozen(res)
 
     @property
     def b(self) -> int:
         return len(self.blocks)
-
-    def blocks_through(self):
-        """The block indices grouped by point, each group ascending, from
-        one stable sort of the incidences: O(bt) integers, not a v x b
-        incidence matrix."""
-        return np.argsort(self.blocks.ravel(), kind="stable") // self.t
 
     def pair_coverage_violation(self):
         """First point pair (x, y), x < y in row-major order, not covered
@@ -193,12 +190,11 @@ class Design:
         the largest on a block has count 0 against every x, so two of
         them stand for all the rest, however large v is."""
         points = min(self.v, int(self.blocks.max(initial=-1)) + 3)
-        through = self.blocks_through()
         # group offsets: the incidences of the points before each point
         per_point = np.bincount(self.blocks.ravel(), minlength=points)
         starts = np.concatenate(([0], np.cumsum(per_point)))
         for x in range(points):
-            group = through[starts[x] : starts[x + 1]]
+            group = self.by_point[starts[x] : starts[x + 1]]
             count = np.bincount(self.blocks[group].ravel(), minlength=points)[x + 1 :]
             off = np.flatnonzero(count != 1)
             if off.size:
@@ -279,7 +275,7 @@ def block_graph(d: Design) -> Graph:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
     a = np.zeros((d.b, d.b), dtype=bool)
-    pencils = d.blocks_through().reshape(d.v, d.b * d.t // d.v if d.v else 0)
+    pencils = d.by_point.reshape(d.v, d.b * d.t // d.v if d.v else 0)
     for j in range(pencils.shape[1]):
         a[pencils[:, j, None], pencils] = True
     del pencils  # before Graph copies the matrix

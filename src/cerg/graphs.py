@@ -5,7 +5,10 @@ construction (square, loop-free, symmetric) and then frozen.  Queries,
 transforms, constructions and the graph6 codec are whole-array numpy
 operations on it; `adjacency_matrix` exports a fresh int64 copy for
 integer arithmetic, and `regularity.powers` caches the exact powers of
-the boolean matrix on the graph.
+the boolean matrix on the graph.  Every degree fact (regularity, k, the
+edge count, tr A^2, the largest degree) reads one read-only degree
+vector, one row sum of A made on first use and kept on the graph, as a
+`geometry.Design` keeps its incidences read-only, sorted by point once.
 """
 
 from __future__ import annotations
@@ -40,17 +43,26 @@ class MalformedGraph6(ValueError):
         self.offset = offset
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 def _check_order(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
+def _is_int(v) -> bool:
+    """Whether v can name a vertex: a bool, a float or a string cannot."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def check_parts(parts, n: int) -> list[list]:
     """The parts as lists, refused unless every member is an integer (a
     bool or a float is not one) and together they partition range(n)."""
     parts = [list(p) for p in parts]
-    strays = [v for p in parts for v in p
-              if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+    strays = [v for p in parts for v in p if not _is_int(v)]
     if strays:
         raise PartitionInvalid(f"part member {strays[0]!r} is not an integer")
     if sorted(v for p in parts for v in p) != list(range(n)):
@@ -74,7 +86,7 @@ class Graph:
     ``a`` may be any square array-like; every nonzero entry is an edge.
     """
 
-    __slots__ = ("n", "a", "labels", "_powers")
+    __slots__ = ("n", "a", "labels", "_powers", "_degrees")
 
     def __init__(self, a, labels=None):
         a = np.asarray(a)
@@ -88,24 +100,26 @@ class Graph:
         if not all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tiles(len(a))):
             v, u = np.argwhere(a & ~a.T)[0]
             raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        a.flags.writeable = False
         self.n = a.shape[0]
-        self.a = a
+        self.a = _frozen(a)
         self.labels = tuple(labels) if labels is not None else None
         self._powers = None
+        self._degrees = None
 
     # -- constructors
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
+        """Refuses an endpoint unless it is an integer (`_is_int`) in [0, n)."""
         _check_order(n)
-        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
-        if bad.any():
-            u, v = e[np.argmax(bad)].tolist()
-            if u == v:
+        e = list(edges)
+        for u, v in e:
+            ints = _is_int(u) and _is_int(v)
+            if ints and u == v:
                 raise ValueError(f"loop at vertex {u}")
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+            if not (ints and 0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+        e = np.array(e, dtype=np.int64).reshape(-1, 2)
         a = np.zeros((n, n), dtype=bool)
         a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
         return cls(a, labels)
@@ -128,27 +142,29 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.a[v]))
 
+    @property
+    def degree_vector(self) -> np.ndarray:
+        """The degrees, read-only: one row sum of A, made on first use."""
+        if self._degrees is None:
+            self._degrees = _frozen(self.a.sum(axis=1))
+        return self._degrees
+
     def degrees(self) -> list[int]:
-        return self.a.sum(axis=1).tolist()
+        return self.degree_vector.tolist()
 
     def neighbors(self, v: int) -> list[int]:
         return np.flatnonzero(self.a[v]).tolist()
 
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.a)) // 2
+        return int(self.degree_vector.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, in row-major order."""
         return [(u, v) for u, v in np.argwhere(np.triu(self.a)).tolist()]
 
     def is_regular(self) -> tuple[bool, int | None]:
-        if self.n == 0:
-            return True, 0
-        degs = self.a.sum(axis=1)
-        k = int(degs[0])
-        if (degs == k).all():
-            return True, k
-        return False, None
+        k = int(self.degree_vector.max(initial=0))
+        return (True, k) if (self.degree_vector == k).all() else (False, None)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -166,9 +182,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense int64 adjacency, a fresh read-only copy."""
-        m = self.a.astype(np.int64)
-        m.flags.writeable = False
-        return m
+        return _frozen(self.a.astype(np.int64))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self.a, other.a)

@@ -38,11 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
-from .graphs import CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, check_parts
+from .graphs import (
+    CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, _frozen, _is_int, check_parts
+)
 
 
 class NotRegular(CheckFailed):
@@ -150,11 +152,6 @@ def exact_matmul(
     for rows in _row_tiles(*out.shape):
         res[rows] = out[rows]
     return res
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
 
 
 def _multiset(counts: np.ndarray) -> dict[int, int]:
@@ -293,7 +290,8 @@ class Powers:
     """Row tiles of the powers of one graph's adjacency matrix A, and
     the O(n) results of full passes over them.
 
-    ``a`` is the graph's own read-only boolean matrix.  The one other
+    ``a`` is the graph's own read-only boolean matrix and ``max_degree``
+    its largest degree, which bounds the walk counts.  The one other
     n x n array is A's float copy, the right operand of every tile
     product: float32, widened for good to float64 by the first product
     whose bound needs it.  A graph's checks therefore hold n^2 bytes for
@@ -312,17 +310,14 @@ class Powers:
     `spectral.certify`, the strong and weak checks read its pass.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, max_degree: int):
         self.a = a
+        self.max_degree = max_degree
         self.want_sums = False
         self._af = None
         self._tally = None
         self._scan = None
         self._zero = set()
-
-    @cached_property
-    def max_degree(self) -> int:
-        return int(self.a.sum(axis=1).max(initial=0))
 
     def _float_a(self, wide: bool = False) -> np.ndarray:
         if self._af is None or (wide and self._af.dtype == np.float32):
@@ -471,7 +466,7 @@ class Powers:
 def powers(g: Graph) -> Powers:
     """The graph's `Powers`, created on first use and cached on the graph."""
     if g._powers is None:
-        g._powers = Powers(g.a)
+        g._powers = Powers(g.a, int(g.degree_vector.max(initial=0)))
     return g._powers
 
 
@@ -704,8 +699,7 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
         raise NotSRG("Hoffman bound applies to strongly regular graphs")
     n, k, _, mu = params
     members = sorted(set(vertex_set))
-    strays = [v for v in members if isinstance(v, bool)
-              or not (isinstance(v, (int, np.integer)) and 0 <= v < g.n)]
+    strays = [v for v in members if not (_is_int(v) and 0 <= v < g.n)]
     if strays:
         raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")
     idx = np.asarray(members, dtype=np.intp)

@@ -166,7 +166,7 @@ def _traces(g: Graph, up_to: int) -> list[int]:
 
     tr A^3 and tr A^4 come from the lambda/mu tally, which the graph
     keeps from its first full pass over A^2 (`Powers.tally`)."""
-    out = [g.n, 0, int(np.count_nonzero(g.a))]
+    out = [g.n, 0, 2 * g.edge_count()]
     if up_to >= 3:
         lam, mu = powers(g).tally()
         # tr A^3 sums A^2 over ordered adjacent pairs, each unordered one twice

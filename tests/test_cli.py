@@ -425,6 +425,17 @@ def test_verify_zero_denominator_exits_2(tmp_path, capsys, check, options):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("g6, summary", [
+    ("Ds_", {"n": 5, "k": None, "regular": False, "edges": 6}),  # K_{1,4}: K_4 + K_1
+    ("?", {"n": 0, "k": 0, "regular": True, "edges": 0}),  # K_0
+], ids=["irregular", "empty"])
+def test_construct_summary_reads_the_degrees(tmp_path, capsys, g6, summary):
+    src = tmp_path / "in.g6"
+    src.write_text(g6 + "\n")
+    code, text = run(capsys, "construct", "complement", "-i", str(src), "-o", str(tmp_path / "c.g6"))
+    assert code == 0 and text == json.dumps(summary) + "\n"
+
+
 def test_verify_goldberg(tls22_file, tmp_path, capsys):
     g6, _ = tls22_file
     comp = tmp_path / "comp.g6"

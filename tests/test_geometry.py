@@ -405,6 +405,43 @@ def test_ragged_design_file_names_the_line(tmp_path, text, error):
     assert str(exc.value) == error
 
 
+@pytest.mark.parametrize("design", [
+    design_affine_lines(3, 2), design_one_factorization(6),
+], ids=["AG(2,3)", "one-factorization(6)"])
+def test_block_graph_and_h_graph_sort_no_incidences(design, monkeypatch):
+    from cerg.constructions import h_graph
+
+    # the design sorted its incidences once, on construction
+    assert not design.by_point.flags.writeable
+    want = block_graph(design), h_graph(design)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an incidence sort outside Design")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    assert (block_graph(design), h_graph(design)) == want
+
+
+def test_design_by_point_groups_the_blocks_through_each_point():
+    d = design_affine_lines(2, 2)
+    groups = d.by_point.reshape(d.v, -1)
+    for x in range(d.v):
+        assert groups[x].tolist() == [i for i, blk in enumerate(d.blocks.tolist()) if x in blk]
+
+
+@pytest.mark.parametrize("text", [
+    "DESIGN 5 2 1 0\n0 99999999999999999999999\n",
+    "DESIGN 4 2 2 1\n0 1\n2 3\n0 99999999999999999999999\n",
+], ids=["block", "resolution"])
+def test_design_entry_past_the_index_type_is_a_value_error(tmp_path, text):
+    # it was an OverflowError, which the CLI reported with a traceback
+    path = tmp_path / "x.design"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="too large to be an index"):
+        read_design(path)
+
+
 def test_design_refuses_rows_of_another_width():
     with pytest.raises(ValueError, match="not rows of 2 points"):
         Design(4, 2, [(0, 1, 2, 3)])  # never two blocks (0, 1), (2, 3)

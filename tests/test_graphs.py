@@ -299,6 +299,30 @@ def test_queries_return_python_ints():
     assert regular and k == 4 and type(k) is int
 
 
+@pytest.mark.parametrize("u", [0.7, True, "1", 2**63, -1, 3, None])
+def test_from_edges_refuses_an_endpoint_that_is_no_vertex(u):
+    # 0.7 was rounded to 0, True and "1" read as 1, and 2**63 overflowed
+    with pytest.raises(VertexOutOfRange, match=rf"edge \({u}, 2\) outside \[0, 3\)"):
+        Graph.from_edges(3, [(0, 1), (u, 2)])
+
+
+def test_from_edges_takes_numpy_integers_and_reports_a_loop_first():
+    g = Graph.from_edges(3, [(np.int64(0), np.uint8(2))])
+    assert g.edges() == [(0, 2)]
+    with pytest.raises(ValueError, match="loop at vertex 5"):
+        Graph.from_edges(3, [(5, 5)])
+
+
+def test_degrees_are_one_read_only_vector_kept_on_the_graph():
+    g = Graph.from_edges(5, [(0, i) for i in range(1, 5)])  # K_{1,4}
+    d = g.degree_vector
+    assert g.degree_vector is d and not d.flags.writeable
+    assert d.tolist() == g.degrees() == [4, 1, 1, 1, 1]
+    assert g.is_regular() == (False, None) and g.edge_count() == 4
+    assert Graph.empty(0).is_regular() == (True, 0) and Graph.empty(0).edge_count() == 0
+    assert Graph.empty(3).is_regular() == (True, 0)
+
+
 def test_graphs_larger_than_one_tile():
     # the symmetry check and the decoder's symmetrisation work on
     # 1024 x 1024 tiles; n = 1100 puts edges in off-diagonal tiles

@@ -3,6 +3,7 @@ import random
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,7 +13,14 @@ from cerg import spectral
 from cerg.arrays import oa_macneish
 from cerg.constructions import latin_square_graph, tls
 from cerg.graphs import Graph, clique_extension, complement
-from cerg.regularity import NotEdgeRegular, Powers, strong_co_edge_regular, weak_edge_regular
+from cerg.regularity import (
+    NotEdgeRegular,
+    Powers,
+    level,
+    profile,
+    strong_co_edge_regular,
+    weak_edge_regular,
+)
 from cerg.spectral import (
     AnnihilationFailed,
     ClaimInvalid,
@@ -295,6 +303,37 @@ def test_certify_tls22(tls22):
     assert cert.eigenvalues == (19, 3, -1, -5)
     assert cert.multiplicities == (1, 9, 16, 6)
     assert cert.checks == {"annihilation": True, "moments": True, "minimality": True}
+
+
+def test_one_graph_is_row_summed_once_across_its_checks(tls22):
+    """profile, the strong and weak checks, level, certify and
+    eq1_residual read every degree fact from the graph's one degree
+    vector: of all their work, one full pass over A for degrees."""
+    g = tls(2, 2)  # fresh: nothing derived yet
+    passes = []
+
+    class Counted(np.ndarray):
+        """A view of A that records the row sums and nonzero counts made
+        over the whole matrix; its slices are other objects."""
+
+        def sum(self, *args, **kwargs):
+            if self is g.a:
+                passes.append("sum")
+            return super().sum(*args, **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.count_nonzero and args[0] is g.a:
+                passes.append("count_nonzero")
+            return super().__array_function__(func, types, args, kwargs)
+
+    g.a = g.a.view(Counted)
+    reports = [profile(g), strong_co_edge_regular(g), weak_edge_regular(g), level(g)]
+    cert = certify(g, TLS22_CLAIM)
+    reports += [cert, eq1_residual(g, cert)]
+    assert passes == ["sum"]
+    cert = certify(tls22, TLS22_CLAIM)
+    assert reports == [profile(tls22), strong_co_edge_regular(tls22), weak_edge_regular(tls22),
+                       level(tls22), cert, eq1_residual(tls22, cert)]
 
 
 def test_certify_k4_two_eigenvalues():
