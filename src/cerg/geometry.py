@@ -186,16 +186,18 @@ class Design:
         """First point pair (x, y), x < y in row-major order, not covered
         exactly once, as (x, y, count); or None.  Each point x counts the
         points on the blocks through it, so the check holds O(bt)
-        integers at a time, not one count per pair.  Every point past
-        the largest on a block has count 0 against every x, so two of
-        them stand for all the rest, however large v is."""
-        points = min(self.v, int(self.blocks.max(initial=-1)) + 3)
-        # group offsets: the incidences of the points before each point
-        per_point = np.bincount(self.blocks.ravel(), minlength=points)
-        starts = np.concatenate(([0], np.cumsum(per_point)))
+        integers at a time, not one count per pair, whatever the labels:
+        if 0..m-1 lie on blocks and m on none, every pair with m is
+        uncovered, so only the points below m + 2 are counted."""
+        cap = self.blocks.size + 2  # bt incidences leave a point <= bt on no block
+        per_point = np.bincount(np.minimum(self.blocks.ravel(), cap), minlength=cap + 1)
+        m = int((per_point == 0).argmax())  # 0..m-1 are on blocks, m is not
+        points = min(self.v, m + 2)
+        starts = np.concatenate(([0], np.cumsum(per_point[:points])))  # group offsets
+        near = np.minimum(self.blocks, points)
         for x in range(points):
             group = self.by_point[starts[x] : starts[x + 1]]
-            count = np.bincount(self.blocks[group].ravel(), minlength=points)[x + 1 :]
+            count = np.bincount(near[group].ravel(), minlength=points + 1)[x + 1 : points]
             off = np.flatnonzero(count != 1)
             if off.size:
                 return (x, x + 1 + int(off[0]), int(count[off[0]]))

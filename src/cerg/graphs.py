@@ -93,7 +93,11 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, not of shape {a.shape}")
         _check_order(a.shape[0])
-        a = a.astype(bool)
+        self._adopt(a.astype(bool), labels)
+
+    def _adopt(self, a: np.ndarray, labels=None) -> "Graph":
+        """Check the square boolean matrix ``a`` and keep it, read-only,
+        as the graph's own matrix, with no copy."""
         loops = np.flatnonzero(a.diagonal())
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
@@ -105,6 +109,7 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         self._powers = None
         self._degrees = None
+        return self
 
     # -- constructors
 
@@ -283,16 +288,20 @@ def from_graph6_bytes(data: bytes) -> Graph:
             f"expected {expect} bytes for n={n}, got {len(data)}",
             min(len(data), expect),
         )
-    bits = np.unpackbits(buf[pos:] - 63).reshape(-1, 8)[:, 2:].ravel()
-    if bits[nbits:].any():
+    pad = -nbits % 6  # the last group's low bits
+    if (data[-1] - 63) & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits", len(data) - 1)
     a = np.zeros((n, n), dtype=bool)
-    for j in range(1, n):  # bits j(j-1)/2 on are row j of A up to the diagonal
-        a[j, :j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
-    del bits  # before `Graph` copies the matrix
+    step = max(1, 2**17 // max(n, 1))  # rows a block: its bits, unpacked, stay small
+    for i in range(1, n, step):  # bits r(r-1)/2 on are row r of A up to the diagonal
+        j = min(i + step, n)
+        lo, hi = i * (i - 1) // 2, j * (j - 1) // 2  # the block's bits, rows i..j-1
+        groups = buf[pos + lo // 6 : pos - (-hi // 6)] - 63
+        bits = np.unpackbits(groups).reshape(-1, 8)[:, 2:].ravel()[lo % 6 :]
+        a[i:j, :j][np.tri(j - i, j, i - 1, dtype=bool)] = bits[: hi - lo]  # row-major order
     for i, j in _tiles(n):
         a[i, j] |= a[j, i].T
-    return Graph(a)
+    return Graph.__new__(Graph)._adopt(a)  # the fresh matrix itself, not a copy
 
 
 def write_graph6(g: Graph, path) -> None:

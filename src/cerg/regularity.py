@@ -25,9 +25,10 @@ which later checks of the same graph read instead of passing again.
 The scan keeps, as the pass goes, the witnesses a whole-matrix scan
 would give, the first in row-major order, so no check makes a second
 pass for its witness.  A graph's checks hold n^2 bytes for the boolean
-A, 4n^2 (8n^2 once a product needs float64) for A's float copy, and one
-tile: a few arrays of max(2^17, n^2/16) entries, which the reducers read
-in place or in row slices, with no whole-tile temporary of a wider type.
+A and one tile: a few arrays of max(2^17, n^2/8) entries, which the
+reducers read in place or in row slices, with no whole-tile temporary
+of a wider type.  No float copy of A is kept: a product casts it one
+panel at a time, a block of whole rows, since A is symmetric.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -100,12 +101,12 @@ def _absmax(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-# entries per row tile: 0.5 MB of int32, next to A's 10 MB float32 copy
-# at n = 1600; but at most _MAX_TILES tiles a pass, since each tile's
-# product reads all of A's float copy (150 MB at n = 6125) again.  The
-# second rule wins from n = 1450 on: 100 rows at n = 1600, 383 at 6125
+# entries per row tile (0.5 MB of int32) and per panel of a product's
+# right operand; but at most _MAX_TILES tiles a pass, since each tile's
+# product casts all of A, panel by panel, again.  The second rule wins
+# from n = 1024 on: 200 rows at n = 1600, 766 at n = 6125
 _TILE_ENTRIES = 2**17
-_MAX_TILES = 16
+_MAX_TILES = 8
 
 
 def _row_tiles(n_rows: int, n_cols: int):
@@ -125,45 +126,40 @@ def exact_matmul(
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
     `ExactnessBoundExceeded`.  ``y_max`` and ``x_max``, when given,
-    stand in for max|y| and max|x|, so an operand is not scanned again;
-    a float y wider than the tier's type is used as it is.  No entry
-    exceeds B, so the result is int32 when B < 2^31 and int64 otherwise;
-    when the float and integer types have one item size, the float
-    result is cast in place, a row tile at a time.
-    """
+    stand in for max|y| and max|x|, so an operand is not scanned again.
+    y is cast in column panels of max(rows of x, _TILE_ENTRIES /
+    inner_dim) columns, each no larger than x's float copy or a tile,
+    and their products fill one float result.  No entry exceeds B, so
+    the result is int32 when B < 2^31 and int64 otherwise; a float
+    result of the integer's item size is cast in place, a row tile at a
+    time."""
     if x_max is None:
         x_max = _absmax(x)
-    bound = x.shape[1] * x_max * (_absmax(y) if y_max is None else y_max)
+    (rows, inner), cols = x.shape, y.shape[1]
+    bound = inner * x_max * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
         )
-    ftype = np.dtype(np.float32 if bound < 2**24 else np.float64)
-    if y.dtype.kind == "f" and y.itemsize > ftype.itemsize:
-        ftype = y.dtype
+    ftype = np.float32 if bound < 2**24 else np.float64
     itype = np.int32 if bound < 2**31 else np.int64
     xf = x.astype(ftype, copy=False)
-    yf = y.astype(ftype, copy=False)
-    out = xf @ yf
-    del xf, yf  # free the float inputs before the cast
+    out = np.empty((rows, cols), dtype=ftype)
+    step = max(1, rows, _TILE_ENTRIES // max(inner, 1))
+    for c in range(0, cols, step):
+        np.matmul(xf, y[:, c : c + step].astype(ftype, copy=False), out=out[:, c : c + step])
+    del xf  # free the float input before the cast
     if out.itemsize != np.dtype(itype).itemsize:
         return out.astype(itype)
     res = out.view(itype)
-    for rows in _row_tiles(*out.shape):
-        res[rows] = out[rows]
+    for r in _row_tiles(rows, cols):
+        res[r] = out[r]
     return res
 
 
 def _multiset(counts: np.ndarray) -> dict[int, int]:
     """Value -> multiplicity from a table of counts indexed by value."""
     return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
-
-
-def _diagonal(h: int):
-    """Index of the diagonal entries of a tile of h rows: its entry
-    (r, r) is (x, x) for the tile's r-th row x."""
-    r = np.arange(h)
-    return r, r
 
 
 class RowTile:
@@ -291,13 +287,13 @@ class Powers:
     the O(n) results of full passes over them.
 
     ``a`` is the graph's own read-only boolean matrix and ``max_degree``
-    its largest degree, which bounds the walk counts.  The one other
-    n x n array is A's float copy, the right operand of every tile
-    product: float32, widened for good to float64 by the first product
-    whose bound needs it.  A graph's checks therefore hold n^2 bytes for
-    A, 4n^2 (or 8n^2) for its float copy, and one tile at a time, a few
-    arrays of max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 100 rows at
-    n = 1600, 383 at n = 6125.  `rows` streams the tiles; `tally` and
+    its largest degree, which bounds the walk counts.  ``a`` is the one
+    n x n array: every tile product reads its right operand, A, from it
+    one panel of whole rows at a time (A is symmetric), cast to the
+    float type the product's bound picks.  A graph's checks therefore
+    hold n^2 bytes for A and one tile at a time, a few arrays of
+    max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 200 rows at n = 1600,
+    766 at n = 6125.  `rows` streams the tiles; `tally` and
     `sum_scan` keep what a pass reduces them to; `combination` streams
     integer combinations of the powers, and `first_mismatch` checks one
     against a constant.  Obtain it with `powers`.
@@ -314,23 +310,14 @@ class Powers:
         self.a = a
         self.max_degree = max_degree
         self.want_sums = False
-        self._af = None
         self._tally = None
         self._scan = None
         self._zero = set()
 
-    def _float_a(self, wide: bool = False) -> np.ndarray:
-        if self._af is None or (wide and self._af.dtype == np.float32):
-            self._af = None  # let the float32 copy go before the float64 one
-            self._af = _frozen(self.a.astype(np.float64 if wide else np.float32))
-        return self._af
-
     def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
-        """x @ A[:, start:] exactly, through `exact_matmul` and A's float
-        copy."""
-        x_max = _absmax(x)  # the one scan of x: it picks the copy and bounds the product
-        af = self._float_a(x.shape[1] * x_max >= 2**24)
-        return exact_matmul(x, af[:, start:], y_max=1, x_max=x_max)
+        """x @ A[:, start:] exactly, through `exact_matmul`: A[:, start:]
+        is A[start:].T, so each panel is a block of whole rows of A."""
+        return exact_matmul(x, self.a[start:].T, y_max=1, x_max=_absmax(x))
 
     def _plan(self, j_max: int) -> tuple[int, bool, bool]:
         """(j_max, whether it forms sums, whether it feeds a tally) of a pass."""
@@ -362,7 +349,7 @@ class Powers:
             tile.rows, tile.pows, tile.sums = rows, None, None
             start = rows.start
             pows, a2 = [self.a[rows, start:]], None
-            x = self._float_a()[rows]  # full rows of the last power formed
+            x = self.a[rows]  # full rows of the last power formed
             for j in range(2, j_max + 1):
                 full = j < j_max or (j == 2 and sums)
                 x = self.times_a(x, 0 if full else start)
@@ -430,7 +417,7 @@ class Powers:
             out = np.full(tile[1].shape, j_coeff, dtype=itype)
             for j, c in terms:
                 out += np.multiply(tile[j], c, dtype=itype)
-            out[_diagonal(len(out))] += c0
+            out[np.diag_indices(len(out))] += c0  # entry (r, r) is (x, x) for the r-th row x
             yield tile.rows.start, out
             del out
 
@@ -698,7 +685,9 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     if not ok:
         raise NotSRG("Hoffman bound applies to strongly regular graphs")
     n, k, _, mu = params
-    members = sorted(set(vertex_set))
+    members = list(vertex_set)
+    if all(map(_is_int, members)):  # else sorting, or hashing a list, would raise
+        members = sorted(set(members))
     strays = [v for v in members if not (_is_int(v) and 0 <= v < g.n)]
     if strays:
         raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")

@@ -149,6 +149,18 @@ def test_design_file_with_a_huge_point_count_and_no_resolution_exits_2_without_a
     assert err["detail"] == "pair (0, 2) covered 0 times, expected 1"
 
 
+# counts sized by the largest point on a block: 763 MiB asked for
+def test_design_file_with_a_huge_point_exits_2_without_allocating(tmp_path, capsys):
+    path = tmp_path / "huge-point.design"
+    path.write_text("DESIGN 100000000 2 1 0\n0 99999999\n")  # one block, its points far apart
+    code, peak, seconds = traced_exit(
+        ["construct", "block-graph", "--design-file", str(path), "-o", str(tmp_path / "x.g6")]
+    )
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and peak < 2**20 and seconds < 1
+    assert err["detail"] == "pair (0, 1) covered 0 times, expected 1"
+
+
 def test_ragged_design_file_exits_2_naming_the_line(tmp_path, capsys):
     path = tmp_path / "ragged.design"
     path.write_text("DESIGN 4 2 2 0\n0 1\n2 3 0 1\n")
@@ -403,6 +415,24 @@ def test_verify_hoffman_boolean_member_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "VertexOutOfRange" and "True" in err["detail"]
+
+
+@pytest.mark.parametrize("members, named", [
+    (["a", 1], "a"),  # a string and an integer cannot be sorted together
+    ([[0], 1], "[0]"),  # a list cannot be hashed into a set
+    ([1, {"v": 2}], "{'v': 2}"),
+    ([20, 3, 17, 3], "17"),  # integers alone: the smallest member out of range
+])
+def test_verify_hoffman_names_a_member_that_is_no_vertex(members, named, tmp_path, capsys):
+    g6 = tmp_path / "ls.g6"
+    run(capsys, "construct", "ls", "--n", "4", "--m", "3", "-o", str(g6))
+    sel = tmp_path / "set.json"
+    sel.write_text(json.dumps({"set": members}))
+    code = main(["verify", "hoffman", "-i", str(g6), "--set", str(sel),
+                 "--kind", "clique", "--m", "3"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "VertexOutOfRange"
+    assert err["detail"] == f"set member {named} is not a vertex of [0, 16)"
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,13 @@ def test_pair_coverage_violation_is_the_first_in_row_major_order():
         # points past the largest on a block: every pair with one of them is uncovered
         top = rng.randint(t, v)
         designs.append(Design(v, t, [rng.sample(range(top), t) for _ in range(rng.randint(0, 3))]))
+        # labels far apart, and a covered prefix 0..m-1 with gaps above it
+        far = rng.sample(range(v + 50), v)
+        designs.append(Design(v + 50, t, [[far[x] for x in rng.sample(range(v), t)]
+                                          for _ in range(rng.randint(0, 12))]))
+        m = rng.randint(2, 6)
+        strays = [(rng.randrange(m), m + 1 + rng.randrange(40)) for _ in range(rng.randint(0, 3))]
+        designs.append(Design(m + 41, 2, [*itertools.combinations(range(m), 2), *strays]))
     for d in designs:
         assert d.pair_coverage_violation() == first_uncovered_pair(d), d
 
