@@ -6,12 +6,14 @@ import as a lazy module (the standard `importlib.util.LazyLoader`): it
 sits in sys.modules as `cerg.<layer>`, but its code runs at the first
 attribute access.  So code that lists the cerg modules in sys.modules
 before it touches them, such as a tracer that patches a function in
-every module that binds it, sees every layer.  Before Python 3.12 the
-lazy load takes no lock: touch a layer once before threads share it.  The exported names resolve through
-a PEP 562 `__getattr__`.  Each layer is also bound as a package
-attribute except `field`, whose name is the function `field`: since the
-submodule is already in sys.modules, no later import of `cerg.field`
-rebinds the name to the module.
+every module that binds it, sees every layer.  cerg starts no thread
+of its own, but before Python 3.12 the lazy load takes no lock: a
+caller that shares cerg between its threads touches each layer once
+first.  The exported names resolve through a PEP 562 `__getattr__`.
+Each layer is also bound as a package attribute except `field`, whose
+name is the function `field`: since the submodule is already in
+sys.modules, no later import of `cerg.field` rebinds the name to the
+module.
 """
 
 import importlib.util

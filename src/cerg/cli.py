@@ -2,9 +2,10 @@
 
 Exit codes: 0 = pass, 1 = a check ran and failed (`graphs.CheckFailed`),
 2 = usage, I/O, or parameter errors, and a run out of memory.  All JSON
-output is deterministic for fixed inputs (the wall_time_s field aside),
-independent of --threads.  Every report writes an exact rational as its
-[numerator, denominator] pair (`regularity.jsonable`).
+output is deterministic for fixed inputs (the wall_time_s field aside);
+cerg starts no thread, and --threads changes nothing.  Every report
+writes an exact rational as its [numerator, denominator] pair
+(`regularity.jsonable`).
 
 The layers are the package's lazy modules: each runs its code at its
 first attribute access, so a subcommand compiles no checker or
@@ -14,8 +15,8 @@ A process (`python -m cerg.cli`, the `cerg` script) runs `main` through
 `entry_point`, which turns the cyclic collector off, flushes stdout and
 stderr once `main` returns, and ends with `os._exit`: no interpreter
 teardown.  Nothing is lost by that.  Every file is written and closed
-inside a `with` block before `main` returns, and a prime pool is joined
-by its own `with`.  The cycles a command leaves are a few hundred
+inside a `with` block before `main` returns, and no thread of cerg's
+is left to join.  The cycles a command leaves are a few hundred
 argparse and closure objects, none an array, however large the graph.
 `main` itself is the in-process API: it returns the exit code and
 leaves the collector as it found it.
@@ -241,7 +242,7 @@ def _check_goldberg(g, args):
     cert = None
     if args.claim:
         cert = spectral.certify(g, _load_claim(args.claim))
-    rep = spectral.goldberg(g, _fraction(args.theta), _fraction(args.theta2), cert, args.threads)
+    rep = spectral.goldberg(g, _fraction(args.theta), _fraction(args.theta2), cert)
     return rep.to_json_dict(), not rep.violated
 
 
@@ -330,7 +331,7 @@ def cmd_compare(args, argv) -> int:
         levels.append(_level(g))
         del g
     if failure is None:
-        cosp = spectral.compare_sides(*sides, threads=args.threads)
+        cosp = spectral.compare_sides(*sides)
         cosp_body, is_cosp = cosp.to_json_dict(), cosp.cospectral
     else:
         cosp_body = failure
@@ -393,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--relations", nargs="+")
     v.add_argument("--theta")
     v.add_argument("--theta2")
-    v.add_argument("--threads", type=int)
+    v.add_argument("--threads", type=int, help="changes nothing; kept for older command lines")
     v.add_argument("--out")
 
     p = sub.add_parser("compare", help="cospectrality and level comparison")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--claim")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="changes nothing; kept for older command lines")
     p.add_argument("--out")
     return ap
 

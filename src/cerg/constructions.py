@@ -57,20 +57,14 @@ def latin_square_graph(oa: OrthogonalArray, m: int) -> Graph:
         a |= row[:, None] == row[None, :]
     np.fill_diagonal(a, False)
     labels = [f"col{c}" for c in range(n2)]
-    return Graph(a, labels)
+    return Graph._adopt(a, labels)
 
 
 class TlsGraph(Graph):
-    """A TLS(q, n) graph together with its construction data."""
+    """A TLS(q, n) graph together with its construction data, as `tls`
+    builds it."""
 
     __slots__ = ("q", "n_sym", "goa", "pcs")
-
-    def __init__(self, a, labels, q, n_sym, goa, pcs):
-        super().__init__(a, labels)
-        self.q = q
-        self.n_sym = n_sym
-        self.goa = goa
-        self.pcs = pcs
 
     def vertex_of(self, vid: int) -> tuple[int, int]:
         """(point encoding, fiber index) of a vertex id."""
@@ -138,7 +132,9 @@ def tls(q: int, n: int, goa: GroupDivisibleArray | None = None) -> TlsGraph:
     np.fill_diagonal(a, False)
     points = [str(decode_point(point, q, 3)) for point in range(q3)]
     labels = [f"{point}@{i}" for i in range(n * n) for point in points]
-    return TlsGraph(a, labels, q, n, goa, pcs)
+    g = TlsGraph._adopt(a, labels)
+    g.q, g.n_sym, g.goa, g.pcs = q, n, goa, pcs
+    return g
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def h_graph(d: Design) -> Graph:
     for cls in d.resolution:
         a[np.ix_(cls, cls)] = True
     np.fill_diagonal(a, False)
-    return Graph(a)
+    return Graph._adopt(a)
 
 
 def spread_modified(g: Graph, parts, mode: str) -> Graph:
@@ -237,7 +233,7 @@ def spread_modified(g: Graph, parts, mode: str) -> Graph:
                 raise PartNotCoclique(f"part {pidx} is not a co-clique")
             a[block] = True
     np.fill_diagonal(a, False)
-    return Graph(a, g.labels)
+    return Graph._adopt(a, g.labels)
 
 
 def tls_metadata(g: TlsGraph) -> dict:
@@ -258,4 +254,5 @@ def tls_metadata(g: TlsGraph) -> dict:
 
 def write_tls_metadata(g: TlsGraph, path) -> None:
     with open(path, "w") as fh:
-        json.dump(tls_metadata(g), fh)
+        # json.dumps runs the C encoder, json.dump the pure-Python one
+        fh.write(json.dumps(tls_metadata(g)))

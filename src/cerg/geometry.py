@@ -280,9 +280,8 @@ def block_graph(d: Design) -> Graph:
     pencils = d.by_point.reshape(d.v, d.b * d.t // d.v if d.v else 0)
     for j in range(pencils.shape[1]):
         a[pencils[:, j, None], pencils] = True
-    del pencils  # before Graph copies the matrix
     np.fill_diagonal(a, False)
-    return Graph(a)
+    return Graph._adopt(a)
 
 
 def write_design(d: Design, path) -> None:

@@ -9,6 +9,8 @@ the boolean matrix on the graph.  Every degree fact (regularity, k, the
 edge count, tr A^2, the largest degree) reads one read-only degree
 vector, one row sum of A made on first use and kept on the graph, as a
 `geometry.Design` keeps its incidences read-only, sorted by point once.
+`Graph(a)` keeps a boolean copy of ``a``; every builder in the package
+hands over the fresh matrix it made, uncopied (`Graph._adopt`).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _check_order(n: int) -> None:
 
 
 def _is_int(v) -> bool:
-    """Whether v can name a vertex: a bool, a float or a string cannot."""
+    """Whether v is a Python or NumPy integer: a bool, a float or a string is not."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
@@ -93,9 +95,15 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, not of shape {a.shape}")
         _check_order(a.shape[0])
-        self._adopt(a.astype(bool), labels)
+        self._keep(a.astype(bool), labels)
 
-    def _adopt(self, a: np.ndarray, labels=None) -> "Graph":
+    @classmethod
+    def _adopt(cls, a: np.ndarray, labels=None) -> "Graph":
+        """A graph on ``a`` itself, a square boolean matrix that its caller
+        made and lets go: checked as `Graph(a)` checks it, but not copied."""
+        return cls.__new__(cls)._keep(a, labels)
+
+    def _keep(self, a: np.ndarray, labels=None) -> "Graph":
         """Check the square boolean matrix ``a`` and keep it, read-only,
         as the graph's own matrix, with no copy."""
         loops = np.flatnonzero(a.diagonal())
@@ -127,17 +135,17 @@ class Graph:
         e = np.array(e, dtype=np.int64).reshape(-1, 2)
         a = np.zeros((n, n), dtype=bool)
         a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
-        return cls(a, labels)
+        return cls._adopt(a, labels)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
         _check_order(n)
-        return cls(np.zeros((n, n), dtype=bool))
+        return cls._adopt(np.zeros((n, n), dtype=bool))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
         _check_order(n)
-        return cls(~np.eye(n, dtype=bool))
+        return cls._adopt(~np.eye(n, dtype=bool))
 
     # -- queries
 
@@ -205,7 +213,7 @@ class Graph:
 def complement(g: Graph) -> Graph:
     a = ~g.a
     np.fill_diagonal(a, False)
-    return Graph(a, g.labels)
+    return Graph._adopt(a, g.labels)
 
 
 def clique_extension(g: Graph, s: int) -> Graph:
@@ -219,7 +227,7 @@ def clique_extension(g: Graph, s: int) -> Graph:
     _check_order(g.n * s)
     a = np.kron(g.a | np.eye(g.n, dtype=bool), np.ones((s, s), dtype=bool))
     np.fill_diagonal(a, False)
-    return Graph(a)
+    return Graph._adopt(a)
 
 
 def local_graph(g: Graph, x: int) -> Graph:
@@ -228,7 +236,7 @@ def local_graph(g: Graph, x: int) -> Graph:
         raise VertexOutOfRange(f"vertex {x} outside [0, {g.n})")
     verts = np.flatnonzero(g.a[x])
     labels = [g.labels[v] for v in verts] if g.labels else None
-    return Graph(g.a[np.ix_(verts, verts)], labels)
+    return Graph._adopt(g.a[np.ix_(verts, verts)], labels)
 
 
 # -- graph6 serialization (formats.txt: 6-bit groups, upper triangle packed
@@ -301,7 +309,7 @@ def from_graph6_bytes(data: bytes) -> Graph:
         a[i:j, :j][np.tri(j - i, j, i - 1, dtype=bool)] = bits[: hi - lo]  # row-major order
     for i, j in _tiles(n):
         a[i, j] |= a[j, i].T
-    return Graph.__new__(Graph)._adopt(a)  # the fresh matrix itself, not a copy
+    return Graph._adopt(a)
 
 
 def write_graph6(g: Graph, path) -> None:
@@ -321,4 +329,5 @@ def read_graph6(path) -> Graph:
 
 def write_labels(g: Graph, path) -> None:
     with open(path, "w") as fh:
-        json.dump({"labels": list(g.labels or [])}, fh)
+        # json.dumps runs the C encoder, json.dump the pure-Python one
+        fh.write(json.dumps({"labels": list(g.labels or [])}))

@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,7 +48,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graphs import CheckFailed, Graph
+from .graphs import CheckFailed, Graph, _is_int
 from .regularity import (
     ExactnessBoundExceeded,
     NotEdgeRegular,
@@ -131,23 +130,20 @@ class SpectrumCertificate:
             json.dump(self.to_json_dict(), fh, default=jsonable)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def claim_from_json(obj) -> list[tuple[Fraction, int]]:
     """(eigenvalue, multiplicity) pairs from a parsed claim file.
 
     ``eigs`` holds integers or [numerator, nonzero denominator] integer
     pairs and ``mults`` integers, equally many; a float, a boolean or any
-    other entry raises ValueError naming it rather than being rounded.
+    other entry raises ValueError naming it rather than being rounded.  A
+    NumPy integer, which a library caller may pass, is read as a Python one.
     """
     eigs = []
     for i, e in enumerate(obj["eigs"]):
         if _is_int(e):
-            eigs.append(Fraction(e))
+            eigs.append(Fraction(int(e)))
         elif isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) and e[1]:
-            eigs.append(Fraction(*e))
+            eigs.append(Fraction(int(e[0]), int(e[1])))
         else:
             raise ValueError(
                 f"eigs[{i}] = {e!r} is not an integer or a [numerator, nonzero denominator] pair"
@@ -158,7 +154,7 @@ def claim_from_json(obj) -> list[tuple[Fraction, int]]:
             raise ValueError(f"mults[{i}] = {m!r} is not an integer")
     if len(mults) != len(eigs):
         raise ValueError(f"{len(eigs)} eigenvalues but {len(mults)} multiplicities")
-    return list(zip(eigs, mults))
+    return list(zip(eigs, map(int, mults)))
 
 
 def _traces(g: Graph, up_to: int) -> list[int]:
@@ -434,14 +430,13 @@ def _newton_char_poly(traces: list[int]) -> tuple[int, ...]:
     return tuple(reversed(a))
 
 
-def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
+def char_poly(g: Graph) -> tuple[int, ...]:
     """Exact characteristic polynomial of A, coefficients ascending.
 
     A regular graph whose Hoffman polynomial has degree d <= 4 gets it
     from its power sums up to tr A^n (`_power_sums`) by Newton's
     identities.  Any other graph goes through the modular Hessenberg +
-    CRT path, whose prime images run on ``threads`` (default: the CPU
-    count); one thread runs them in a loop, with no pool.
+    CRT path, one prime image after another.
     """
     n = g.n
     _refuse_past_ceiling(n)
@@ -458,18 +453,7 @@ def char_poly(g: Graph, threads: int | None = None) -> tuple[int, ...]:
     window = _crt_primes()
     bits = accumulate(map(math.log2, window))
     primes = window[: next(i for i, b in enumerate(bits, 1) if b > bound_bits)]
-
-    def work(p):
-        return _hessenberg_charpoly_mod(a, p)
-
-    threads = threads or os.cpu_count() or 1
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            images = list(pool.map(work, primes))
-    else:
-        images = [work(p) for p in primes]
+    images = [_hessenberg_charpoly_mod(a, p) for p in primes]
     coeffs = []
     for j in range(n + 1):
         coeffs.append(_crt_signed([int(img[j]) for img in images], primes))
@@ -535,7 +519,7 @@ def cospectral_side(g: Graph, claim=None) -> CospectralSide:
     return CospectralSide(g.n, sums=_power_sums(g, min(9, g.n)), graph=graph)
 
 
-def compare_sides(a: CospectralSide, b: CospectralSide, threads=None) -> CospectralReport:
+def compare_sides(a: CospectralSide, b: CospectralSide) -> CospectralReport:
     """The comparison `cospectral` makes of its two sides.
 
     Sides certified for one claim are cospectral.  Otherwise the orders
@@ -558,20 +542,20 @@ def compare_sides(a: CospectralSide, b: CospectralSide, threads=None) -> Cospect
         power = a.n - differ[0] if differ else None
     else:
         _refuse_past_ceiling(a.n)
-        p1 = char_poly(a.graph, threads)
-        p2 = char_poly(b.graph, threads)
+        p1 = char_poly(a.graph)
+        p2 = char_poly(b.graph)
         differ = [j for j in range(len(p1)) if p1[j] != p2[j]]
         power = differ[-1] if differ else None
     return CospectralReport(power is None, "char-poly", witness_power=power)
 
 
-def cospectral(g1: Graph, g2: Graph, claim=None, threads=None) -> CospectralReport:
+def cospectral(g1: Graph, g2: Graph, claim=None) -> CospectralReport:
     """Same spectrum, via a shared certified claim, via the first ten
     power sums of two verified Hoffman relations (any size), or else via
     characteristic polynomials (n <= 512); see `compare_sides`."""
     if claim is None and g1.n != g2.n:
         return CospectralReport(False, "order", witness_power=None)
-    return compare_sides(cospectral_side(g1, claim), cospectral_side(g2, claim), threads)
+    return compare_sides(cospectral_side(g1, claim), cospectral_side(g2, claim))
 
 
 @dataclass
@@ -700,9 +684,7 @@ def _poly_eval_fraction(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def goldberg(
-    g: Graph, theta, theta2, cert: SpectrumCertificate | None = None, threads=None
-) -> GoldbergReport:
+def goldberg(g: Graph, theta, theta2, cert: SpectrumCertificate | None = None) -> GoldbergReport:
     """Evaluate the edge-regular eigenvalue-pair inequality exactly.
 
     theta and theta2 must be eigenvalues different from the valency;
@@ -753,7 +735,7 @@ def goldberg(
                 if hoffman is not None:
                     poly, name = [-c for c in hoffman[0]] + [1], "Hoffman polynomial"
                 else:
-                    poly, name = char_poly(g, threads), "characteristic polynomial"
+                    poly, name = char_poly(g), "characteristic polynomial"
             if _poly_eval_fraction(poly, t) != 0:
                 raise NotAnEigenvalue(f"{t} is not a root of the {name}")
     c = Fraction(k, lam + 1)

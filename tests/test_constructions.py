@@ -19,7 +19,7 @@ from cerg.constructions import (
     tls_structure,
 )
 from cerg.geometry import Design, block_graph, design_affine_lines, design_one_factorization
-from cerg.graphs import MAX_VERTICES, Graph
+from cerg.graphs import MAX_VERTICES, Graph, clique_extension, complement, local_graph
 from cerg.regularity import is_strongly_regular
 from conftest import brute_lambda_mu, neighbor_sets
 
@@ -404,6 +404,54 @@ def test_spread_modified_refuses_non_integer_members(rook33, member):
         spread_modified(rook33, [[member, *rest], *parts[1:]], "remove")
     numpy_parts = [[np.int64(v), *rest], *parts[1:]]
     assert spread_modified(rook33, numpy_parts, "remove") == spread_modified(rook33, parts, "remove")
+
+
+def test_builders_hand_over_their_matrix_uncopied(rook33, monkeypatch):
+    """Every builder keeps the fresh matrix it made (`Graph._adopt`);
+    only `Graph(a)`, called from outside, copies."""
+    def copies(self, *args):
+        raise AssertionError("Graph(a) copies the matrix")
+
+    tls22 = tls(2, 2)
+    monkeypatch.setattr(Graph, "__init__", copies)
+    design = design_one_factorization(6)
+    built = [
+        latin_square_graph(oa_macneish(3), 2),
+        tls(2, 2),
+        h_graph(design),
+        block_graph(design),
+        spread_modified(block_graph(design), design.resolution, "add"),
+        complement(rook33),
+        clique_extension(rook33, 2),
+        local_graph(tls22, 0),
+        Graph.from_edges(3, [(0, 1)]),
+        Graph.empty(3),
+        Graph.complete(3),
+    ]
+    assert all(g.a.dtype == bool and not g.a.flags.writeable for g in built)
+    assert built[1] == tls22 and built[1].q == 2 and built[1].labels == tls22.labels
+
+
+@pytest.mark.parametrize(
+    "build, most",
+    [
+        (lambda g: tls(4, 5), 1.5),
+        (complement, 1.5),
+        (lambda g: clique_extension(g, 2), 1.3),
+    ],
+    ids=["tls", "complement", "clique-extension"],
+)
+def test_builder_peak_is_about_its_result(build, most):
+    """tracemalloc's peak while a builder runs, over the bytes of the
+    matrix it returns: no second n x n copy."""
+    base = tls(4, 5)
+    tracemalloc.start()
+    try:
+        g = build(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * g.a.nbytes
 
 
 def test_one_partition_invalid_class():

@@ -113,20 +113,17 @@ def record_images(monkeypatch):
     return images
 
 
-def test_char_poly_threads_deterministic(monkeypatch):
-    """C_12 and an irregular graph take the Hessenberg fallback: one
-    thread reduces the prime images in a loop, four on a pool, and both
-    give the same polynomial from the same primes."""
+def test_char_poly_fallback_reduces_its_primes_in_one_loop(monkeypatch):
+    """C_12 and an irregular graph take the Hessenberg fallback: the
+    calling thread reduces one image for each of the window's leading
+    primes, in order, and they lift to the oracle's polynomial."""
     images = record_images(monkeypatch)
     for g in (cycle(12), random_graph(14, 0.4, 3)):
         images.clear()
-        one = char_poly(g, threads=1)
-        looped = sorted(p for p, _ in images)
-        assert looped and {t for _, t in images} == {threading.get_ident()}
-        images.clear()
-        assert char_poly(g, threads=4) == one
-        assert sorted(p for p, _ in images) == looped
-        assert threading.get_ident() not in {t for _, t in images}
+        assert char_poly(g) == sympy_charpoly(g)
+        primes = [p for p, _ in images]
+        assert primes and primes == list(spectral._crt_primes()[: len(primes)])
+        assert {t for _, t in images} == {threading.get_ident()}
 
 
 def test_char_poly_size_cap():
@@ -200,30 +197,6 @@ def test_crt_primes_are_the_prevprime_chain_and_cover_every_bound():
     n = spectral.CHAR_POLY_MAX_N
     bound_bits = n + math.ceil(n / 2 * math.log2(n - 1)) + 2
     assert bound_bits == 2818 and math.prod(primes) > 2**bound_bits
-
-
-def test_char_poly_prime_pool_defaults_to_the_cpu_count(monkeypatch):
-    """Without ``threads`` the fallback's prime images run on
-    os.cpu_count() threads (one, with no pool, when that is unknown);
-    every thread count gives the same coefficients."""
-    import concurrent.futures
-
-    sizes = []
-    real = concurrent.futures.ThreadPoolExecutor
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 3)
-    g = random_graph(14, 0.4, 3)
-    want = sympy_charpoly(g)
-    assert char_poly(g) == want and sizes == [3]
-    assert char_poly(g, threads=1) == want and sizes == [3]
-    assert char_poly(g, threads=2) == want and sizes == [3, 2]
-    monkeypatch.setattr(spectral.os, "cpu_count", lambda: None)
-    assert char_poly(g) == want and sizes == [3, 2]
 
 
 def test_char_poly_tls33_takes_the_hoffman_route(tls33, monkeypatch):
@@ -468,6 +441,18 @@ def test_claim_from_json_returns_integer_pairs_or_raises_a_usage_error(obj):
     assert len(claim) == len(obj["eigs"]) == len(obj["mults"])
 
 
+def test_claim_from_json_reads_numpy_integers_as_python_ones(tls22):
+    """A library caller may build a claim from NumPy arrays: its integers
+    are accepted, as Python ints, and certify the same spectrum."""
+    i64 = np.int64
+    claim = claim_from_json(
+        {"eigs": [i64(19), [i64(3), i64(1)], -1, i64(-5)], "mults": list(np.array([1, 9, 16, 6]))}
+    )
+    assert claim == TLS22_CLAIM
+    assert all(type(x) is int for t, m in claim for x in (t.numerator, t.denominator, m))
+    assert certify(tls22, claim) == certify(tls22, TLS22_CLAIM)
+
+
 def test_certify_verdict_matches_char_poly_factorization(tls22, ls34, h6):
     for g, claim in (
         (tls22, TLS22_CLAIM),
@@ -672,9 +657,9 @@ def test_goldberg_without_certificate_computes_char_poly_once(monkeypatch):
     """C_12 has no Hoffman polynomial, so its char poly is consulted."""
     calls = []
 
-    def counted(g, threads=None):
+    def counted(g):
         calls.append(g)
-        return char_poly(g, threads)
+        return char_poly(g)
 
     monkeypatch.setattr(spectral, "char_poly", counted)
     assert not goldberg(cycle(12), 1, -1).violated
@@ -689,7 +674,7 @@ def test_goldberg_without_certificate_asks_the_relation_once(tls22, monkeypatch)
         calls.append(g)
         return search(g)
 
-    def refuse(g, threads=None):
+    def refuse(g):
         raise AssertionError("char_poly used")
 
     monkeypatch.setattr(spectral, "_hoffman_polynomial", counted)

@@ -70,14 +70,19 @@ def python(code, *args, cwd=None):
 
 
 MAIN_THEN_MODULES = """
-import contextlib, io, json, sys, types
+import _thread, contextlib, io, json, sys, threading, types
 from cerg.cli import main
+started = []  # every Python thread the command starts, by either route
+start, start_raw = threading.Thread.start, _thread.start_new_thread
+threading.Thread.start = lambda self: started.append(self.name) or start(self)
+_thread.start_new_thread = lambda *a, **k: started.append("_thread") or start_raw(*a, **k)
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(k for k, m in sys.modules.items() if type(m) is types.ModuleType)]))
+modules = sorted(k for k, m in sys.modules.items() if type(m) is types.ModuleType)
+print(json.dumps([code, modules, started]))
 """
 
 
@@ -93,11 +98,11 @@ def workdir(tmp_path_factory, tls22, ls34, rook33):
     for i in (1, 2, 3):
         edges = [(v, (v + i) % 6) for v in range(6 if i < 3 else 3)]
         write_graph6(graphs.Graph.from_edges(6, edges), d / f"d{i}.g6")
-    # not regular, so a claim-free compare takes the Hessenberg prime pool
+    # not regular, so a claim-free compare takes the Hessenberg fallback
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), d / "star5.g6")
     write_graph6(graphs.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), d / "c4k1.g6")
     # 7 distinct eigenvalues: no Hoffman polynomial of degree <= 4, so a
-    # claim-free goldberg takes the Hessenberg prime pool too
+    # claim-free goldberg takes the Hessenberg fallback too
     write_graph6(graphs.Graph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)]), d / "c12.g6")
     claim = {"eigs": [19, 3, -1, -5], "mults": [1, 9, 16, 6]}
     (d / "tls22.spec.json").write_text(json.dumps(claim))
@@ -113,9 +118,10 @@ def workdir(tmp_path_factory, tls22, ls34, rook33):
 
 
 def loaded(workdir, *argv):
-    """(exit code, modules) of one `cerg.cli.main(argv)` in a fresh interpreter."""
-    code, modules = json.loads(python(MAIN_THEN_MODULES, *argv, cwd=workdir))
-    return code, set(modules)
+    """(exit code, modules, names of the threads started) of one
+    `cerg.cli.main(argv)` in a fresh interpreter."""
+    code, modules, started = json.loads(python(MAIN_THEN_MODULES, *argv, cwd=workdir))
+    return code, set(modules), started
 
 
 ONE = ["--threads", "1"]
@@ -174,8 +180,8 @@ BASE = {"cerg", "cerg.cli"}
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_subcommand_loads_only_its_layers(workdir, case):
     argv, layers = CASES[case]
-    code, modules = loaded(workdir, *argv)
-    assert code == 0
+    code, modules, started = loaded(workdir, *argv)
+    assert code == 0 and started == []
     assert {m for m in modules if m.startswith("cerg")} == BASE | layers
     assert MA_WITH_NUMPY or "numpy.ma" not in modules
     assert "concurrent.futures" not in modules
@@ -183,18 +189,20 @@ def test_each_subcommand_loads_only_its_layers(workdir, case):
     assert "_hashlib" not in modules
 
 
-def test_only_a_prime_pool_loads_concurrent_futures(workdir):
-    argv = ["compare", "star5.g6", "c4k1.g6", "--threads"]
-    assert "concurrent.futures" not in loaded(workdir, *argv, "1")[1]
-    assert "concurrent.futures" in loaded(workdir, *argv, "2")[1]
+FALLBACK = {
+    "compare": ["compare", "star5.g6", "c4k1.g6"],
+    "goldberg": ["verify", "goldberg", "-i", "c12.g6", "--theta", "1", "--theta2", "-1"],
+}
 
 
-def test_goldberg_without_claim_reaches_the_prime_pool(workdir):
-    argv = ["verify", "goldberg", "-i", "c12.g6", "--theta", "1", "--theta2", "-1", "--threads"]
-    code, modules = loaded(workdir, *argv, "1")
-    assert code == 0 and "concurrent.futures" not in modules
-    code, modules = loaded(workdir, *argv, "2")
-    assert code == 0 and "concurrent.futures" in modules
+@pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["default", "threads-2"])
+@pytest.mark.parametrize("case", sorted(FALLBACK))
+def test_the_char_poly_fallback_starts_no_thread(workdir, case, threads):
+    """The Hessenberg/CRT prime images run in one loop, whatever
+    --threads says: no pool, no thread, no concurrent.futures."""
+    code, modules, started = loaded(workdir, *FALLBACK[case], *threads)
+    assert code == 0 and started == []
+    assert "concurrent.futures" not in modules
 
 
 def test_only_the_fallback_sieves_its_primes():
@@ -204,7 +212,7 @@ def test_only_the_fallback_sieves_its_primes():
         "print(sieved().currsize)\n"
         "spectral.char_poly(tls(2, 2))  # the Hoffman route\n"
         "print(sieved().currsize)\n"
-        "spectral.char_poly(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), threads=1)\n"
+        "spectral.char_poly(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))\n"
         "print(sieved().currsize)"
     )
     assert python(code).split() == ["0", "0", "1"]
