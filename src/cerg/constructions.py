@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
-from .geometry import Design, block_graph, decode_point, parallel_classes
+from .geometry import Design, _block_matrix, decode_point, parallel_classes
 from .graphs import Graph, PartitionInvalid, _check_order, check_parts
 
 
@@ -205,7 +205,7 @@ def h_graph(d: Design) -> Graph:
     """Block graph plus all edges inside each resolution class."""
     if d.resolution is None:
         raise NotResolvable("design carries no resolution")
-    a = block_graph(d).a.copy()
+    a = _block_matrix(d)
     for cls in d.resolution:
         a[np.ix_(cls, cls)] = True
     np.fill_diagonal(a, False)

@@ -266,11 +266,15 @@ def design_one_factorization(m: int) -> Design:
 
 
 def block_graph(d: Design) -> Graph:
-    """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design.
+    """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design."""
+    return Graph._adopt(_block_matrix(d))
 
-    Each point of one lies on r = (v-1)/(t-1) blocks (on all b if t = 1,
-    when v <= 1), so the blocks through the points are a v x r array, and
-    r writes, each of a column against the whole array, fill the matrix."""
+
+def _block_matrix(d: Design) -> np.ndarray:
+    """`block_graph`'s matrix, fresh for its caller to fill and adopt.
+    Each point lies on r = (v-1)/(t-1) blocks (on all b if t = 1, when
+    v <= 1), so the blocks through the points are a v x r array, and r
+    writes, each of a column against the whole array, fill the matrix."""
     _check_order(d.b)
     violation = d.pair_coverage_violation()
     if violation is not None:
@@ -281,7 +285,7 @@ def block_graph(d: Design) -> Graph:
     for j in range(pencils.shape[1]):
         a[pencils[:, j, None], pencils] = True
     np.fill_diagonal(a, False)
-    return Graph._adopt(a)
+    return a
 
 
 def write_design(d: Design, path) -> None:

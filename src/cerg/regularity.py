@@ -117,26 +117,22 @@ def _row_tiles(n_rows: int, n_cols: int):
         yield slice(i, min(i + step, n_rows))
 
 
-def exact_matmul(
-    x: np.ndarray, y: np.ndarray, y_max: int | None = None, x_max: int | None = None
-) -> np.ndarray:
+def exact_matmul(x: np.ndarray, y: np.ndarray, y_max: int | None = None) -> np.ndarray:
     """x @ y for integer matrices, exactly, through BLAS.
 
     With B = inner_dim * max|x| * max|y|, the product runs in float32
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
-    `ExactnessBoundExceeded`.  ``y_max`` and ``x_max``, when given,
-    stand in for max|y| and max|x|, so an operand is not scanned again.
+    `ExactnessBoundExceeded`.  ``y_max``, when given, stands in for
+    max|y|, so that operand is not scanned.
     y is cast in column panels of max(rows of x, _TILE_ENTRIES /
     inner_dim) columns, each no larger than x's float copy or a tile,
     and their products fill one float result.  No entry exceeds B, so
     the result is int32 when B < 2^31 and int64 otherwise; a float
     result of the integer's item size is cast in place, a row tile at a
     time."""
-    if x_max is None:
-        x_max = _absmax(x)
     (rows, inner), cols = x.shape, y.shape[1]
-    bound = inner * x_max * (_absmax(y) if y_max is None else y_max)
+    bound = inner * _absmax(x) * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
@@ -300,10 +296,10 @@ class Powers:
 
     A pass decides its own work from what the graph holds: it forms
     (A∘A^2)A exactly when ``want_sums`` is set and the graph has no sums
-    scan, runs on past a relation's first mismatch only while it feeds a
-    tally or sums scan the graph lacks, and never forms a relation found
-    to hold again.  So with ``want_sums`` set before (say)
-    `spectral.certify`, the strong and weak checks read its pass.
+    scan, never forms a relation found to hold again, and stops a
+    relation's pass at its first mismatch.  So with ``want_sums`` set
+    before (say) `spectral.certify`, the strong and weak checks read the
+    pass of a claim that holds.
     """
 
     def __init__(self, a: np.ndarray, max_degree: int):
@@ -317,14 +313,7 @@ class Powers:
     def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
         """x @ A[:, start:] exactly, through `exact_matmul`: A[:, start:]
         is A[start:].T, so each panel is a block of whole rows of A."""
-        return exact_matmul(x, self.a[start:].T, y_max=1, x_max=_absmax(x))
-
-    def _plan(self, j_max: int) -> tuple[int, bool, bool]:
-        """(j_max, whether it forms sums, whether it feeds a tally) of a pass."""
-        sums = self.want_sums and self._scan is None
-        if sums:
-            j_max = max(j_max, 2)
-        return j_max, sums, j_max >= 2 and self._tally is None
+        return exact_matmul(x, self.a[start:].T, y_max=1)
 
     def rows(self, j_max: int):
         """Row tiles of A^1..A^j_max, top to bottom, and of (A∘A^2)A
@@ -340,8 +329,10 @@ class Powers:
         still lacks.
         """
         n = len(self.a)
-        j_max, sums, tallies = self._plan(j_max)
-        tally = _Tally(n) if tallies else None
+        sums = self.want_sums and self._scan is None
+        if sums:
+            j_max = max(j_max, 2)
+        tally = _Tally(n) if j_max >= 2 and self._tally is None else None
         scan = _SumScan(n) if sums else None
         riders = [r for r in (tally, scan) if r is not None]
         tile = RowTile()
@@ -427,27 +418,20 @@ class Powers:
 
         A combination found to equal ``target`` is remembered, under its
         relation with the target moved into the J coefficient, and is not
-        formed again.  Past a mismatch the pass runs on to the last row
-        only while it feeds a tally or sums scan the graph lacks, which it
-        then leaves behind; otherwise it stops at the mismatching tile."""
+        formed again.  The pass stops at the first mismatching tile."""
         c = [int(x) for x in coeffs]
         while c and not c[-1]:
             c.pop()
         key = tuple(c), int(j_coeff) - int(target)
         if key in self._zero:
             return None
-        tiles = self.combination(coeffs, j_coeff)
-        _, sums, tallies = self._plan(max(len(c) - 1, 1))  # the pass's degree
-        hit = None
-        for i, tile in tiles:
-            if hit is None:
-                hit = _first_differing(i, tile, target)
-                if hit is not None and not (sums or tallies):
-                    break
+        for i, tile in self.combination(coeffs, j_coeff):
+            hit = _first_differing(i, tile, target)
+            if hit is not None:
+                return hit
             del tile  # before the next tile is formed
-        if hit is None:
-            self._zero.add(key)
-        return hit
+        self._zero.add(key)
+        return None
 
 
 def powers(g: Graph) -> Powers:

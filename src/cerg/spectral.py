@@ -161,7 +161,8 @@ def _traces(g: Graph, up_to: int) -> list[int]:
     """[tr A^0, ..., tr A^up_to] exactly (up_to <= 4).
 
     tr A^3 and tr A^4 come from the lambda/mu tally, which the graph
-    keeps from its first full pass over A^2 (`Powers.tally`)."""
+    keeps from a pass over A^2 that reached the last row, or else makes
+    in one (`Powers.tally`)."""
     out = [g.n, 0, 2 * g.edge_count()]
     if up_to >= 3:
         lam, mu = powers(g).tally()
@@ -185,10 +186,10 @@ def certify(g: Graph, claimed) -> SpectrumCertificate:
     bounds the coefficients of the product of factors, formed as
     sum c_j A^j from the streamed powers and compared with ell*J one row
     tile at a time.  Moments j <= 2 need no product and are checked
-    first, and they already give that bound.  The product's pass leaves
-    the tally that tr A^3 and tr A^4 come from, even past a mismatch, so
-    a failing moment is still reported before a failing product, and a
-    product already verified is not formed again (`Powers.first_mismatch`).
+    first, and they already give that bound.  tr A^3 and tr A^4 come
+    from the tally (`_traces`), read before a failing product's witness,
+    so a failing moment is reported first; a product already verified is
+    not formed again, and a failing one stops at its first mismatch.
 
     The accepted factors are minimal, so no drop-one sub-product is
     checked.  Annihilation makes prod (A - theta_i I) vanish on the
@@ -280,9 +281,14 @@ def _crt_primes() -> tuple[int, ...]:
 
 
 def _hessenberg_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """char poly coefficients of a mod p, ascending, via Hessenberg form."""
+    """char poly coefficients of a mod p, ascending, via Hessenberg form.
+
+    ``a`` is 0/1, so already reduced; its one int64 copy is reduced in
+    place.  Each matrix-vector sum adds at most n products of residues
+    below p, exact in int64 while n p^2 < 2^63: below 2^61 for the
+    primes p < 2^26 of `_crt_primes` and n <= CHAR_POLY_MAX_N = 2^9."""
     n = a.shape[0]
-    h = np.mod(a, p).astype(np.int64)
+    h = a.astype(np.int64)
     for c in range(n - 2):
         col = h[c + 1 :, c]
         nz = np.nonzero(col)[0]
@@ -445,7 +451,6 @@ def char_poly(g: Graph) -> tuple[int, ...]:
     sums = _power_sums(g, n)
     if sums is not None:
         return _newton_char_poly(sums)
-    a = g.adjacency_matrix()
     k_max = max(1, max(g.degrees()))
     # |c_j| <= C(n, j) * k_max^(j/2) by Hadamard on principal minors
     bound_bits = n + math.ceil(n / 2 * math.log2(k_max)) + 2
@@ -453,7 +458,7 @@ def char_poly(g: Graph) -> tuple[int, ...]:
     window = _crt_primes()
     bits = accumulate(map(math.log2, window))
     primes = window[: next(i for i, b in enumerate(bits, 1) if b > bound_bits)]
-    images = [_hessenberg_charpoly_mod(a, p) for p in primes]
+    images = [_hessenberg_charpoly_mod(g.a, p) for p in primes]
     coeffs = []
     for j in range(n + 1):
         coeffs.append(_crt_signed([int(img[j]) for img in images], primes))

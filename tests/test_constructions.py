@@ -454,6 +454,26 @@ def test_builder_peak_is_about_its_result(build, most):
     assert peak <= most * g.a.nbytes
 
 
+@pytest.mark.parametrize(
+    "design",
+    [lambda: design_affine_lines(64, 2), lambda: design_one_factorization(120)],
+    ids=["ag-2-64", "one-factorization-120"],
+)
+@pytest.mark.parametrize("build", [block_graph, h_graph], ids=["block-graph", "h-graph"])
+def test_design_graph_peak_is_about_its_result(design, build):
+    """The h-graph fills its resolution classes into the block graph's
+    fresh matrix: one n x n matrix, as the block graph holds (n = 4160
+    and 7140)."""
+    d = design()
+    tracemalloc.start()
+    try:
+        g = build(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * g.a.nbytes
+
+
 def test_one_partition_invalid_class():
     from cerg import constructions, graphs, regularity
 

@@ -779,7 +779,7 @@ def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatc
     g6 = tmp_path / "tls22.g6"
     assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
 
-    def refuse(x, y, y_max=None, x_max=None):
+    def refuse(x, y, y_max=None):
         raise ExactnessBoundExceeded("product bound is not below 2^53")
 
     monkeypatch.setattr(regularity, "exact_matmul", refuse)
@@ -794,9 +794,9 @@ def count_products(monkeypatch):
     calls = []
     real = regularity.exact_matmul
 
-    def counted(x, y, y_max=None, x_max=None):
+    def counted(x, y, y_max=None):
         calls.append(x.shape[0])
-        return real(x, y, y_max, x_max)
+        return real(x, y, y_max)
 
     monkeypatch.setattr(regularity, "exact_matmul", counted)
     return calls
@@ -947,7 +947,7 @@ def test_goldberg_and_hoffman_form_no_lambda_sums(monkeypatch):
     assert powers(g)._scan is None
 
 
-# -- a pass decides its own work: sums, run-on and verified relations
+# -- a pass decides its own work: sums, tallies and verified relations
 
 
 def latin_extension(n, m, s):
@@ -994,25 +994,32 @@ def test_rows_form_sums_iff_wanted_and_unscanned(j_max, want_sums, scanned):
     assert formed == [want_sums and not scanned] * len(formed)
 
 
-def test_a_failing_relation_runs_on_only_to_feed_what_the_graph_lacks(monkeypatch):
-    """A^2 differs from 0 at (0, 0), in the first of eight 4-row tiles.
-    Without its tally the pass runs to the last row and leaves the tally;
-    with it the pass stops at that tile; wanting sums, it runs on again
-    and leaves the sums scan."""
+def test_a_failing_relation_stops_at_its_first_mismatching_tile(monkeypatch):
+    """Under eight 4-row tiles, the claim 19^1 3^7 -1^22 -9^2 passes
+    moments 0..2 and has ell = 280, but its product fails in the first
+    tile: two products (A^2 and A^3 of rows 0..3), then the eight
+    A^2 tiles of the pass that leaves the tally tr A^3 comes from, so the
+    failing moment is still reported first.  A bare failing relation
+    forms one tile, whether the graph has its tally or wants sums."""
+    from cerg.spectral import MomentMismatch, certify
+
     tiles_of(monkeypatch, 4, 32)
     calls = count_products(monkeypatch)
+    with pytest.raises(MomentMismatch, match=r"^moment j=3: claimed 5568, trace gives 6336$"):
+        certify(tls(2, 2), [(19, 1), (3, 7), (-1, 22), (-9, 2)])
+    assert calls == [4, 4] + [4] * 8
     p = powers(tls(2, 2))
     square = [0, 0, 1]
-    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
-    assert calls == [4] * 8 and p._tally is not None
-    calls.clear()
-    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
-    assert calls == [4]
-    calls.clear()
-    p.want_sums = True
-    assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
-    assert calls == [4, 4] * 8 and p._scan is not None
-    assert p.tally() == powers(tls(2, 2)).tally()
+    for has_tally in (False, True):
+        if has_tally:
+            p.want_sums = False
+            p.tally()
+        for want_sums in (False, True):
+            p.want_sums = want_sums
+            calls.clear()
+            assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
+            assert calls == [4] * (1 + want_sums)  # A^2, and (A∘A^2)A when wanted
+            assert (p._tally is not None) == has_tally and p._scan is None
 
 
 @pytest.fixture(scope="module")

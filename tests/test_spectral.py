@@ -100,13 +100,13 @@ def test_char_poly_tls22(tls22):
 
 
 def record_images(monkeypatch):
-    """The (prime, thread id) of each Hessenberg prime image char_poly
-    reduces, in a list that grows as it runs."""
+    """The (prime, thread id, matrix passed) of each Hessenberg prime
+    image char_poly reduces, in a list that grows as it runs."""
     images = []
     reduce = spectral._hessenberg_charpoly_mod
 
     def recorded(a, p):
-        images.append((p, threading.get_ident()))
+        images.append((p, threading.get_ident(), a))
         return reduce(a, p)
 
     monkeypatch.setattr(spectral, "_hessenberg_charpoly_mod", recorded)
@@ -116,14 +116,16 @@ def record_images(monkeypatch):
 def test_char_poly_fallback_reduces_its_primes_in_one_loop(monkeypatch):
     """C_12 and an irregular graph take the Hessenberg fallback: the
     calling thread reduces one image for each of the window's leading
-    primes, in order, and they lift to the oracle's polynomial."""
+    primes, in order, each from the graph's own boolean matrix (no int64
+    copy shared by all), and they lift to the oracle's polynomial."""
     images = record_images(monkeypatch)
     for g in (cycle(12), random_graph(14, 0.4, 3)):
         images.clear()
         assert char_poly(g) == sympy_charpoly(g)
-        primes = [p for p, _ in images]
+        primes = [p for p, _, _ in images]
         assert primes and primes == list(spectral._crt_primes()[: len(primes)])
-        assert {t for _, t in images} == {threading.get_ident()}
+        assert {t for _, t, _ in images} == {threading.get_ident()}
+        assert all(a is g.a for _, _, a in images)
 
 
 def test_char_poly_size_cap():
@@ -197,6 +199,12 @@ def test_crt_primes_are_the_prevprime_chain_and_cover_every_bound():
     n = spectral.CHAR_POLY_MAX_N
     bound_bits = n + math.ceil(n / 2 * math.log2(n - 1)) + 2
     assert bound_bits == 2818 and math.prod(primes) > 2**bound_bits
+
+
+def test_hessenberg_sums_stay_exact_in_int64_up_to_the_ceiling():
+    """A Hessenberg image's matrix-vector sums add at most n products of
+    residues below p: exact in int64 while n p^2 < 2^63."""
+    assert spectral.CHAR_POLY_MAX_N * max(spectral._crt_primes()) ** 2 < 2**63
 
 
 def test_char_poly_tls33_takes_the_hoffman_route(tls33, monkeypatch):
