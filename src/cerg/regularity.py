@@ -25,10 +25,11 @@ which later checks of the same graph read instead of passing again.
 The scan keeps, as the pass goes, the witnesses a whole-matrix scan
 would give, the first in row-major order, so no check makes a second
 pass for its witness.  A graph's checks hold n^2 bytes for the boolean
-A and one tile: a few arrays of max(2^17, n^2/8) entries, which the
-reducers read in place or in row slices, with no whole-tile temporary
-of a wider type.  No float copy of A is kept: a product casts it one
-panel at a time, a block of whole rows, since A is symmetric.
+A and a few tile-sized arrays of max(2^17, n^2/8) entries, three in the
+sums pass, where A^2 becomes A∘A^2 in its own buffer; the reducers read
+in place or in row slices, with no whole-tile temporary.  No float copy
+of A is kept: a product casts it one panel at a time, a block of whole
+rows, since A is symmetric.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -159,16 +160,16 @@ def _multiset(counts: np.ndarray) -> dict[int, int]:
 
 
 class RowTile:
-    """Rows ``rows`` of A, A^2, ..., A^j_max as ``tile[j]``, and in
-    ``sums`` those of (A∘A^2)A when the stream forms them (else None),
-    each from column ``rows.start`` on: entry (r, c) is (x, x + c - r)
-    for the tile's r-th row x.  These are the pairs x <= y of the rows
-    and the mirror images of some of them, so the tiles of a pass hold
-    every pair x <= y once; all but (A∘A^2)A are symmetric.  Read-only;
-    A^1 is a view of the graph's boolean matrix, every other array int32
-    or int64 as `exact_matmul` gives it."""
+    """Rows ``rows`` of A, A^2, ..., A^j_max as ``tile[j]``, each from
+    column ``rows.start`` on: entry (r, c) is (x, x + c - r) for the
+    tile's r-th row x.  These are the pairs x <= y of the rows and the
+    mirror images of some of them, so the tiles of a pass hold every
+    pair x <= y once; every power is symmetric.  Read-only, and only
+    for the consumer's turn; A^1 is a view of the graph's boolean
+    matrix, every other array int32 or int64 as `exact_matmul` gives
+    it."""
 
-    __slots__ = ("rows", "pows", "sums")
+    __slots__ = ("rows", "pows")
 
     def __getitem__(self, j: int) -> np.ndarray:
         return self.pows[j - 1]
@@ -200,9 +201,9 @@ class _Tally:
 
 def _extremes(cur, lo, hi, first):
     """``cur`` = ((least, position), (greatest, position)), or None,
-    updated with a later tile's least and greatest values ``lo`` and
+    updated with a later row slice's least and greatest values ``lo`` and
     ``hi``.  ``first(v)`` is the position of v's first occurrence in the
-    tile in row-major order, sought only for a value that beats ``cur``."""
+    slice in row-major order, sought only for a value that beats ``cur``."""
     least, greatest = cur or (None, None)
     if least is None or lo < least[0]:
         least = int(lo), first(lo)
@@ -230,41 +231,48 @@ class _SumScan:
     def pair(self, position) -> tuple[int, int]:
         return divmod(int(position), self.n)
 
-    def feed(self, tile: RowTile) -> None:
-        a, start, sums = tile[1], tile.rows.start, tile.sums
-        h, w = a.shape
-        upper = np.arange(w) > np.arange(h)[:, None]
+    def feed(self, start: int, a: np.ndarray, lam: np.ndarray, sums: np.ndarray) -> None:
+        """Reduce one tile's rows of A, A∘A^2 and (A∘A^2)A, each from
+        column ``start`` on, row slice by row slice."""
+        w = a.shape[1]
+        for rows in _row_tiles(*a.shape):
+            a_, s_, x0 = a[rows], sums[rows], start + rows.start
 
-        def at(i):  # positions x * n + y of flat indices of the tile
-            return (start + i // w) * self.n + start + i % w
+            def at(i):  # positions x * n + y of flat indices of the slice
+                return (x0 + i // w) * self.n + start + i % w
 
-        # most pairs are non-adjacent: with sums >= 0, products with the mask find
-        # their extremes many times faster than masked reductions, indexing none
-        non = upper > a
-        if non.any():
-            top = sums.max()
-            lo, hi = top - ((top - sums) * non).max(), (sums * non).max()
-            self.non = _extremes(
-                self.non, lo, hi, lambda v: at(int(((sums == v) & non).argmax()))
-            )
-        del non
-        upper &= a  # the edges x < y
-        edges = np.flatnonzero(upper)
-        del upper
-        s, lam = sums.take(edges), tile[2].ravel().take(edges)
-        if edges.size:
-            self.edge = _extremes(
-                self.edge, s.min(), s.max(), lambda v: at(int(edges[int((s == v).argmax())]))
-            )
-        new = np.flatnonzero(self.first[lam] < 0)
-        if new.size:
-            lams, i = np.unique(lam[new], return_index=True)  # first occurrences
-            self.first[lams], self.first_sum[lams] = at(edges[new[i]]), s[new[i]]
-        odd = np.flatnonzero(self.first_sum[lam] != s)
-        odd = odd[self.off[lam[odd]] < 0]
-        if odd.size:
-            lams, i = np.unique(lam[odd], return_index=True)
-            self.off[lams], self.off_sum[lams] = at(edges[odd[i]]), s[odd[i]]
+            upper = np.arange(w) > np.arange(rows.start, rows.stop)[:, None]
+            # most pairs are non-adjacent: with sums >= 0, products with the mask find
+            # their extremes many times faster than masked reductions, indexing none
+            non = upper > a_
+            if non.any():
+                t = np.multiply(s_, non)
+                top, hi = s_.max(), t.max()
+                np.subtract(top, s_, out=t)
+                t *= non
+                lo = top - t.max()
+                del t
+                self.non = _extremes(
+                    self.non, lo, hi, lambda v: at(int(((s_ == v) & non).argmax()))
+                )
+            del non
+            upper &= a_  # the edges x < y
+            edges = np.flatnonzero(upper)
+            del upper
+            s, lam_e = s_.take(edges), lam[rows][divmod(edges, w)].astype(np.intp)
+            if edges.size:
+                self.edge = _extremes(
+                    self.edge, s.min(), s.max(), lambda v: at(int(edges[int((s == v).argmax())]))
+                )
+            new = np.flatnonzero(self.first[lam_e] < 0)
+            if new.size:
+                lams, i = np.unique(lam_e[new], return_index=True)  # first occurrences
+                self.first[lams], self.first_sum[lams] = at(edges[new[i]]), s[new[i]]
+            odd = np.flatnonzero(self.first_sum[lam_e] != s)
+            odd = odd[self.off[lam_e[odd]] < 0]
+            if odd.size:
+                lams, i = np.unique(lam_e[odd], return_index=True)
+                self.off[lams], self.off_sum[lams] = at(edges[odd[i]]), s[odd[i]]
 
 
 def _first_differing(i: int, tile: np.ndarray, target) -> tuple[int, int, int] | None:
@@ -287,19 +295,20 @@ class Powers:
     n x n array: every tile product reads its right operand, A, from it
     one panel of whole rows at a time (A is symmetric), cast to the
     float type the product's bound picks.  A graph's checks therefore
-    hold n^2 bytes for A and one tile at a time, a few arrays of
-    max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 200 rows at n = 1600,
-    766 at n = 6125.  `rows` streams the tiles; `tally` and
+    hold n^2 bytes for A and a few tile-sized arrays at a time (at most
+    three in a sums pass), of max(_TILE_ENTRIES, n^2 / _MAX_TILES)
+    entries: 200 rows at n = 1600, 766 at n = 6125.  `rows` streams the tiles; `tally` and
     `sum_scan` keep what a pass reduces them to; `combination` streams
     integer combinations of the powers, and `first_mismatch` checks one
     against a constant.  Obtain it with `powers`.
 
     A pass decides its own work from what the graph holds: it forms
     (A∘A^2)A exactly when ``want_sums`` is set and the graph has no sums
-    scan, never forms a relation found to hold again, and stops a
-    relation's pass at its first mismatch.  So with ``want_sums`` set
-    before (say) `spectral.certify`, the strong and weak checks read the
-    pass of a claim that holds.
+    scan (but not in `tally`'s own pass), never forms a relation found
+    to hold again, and stops a relation's pass at its first mismatch,
+    before that tile's sums.  So with ``want_sums`` set before (say)
+    `spectral.certify`, the strong and weak checks read the pass of a
+    claim that holds.
     """
 
     def __init__(self, a: np.ndarray, max_degree: int):
@@ -316,17 +325,19 @@ class Powers:
         return exact_matmul(x, self.a[start:].T, y_max=1)
 
     def rows(self, j_max: int):
-        """Row tiles of A^1..A^j_max, top to bottom, and of (A∘A^2)A
-        when ``want_sums`` is set and the graph has no sums scan.
+        """Row tiles of A^1..A^j_max, top to bottom, and a sums scan fed
+        (A∘A^2)A when ``want_sums`` is set and the graph has no scan.
 
         A power is formed in full rows where a later product of the tile
         reads it, and otherwise, like (A∘A^2)A, only from the tile's
         first row on, at half the flops on average.  One `RowTile` is
-        yielded per `_row_tiles` slice and reused: its arrays are dropped
-        before the next tile is formed, so one tile is alive at a time.
-        A pass that reaches the last row stores the tally (once it forms
-        A^2) and the sums scan (once it forms (A∘A^2)A) that the graph
-        still lacks.
+        yielded per `_row_tiles` slice and reused.  The tally is fed
+        before the consumer's turn, and (A∘A^2)A formed after it, so a
+        pass that stops early forms none; A∘A^2 takes A^2's own buffer
+        (A^2 <= n < 2^24: the int32 view of a float32 product).  A tile's
+        arrays are dropped before the next is formed.  A pass that
+        reaches the last row stores the tally (once it forms A^2) and the
+        sums scan (once it forms (A∘A^2)A) that the graph still lacks.
         """
         n = len(self.a)
         sums = self.want_sums and self._scan is None
@@ -334,10 +345,8 @@ class Powers:
             j_max = max(j_max, 2)
         tally = _Tally(n) if j_max >= 2 and self._tally is None else None
         scan = _SumScan(n) if sums else None
-        riders = [r for r in (tally, scan) if r is not None]
         tile = RowTile()
         for rows in _row_tiles(n, n):
-            tile.rows, tile.pows, tile.sums = rows, None, None
             start = rows.start
             pows, a2 = [self.a[rows, start:]], None
             x = self.a[rows]  # full rows of the last power formed
@@ -347,17 +356,21 @@ class Powers:
                 pows.append(x[:, start:] if full else x)
                 if j == 2:
                     a2 = x
-            if sums:
-                # entries lambda(x, y) <= n < 2^24: exact in float32
-                lam = np.multiply(self.a[rows], a2, dtype=np.float32)
-                tile.sums = _frozen(self.times_a(lam, start))
-                del lam
-            tile.pows = tuple(map(_frozen, pows))
-            del pows, a2, x
-            for r in riders:
-                r.feed(tile)
+            tile.rows, tile.pows = rows, tuple(map(_frozen, pows))
+            del pows, x
+            if tally is not None:
+                tally.feed(tile)
             yield tile
-        tile.pows = tile.sums = None
+            tile.pows = None
+            if scan is not None:
+                a, lam = self.a[rows], a2.view(np.float32)
+                for r in _row_tiles(*a2.shape):
+                    a2[r] *= a[r]
+                    lam[r] = a2[r]
+                sum_rows = _frozen(self.times_a(lam, start))
+                scan.feed(start, a[:, start:], _frozen(lam[:, start:]), sum_rows)
+                del lam, sum_rows
+            del a2
         if tally is not None:
             self._tally = tally
         if scan is not None:
@@ -367,8 +380,10 @@ class Powers:
         """(lambda multiset, mu multiset): the A^2 values on the adjacent
         and on the non-adjacent unordered pairs."""
         if self._tally is None:
+            wanted, self.want_sums = self.want_sums, False  # a pass of A^2 alone
             for _ in self.rows(2):
                 pass
+            self.want_sums = wanted
         return self._tally.multisets()
 
     def sum_scan(self) -> _SumScan:

@@ -756,20 +756,41 @@ def summing_powers(g):
     return p
 
 
+def on_feed(monkeypatch, record):
+    """Call ``record(start, a, lam, sums)`` with each tile's rows of A,
+    A∘A^2 and (A∘A^2)A, from column ``start`` on, as a sums scan is fed
+    them."""
+    real = regularity._SumScan.feed
+
+    def feed(self, start, *arrays):
+        record(start, *arrays)
+        return real(self, start, *arrays)
+
+    monkeypatch.setattr(regularity._SumScan, "feed", feed)
+
+
 def test_powers_match_object_products_and_are_cached(tls22, monkeypatch):
     assert powers(tls22) is powers(tls22)
     a = tls22.adjacency_matrix().astype(object)
-    want = [np.linalg.matrix_power(a, j) for j in range(1, 5)] + [(a * (a @ a)) @ a]
+    want = [np.linalg.matrix_power(a, j) for j in range(1, 5)]
+    hadamard = a * (a @ a)
+    fed = []
+    on_feed(monkeypatch, lambda start, *arrays: fed.append((start, [m.tolist() for m in arrays])))
     for rows in (2, 5, 32):
         tiles_of(monkeypatch, rows, 32)  # the band floor too: at most _MAX_TILES tiles
         p = summing_powers(tls(2, 2))  # fresh: a pass forms sums only for a graph without a scan
         starts = []
+        fed.clear()
         for t in p.rows(4):
             r = t.rows
             starts.append(r.start)
-            for got, m in zip([t[j] for j in range(1, 5)] + [t.sums], want):
+            for got, m in zip([t[j] for j in range(1, 5)], want):
                 assert got.tolist() == m[r, r.start :].tolist()  # the rows, from column r.start on
         assert starts == list(range(0, 32, rows))
+        assert [start for start, _ in fed] == starts  # the scan reads every tile's sums once
+        for start, got in fed:
+            r = slice(start, start + rows)
+            assert got == [m[r, start:].tolist() for m in (a, hadamard, hadamard @ a)]
     assert whole(p.combination([1, -2, 0, 1], 5)).tolist() == (
         a @ a @ a - 2 * a + np.eye(32, dtype=object) + 5
     ).tolist()
@@ -820,6 +841,26 @@ def test_scheme_check_multiplies_no_relation_by_the_identity(monkeypatch, rook33
                for j in range(d + 1) for h in range(d + 1))
 
 
+def test_a_sums_pass_holds_at_most_three_tile_arrays():
+    """profile of tls(4,5) (n = 1600) is one pass of eight 200-row tiles,
+    and a tile array of 200 x 1600 entries is 1.22 MiB.  The pass holds
+    A^2's buffer, with A∘A^2 formed in it, the (A∘A^2)A tile, and the
+    product's panel of A or the scan's row-slice temporaries: 4.23 MiB
+    traced beside A.  A fourth tile array, a fresh A∘A^2 or a whole-tile
+    temporary of the scan, would pass the bound (5.62 MiB with both)."""
+    import tracemalloc
+
+    g = tls(4, 5)
+    assert g.degree_vector.max() == 383  # made before tracing, with A
+    tracemalloc.start()
+    try:
+        profile(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+
+
 def test_profile_does_two_products(monkeypatch):
     calls = count_products(monkeypatch)
     profile(tls(2, 2))
@@ -866,22 +907,36 @@ def test_theorem33_does_three_products(tmp_path, capsys, monkeypatch):
     assert calls == [32] * 3  # one pass: A^2, A^3 and (A∘A^2)A
 
 
-def test_cached_powers_are_read_only():
+def test_cached_powers_are_read_only(monkeypatch):
+    fed = []
+    on_feed(monkeypatch, lambda start, *arrays: fed.append(arrays))
     p = summing_powers(tls(2, 2))
     for tile in p.rows(3):
-        for m in (tile[1], tile[2], tile[3], tile.sums):
+        for m in (tile[1], tile[2], tile[3]):
             with pytest.raises(ValueError):
                 m[0, 0] = 7
+    assert len(fed) == 1
+    for m in fed[0]:  # what the sums scan reads: A, A∘A^2 and (A∘A^2)A
+        with pytest.raises(ValueError):
+            m[0, 0] = 7
 
 
 def test_a_stream_keeps_one_tile_alive(monkeypatch):
     monkeypatch.setattr(regularity, "_TILE_ENTRIES", 8 * 32)
     import weakref
 
+    def buffer(m):  # the array that owns m's memory
+        return m if m.base is None else m.base
+
+    def watch(start, a, *arrays):  # A∘A^2 (in A^2's buffer) and (A∘A^2)A, fed after the turn
+        seen.extend(weakref.ref(buffer(m)) for m in arrays)
+
     seen = []
+    on_feed(monkeypatch, watch)
     for tile in summing_powers(tls(2, 2)).rows(3):
         assert all(ref() is None for ref in seen)  # the last tile's arrays are gone
-        seen = [weakref.ref(m) for m in (tile[2], tile[3], tile.sums)]
+        seen = [weakref.ref(buffer(m)) for m in (tile[2], tile[3])]
+    assert len(seen) == 2 + 2  # the last tile's scan arrays were watched too
 
 
 def test_level_needs_two_vertices():
@@ -985,13 +1040,17 @@ def test_certify_after_the_hoffman_relation_forms_no_tile(build, claim, monkeypa
 @pytest.mark.parametrize("j_max", [1, 3])
 @pytest.mark.parametrize("want_sums", [False, True])
 @pytest.mark.parametrize("scanned", [False, True])
-def test_rows_form_sums_iff_wanted_and_unscanned(j_max, want_sums, scanned):
+def test_rows_form_sums_iff_wanted_and_unscanned(j_max, want_sums, scanned, monkeypatch):
+    tiles_of(monkeypatch, 8, 32)
     p = powers(tls(2, 2))
     if scanned:
         p.sum_scan()
     p.want_sums = want_sums
-    formed = [tile.sums is not None for tile in p.rows(j_max)]
-    assert formed == [want_sums and not scanned] * len(formed)
+    fed = []
+    on_feed(monkeypatch, lambda start, *arrays: fed.append(start))
+    starts = [tile.rows.start for tile in p.rows(j_max)]
+    assert starts == [0, 8, 16, 24]
+    assert fed == (starts if want_sums and not scanned else [])
 
 
 def test_a_failing_relation_stops_at_its_first_mismatching_tile(monkeypatch):
@@ -999,26 +1058,31 @@ def test_a_failing_relation_stops_at_its_first_mismatching_tile(monkeypatch):
     moments 0..2 and has ell = 280, but its product fails in the first
     tile: two products (A^2 and A^3 of rows 0..3), then the eight
     A^2 tiles of the pass that leaves the tally tr A^3 comes from, so the
-    failing moment is still reported first.  A bare failing relation
+    failing moment is still reported first.  Neither pass forms
+    (A∘A^2)A, even when the graph wants sums.  A bare failing relation
     forms one tile, whether the graph has its tally or wants sums."""
     from cerg.spectral import MomentMismatch, certify
 
     tiles_of(monkeypatch, 4, 32)
     calls = count_products(monkeypatch)
-    with pytest.raises(MomentMismatch, match=r"^moment j=3: claimed 5568, trace gives 6336$"):
-        certify(tls(2, 2), [(19, 1), (3, 7), (-1, 22), (-9, 2)])
-    assert calls == [4, 4] + [4] * 8
+    for want_sums in (False, True):
+        g = tls(2, 2)
+        powers(g).want_sums = want_sums
+        calls.clear()
+        with pytest.raises(MomentMismatch, match=r"^moment j=3: claimed 5568, trace gives 6336$"):
+            certify(g, [(19, 1), (3, 7), (-1, 22), (-9, 2)])
+        assert calls == [4, 4] + [4] * 8
+        assert powers(g)._scan is None and powers(g).want_sums == want_sums
     p = powers(tls(2, 2))
     square = [0, 0, 1]
     for has_tally in (False, True):
         if has_tally:
-            p.want_sums = False
             p.tally()
         for want_sums in (False, True):
             p.want_sums = want_sums
             calls.clear()
             assert p.first_mismatch(square, 0, 0) == (0, 0, 19)
-            assert calls == [4] * (1 + want_sums)  # A^2, and (A∘A^2)A when wanted
+            assert calls == [4]  # A^2 alone: the pass stops before the tile's sums
             assert (p._tally is not None) == has_tally and p._scan is None
 
 
@@ -1042,6 +1106,7 @@ def ladder(tmp_path_factory):
         "c34-swapped": {"eigs": [134, 26, -1, -10], "mults": [1, 288, 44, 99]},
         "c33": {"eigs": [98, 17, -1, -10], "mults": [1, 32, 162, 48]},
         "c26": {"eigs": [67, 19, -1, -5], "mults": [1, 33, 144, 110]},
+        "c45-wrong": {"eigs": [383, 13, 3, -41], "mults": [1, 472, 902, 225]},
     }
     for name, claim in claims.items():
         (d / f"{name}.json").write_text(json.dumps(claim))
@@ -1053,6 +1118,9 @@ def ladder(tmp_path_factory):
     *[(("verify", check, "-i", "tls34.g6", "--claim", "c34.json"), 4) for check in ("spectrum", "eq1")],
     (("verify", "theorem33", "-i", "tls34.g6", "--claim", "c34.json"), 6),
     (("verify", "theorem33", "-i", "tls34.g6", "--claim", "c34-swapped.json"), 0),
+    # a failing product: 2 for its first tile, then the 8 A^2 tiles of the tally's pass
+    *[(("verify", check, "-i", "tls45.g6", "--claim", "c45-wrong.json"), 10)
+      for check in ("spectrum", "theorem33")],
     (("verify", "profile", "-i", "tls45.g6"), 16),
     (("compare", "tls33.g6", "ext33.g6", "--claim", "c33.json"), 4),
     (("compare", "tls26.g6", "ext26.g6", "--claim", "c26.json"), 4),
