@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
-from .geometry import Design, _block_matrix, decode_point, parallel_classes
+from .geometry import Design, _block_bits, decode_point, parallel_classes
 from .graphs import Graph, PartitionInvalid, _check_order, check_parts
 
 
@@ -57,7 +57,7 @@ def latin_square_graph(oa: OrthogonalArray, m: int) -> Graph:
         a |= row[:, None] == row[None, :]
     np.fill_diagonal(a, False)
     labels = [f"col{c}" for c in range(n2)]
-    return Graph._adopt(a, labels)
+    return Graph._adopt(np.packbits(a, axis=1), labels)
 
 
 class TlsGraph(Graph):
@@ -132,7 +132,7 @@ def tls(q: int, n: int, goa: GroupDivisibleArray | None = None) -> TlsGraph:
     np.fill_diagonal(a, False)
     points = [str(decode_point(point, q, 3)) for point in range(q3)]
     labels = [f"{point}@{i}" for i in range(n * n) for point in points]
-    g = TlsGraph._adopt(a, labels)
+    g = TlsGraph._adopt(np.packbits(a, axis=1), labels)
     g.q, g.n_sym, g.goa, g.pcs = q, n, goa, pcs
     return g
 
@@ -205,11 +205,7 @@ def h_graph(d: Design) -> Graph:
     """Block graph plus all edges inside each resolution class."""
     if d.resolution is None:
         raise NotResolvable("design carries no resolution")
-    a = _block_matrix(d)
-    for cls in d.resolution:
-        a[np.ix_(cls, cls)] = True
-    np.fill_diagonal(a, False)
-    return Graph._adopt(a)
+    return Graph._adopt(_block_bits(d, d.resolution))
 
 
 def spread_modified(g: Graph, parts, mode: str) -> Graph:
@@ -220,20 +216,19 @@ def spread_modified(g: Graph, parts, mode: str) -> Graph:
     if mode not in ("remove", "add"):
         raise ValueError(f"mode must be 'remove' or 'add', not {mode!r}")
     parts = check_parts(parts, g.n)
-    a = g.a.copy()
+    bits = g.bits.copy()
     for pidx, part in enumerate(parts):
         idx = np.asarray(part, dtype=np.intp)
-        block = np.ix_(idx, idx)
+        rows = g.rows(idx)
         if mode == "remove":
-            if not (g.a[block] | np.eye(len(part), dtype=bool)).all():
+            if not (rows[:, idx] | np.eye(len(part), dtype=bool)).all():
                 raise PartNotClique(f"part {pidx} is not a clique")
-            a[block] = False
-        else:
-            if g.a[block].any():
-                raise PartNotCoclique(f"part {pidx} is not a co-clique")
-            a[block] = True
-    np.fill_diagonal(a, False)
-    return Graph._adopt(a, g.labels)
+        elif rows[:, idx].any():
+            raise PartNotCoclique(f"part {pidx} is not a co-clique")
+        rows[:, idx] = mode == "add"
+        rows[np.arange(len(idx)), idx] = False
+        bits[idx] = np.packbits(rows, axis=1)
+    return Graph._adopt(bits, g.labels)
 
 
 def tls_metadata(g: TlsGraph) -> dict:

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .field import FieldSpec, field, field_order
-from .graphs import MAX_VERTICES, Graph, _check_order, _frozen
+from .graphs import MAX_VERTICES, Graph, _check_order, _frozen, _packed_zeros
 
 PARALLEL_CLASS_MAX_Q = 16
 
@@ -189,7 +189,8 @@ class Design:
         integers at a time, not one count per pair, whatever the labels:
         if 0..m-1 lie on blocks and m on none, every pair with m is
         uncovered, so only the points below m + 2 are counted."""
-        cap = self.blocks.size + 2  # bt incidences leave a point <= bt on no block
+        # no point reaches v, and bt incidences leave a point <= bt on no block
+        cap = min(self.v, self.blocks.size + 2)
         per_point = np.bincount(np.minimum(self.blocks.ravel(), cap), minlength=cap + 1)
         m = int((per_point == 0).argmax())  # 0..m-1 are on blocks, m is not
         points = min(self.v, m + 2)
@@ -267,25 +268,38 @@ def design_one_factorization(m: int) -> Design:
 
 def block_graph(d: Design) -> Graph:
     """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design."""
-    return Graph._adopt(_block_matrix(d))
+    return Graph._adopt(_block_bits(d))
 
 
-def _block_matrix(d: Design) -> np.ndarray:
-    """`block_graph`'s matrix, fresh for its caller to fill and adopt.
-    Each point lies on r = (v-1)/(t-1) blocks (on all b if t = 1, when
-    v <= 1), so the blocks through the points are a v x r array, and r
-    writes, each of a column against the whole array, fill the matrix."""
+def _block_bits(d: Design, classes: np.ndarray | None = None) -> np.ndarray:
+    """`block_graph`'s packed rows, fresh for its caller to adopt, with
+    every pair of blocks inside a row of ``classes`` joined too (the
+    h-graph's resolution classes).  Each point lies on r = (v-1)/(t-1)
+    blocks (on all b if t = 1, when v <= 1), so the blocks through the
+    points are a v x r array, and the row of block B is the union of the
+    r-sets of B's t points: filled a block of rows at a time, each with
+    at most 2^14 such indices (or one row), and packed at once."""
     _check_order(d.b)
     violation = d.pair_coverage_violation()
     if violation is not None:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
-    a = np.zeros((d.b, d.b), dtype=bool)
+    bits = _packed_zeros(d.b)
     pencils = d.by_point.reshape(d.v, d.b * d.t // d.v if d.v else 0)
-    for j in range(pencils.shape[1]):
-        a[pencils[:, j, None], pencils] = True
-    np.fill_diagonal(a, False)
-    return a
+    if classes is not None:
+        class_of = np.empty(d.b, dtype=np.intp)
+        class_of[classes] = np.arange(len(classes))[:, None]
+    step = max(1, 2**14 // max(d.t * pencils.shape[1], 1))
+    for i in range(0, d.b, step):
+        rows = slice(i, min(i + step, d.b))
+        h = rows.stop - rows.start
+        block = np.zeros((h, d.b), dtype=bool)
+        block[np.arange(h)[:, None], pencils[d.blocks[rows]].reshape(h, -1)] = True
+        if classes is not None:
+            block[np.arange(h)[:, None], classes[class_of[rows]]] = True
+        block[np.arange(h), np.arange(rows.start, rows.stop)] = False
+        bits[rows] = np.packbits(block, axis=1)
+    return bits
 
 
 def write_design(d: Design, path) -> None:

@@ -1,25 +1,38 @@
-"""Immutable simple graphs on a read-only boolean adjacency matrix.
+"""Immutable simple graphs on read-only bit-packed adjacency rows.
 
-A `Graph` stores one n x n numpy ``bool`` matrix, checked once on
-construction (square, loop-free, symmetric) and then frozen.  Queries,
-transforms, constructions and the graph6 codec are whole-array numpy
-operations on it; `adjacency_matrix` exports a fresh int64 copy for
-integer arithmetic, and `regularity.powers` caches the exact powers of
-the boolean matrix on the graph.  Every degree fact (regularity, k, the
-edge count, tr A^2, the largest degree) reads one read-only degree
-vector, one row sum of A made on first use and kept on the graph, as a
+A `Graph` stores its adjacency matrix A as packed rows and nothing else:
+``bits`` is the n x ceil(n/8) ``uint8`` array that
+``np.packbits(A, axis=1)`` gives (big bit order, zero padding bits),
+n^2/8 bytes, checked once on construction (loop-free, symmetric) and
+then frozen.  `Graph.rows` unpacks a block of rows into a fresh boolean
+array, and every layer reads A that way (`_unpack`): queries, transforms,
+constructions and the graph6 codec work on packed rows or on one small
+block of unpacked rows at a time, so no n x n boolean matrix outlives a
+call.  `adjacency_matrix` exports a fresh int64 copy for integer
+arithmetic, and `regularity.powers` caches the exact powers of A on the
+graph.  Every degree fact (regularity, k, the edge count, tr A^2, the
+largest degree) reads one read-only degree vector, a popcount of the
+packed rows made on first use and kept on the graph, as a
 `geometry.Design` keeps its incidences read-only, sorted by point once.
-`Graph(a)` keeps a boolean copy of ``a``; every builder in the package
-hands over the fresh matrix it made, uncopied (`Graph._adopt`).
+`Graph(a)` packs any square array-like; every builder in the package
+hands over the fresh packed rows it made, uncopied (`Graph._adopt`).
 """
 
 from __future__ import annotations
 
 import json
+from math import isqrt
 
 import numpy as np
 
 MAX_VERTICES = 20000
+
+# entries of the unpacked block a loop over row or column blocks holds
+_BLOCK_ENTRIES = 2**15
+
+# set bits of each byte value: the degrees are a table lookup over the
+# packed rows (np.bitwise_count needs NumPy 2)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 class CheckFailed(ValueError):
@@ -72,14 +85,62 @@ def check_parts(parts, n: int) -> list[list]:
     return parts
 
 
-def _tiles(n: int, size: int = 1024):
-    """Slice pairs (I, J) of the square blocks on and above the diagonal;
-    a[I, J] against a[J, I].T reads the transpose one cached block at a
-    time, several times faster than whole-matrix a.T at n in the
-    thousands."""
-    for i in range(0, n, size):
-        for j in range(i, n, size):
-            yield slice(i, i + size), slice(j, j + size)
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows of an n-column boolean matrix as a fresh boolean block."""
+    return np.unpackbits(bits, axis=-1, count=n).view(bool)
+
+
+def _packed_zeros(n: int) -> np.ndarray:
+    return np.zeros((n, -(-n // 8)), dtype=np.uint8)
+
+
+def _bit(v: np.ndarray) -> np.ndarray:
+    """The mask of column v within its byte, byte v >> 3 of a packed row."""
+    return np.uint8(0x80) >> (v & 7).astype(np.uint8)
+
+
+def _clear_diagonal(bits: np.ndarray) -> None:
+    v = np.arange(len(bits))
+    bits[v, v >> 3] &= ~_bit(v)
+
+
+def _blocks(n: int, across: int | None = None):
+    """Consecutive slices of range(n), each a multiple of 8 long (but the
+    last) and of about _BLOCK_ENTRIES / across elements (across = n by
+    default): a block of rows, or of columns that starts on a byte of
+    the packed rows."""
+    step = 8 * max(1, _BLOCK_ENTRIES // 8 // max(n if across is None else across, 1))
+    for i in range(0, n, step):
+        yield slice(i, min(i + step, n))
+
+
+def _tiles(n: int):
+    """Pairs (I, J), J <= I, of the square blocks of side about
+    sqrt(_BLOCK_ENTRIES) on and below the diagonal."""
+    blocks = list(_blocks(n, isqrt(_BLOCK_ENTRIES)))
+    for k, i in enumerate(blocks):
+        for j in blocks[: k + 1]:
+            yield i, j
+
+
+def _tile(bits: np.ndarray, i: slice, j: slice) -> np.ndarray:
+    """A[i, j], unpacked, for a block of columns j that starts on a byte."""
+    return _unpack(bits[i, j.start // 8 : -(-j.stop // 8)], j.stop - j.start)
+
+
+def _first_asymmetry(bits: np.ndarray) -> tuple[int, int] | None:
+    """The first (v, u) in row-major order with A[v, u] set and A[u, v]
+    not, or None.  Each square tile is checked against its mirror; only
+    on a mismatch are blocks of rows scanned, each against the same
+    block of columns, for the first witness."""
+    if all(np.array_equal(_tile(bits, i, j), _tile(bits, j, i).T) for i, j in _tiles(len(bits))):
+        return None
+    n = len(bits)
+    for b in _blocks(n):
+        bad = _unpack(bits[b], n) > _tile(bits, slice(0, n), b).T
+        if bad.any():
+            v, u = divmod(int(bad.argmax()), n)
+            return b.start + v, u
 
 
 class Graph:
@@ -88,32 +149,33 @@ class Graph:
     ``a`` may be any square array-like; every nonzero entry is an edge.
     """
 
-    __slots__ = ("n", "a", "labels", "_powers", "_degrees")
+    __slots__ = ("n", "bits", "labels", "_powers", "_degrees")
 
     def __init__(self, a, labels=None):
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, not of shape {a.shape}")
         _check_order(a.shape[0])
-        self._keep(a.astype(bool), labels)
+        self._keep(np.packbits(a.astype(bool, copy=False), axis=1), labels)
 
     @classmethod
-    def _adopt(cls, a: np.ndarray, labels=None) -> "Graph":
-        """A graph on ``a`` itself, a square boolean matrix that its caller
-        made and lets go: checked as `Graph(a)` checks it, but not copied."""
-        return cls.__new__(cls)._keep(a, labels)
+    def _adopt(cls, bits: np.ndarray, labels=None) -> "Graph":
+        """A graph on ``bits`` itself, packed rows that its caller made
+        and lets go: checked as `Graph(a)` checks them, but not copied."""
+        return cls.__new__(cls)._keep(bits, labels)
 
-    def _keep(self, a: np.ndarray, labels=None) -> "Graph":
-        """Check the square boolean matrix ``a`` and keep it, read-only,
-        as the graph's own matrix, with no copy."""
-        loops = np.flatnonzero(a.diagonal())
+    def _keep(self, bits: np.ndarray, labels=None) -> "Graph":
+        """Check the packed rows ``bits`` of a square boolean matrix and
+        keep them, read-only, as the graph's own, with no copy."""
+        v = np.arange(len(bits))
+        loops = np.flatnonzero(bits[v, v >> 3] & _bit(v))
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
-        if not all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tiles(len(a))):
-            v, u = np.argwhere(a & ~a.T)[0]
-            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        self.n = a.shape[0]
-        self.a = _frozen(a)
+        asymmetry = _first_asymmetry(bits)
+        if asymmetry is not None:
+            raise ValueError(f"adjacency not symmetric at {asymmetry}")
+        self.n = len(bits)
+        self.bits = _frozen(bits)
         self.labels = tuple(labels) if labels is not None else None
         self._powers = None
         self._degrees = None
@@ -133,47 +195,57 @@ class Graph:
             if not (ints and 0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
         e = np.array(e, dtype=np.int64).reshape(-1, 2)
-        a = np.zeros((n, n), dtype=bool)
-        a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
-        return cls._adopt(a, labels)
+        u, v = np.concatenate([e, e[:, ::-1]]).T
+        bits = _packed_zeros(n)
+        np.bitwise_or.at(bits, (u, v >> 3), _bit(v))
+        return cls._adopt(bits, labels)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
         _check_order(n)
-        return cls._adopt(np.zeros((n, n), dtype=bool))
+        return cls._adopt(_packed_zeros(n))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        _check_order(n)
-        return cls._adopt(~np.eye(n, dtype=bool))
+        return complement(cls.empty(n))
 
     # -- queries
 
+    def rows(self, index) -> np.ndarray:
+        """Rows ``index`` (an int, a slice or an index array) of A,
+        unpacked: a fresh boolean block."""
+        return _unpack(self.bits[index], self.n)
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.a[u, v])
+        return bool(self.rows(u)[v])
 
     def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.a[v]))
+        return int(np.count_nonzero(self.rows(v)))
 
     @property
     def degree_vector(self) -> np.ndarray:
-        """The degrees, read-only: one row sum of A, made on first use."""
+        """The degrees, read-only: one popcount of the packed rows, made
+        on first use."""
         if self._degrees is None:
-            self._degrees = _frozen(self.a.sum(axis=1))
+            self._degrees = _frozen(_POPCOUNT[self.bits].sum(axis=1, dtype=np.int64))
         return self._degrees
 
     def degrees(self) -> list[int]:
         return self.degree_vector.tolist()
 
     def neighbors(self, v: int) -> list[int]:
-        return np.flatnonzero(self.a[v]).tolist()
+        return np.flatnonzero(self.rows(v)).tolist()
 
     def edge_count(self) -> int:
         return int(self.degree_vector.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, in row-major order."""
-        return [(u, v) for u, v in np.argwhere(np.triu(self.a)).tolist()]
+        out = []
+        for b in _blocks(self.n):
+            upper = np.triu(self.rows(b), b.start + 1)
+            out += [(b.start + u, v) for u, v in np.argwhere(upper).tolist()]
+        return out
 
     def is_regular(self) -> tuple[bool, int | None]:
         k = int(self.degree_vector.max(initial=0))
@@ -186,7 +258,8 @@ class Graph:
         seen[0] = True
         frontier = seen.copy()
         while frontier.any():
-            frontier = self.a[frontier].any(axis=0) & ~seen
+            reached = np.bitwise_or.reduce(self.bits[frontier], axis=0)
+            frontier = _unpack(reached, self.n) & ~seen
             seen |= frontier
         return bool(seen.all())
 
@@ -195,13 +268,13 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense int64 adjacency, a fresh read-only copy."""
-        return _frozen(self.a.astype(np.int64))
+        return _frozen(self.rows(slice(None)).astype(np.int64))
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and np.array_equal(self.a, other.a)
+        return isinstance(other, Graph) and np.array_equal(self.bits, other.bits)
 
     def __hash__(self):
-        return hash(self.a.tobytes())
+        return hash(self.bits.tobytes())
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -211,38 +284,60 @@ class Graph:
 
 
 def complement(g: Graph) -> Graph:
-    a = ~g.a
-    np.fill_diagonal(a, False)
-    return Graph._adopt(a, g.labels)
+    bits = ~g.bits
+    if g.n % 8:
+        bits[:, -1] &= (0xFF00 >> (g.n % 8)) & 0xFF  # the padding bits stay zero
+    _clear_diagonal(bits)
+    return Graph._adopt(bits, g.labels)
 
 
 def clique_extension(g: Graph, s: int) -> Graph:
     """Blow each vertex into an s-clique, joining cliques of adjacent bases.
 
     Vertex (x, i) gets index x*s + i, so the s clones of a base vertex
-    are contiguous and the adjacency is (A + I) (x) J_s - I.
+    are contiguous and the adjacency is (A + I) (x) J_s - I: row x*s + i
+    is row x of A + I with each column repeated s times.
     """
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
     _check_order(g.n * s)
-    a = np.kron(g.a | np.eye(g.n, dtype=bool), np.ones((s, s), dtype=bool))
-    np.fill_diagonal(a, False)
-    return Graph._adopt(a)
+    bits = _packed_zeros(g.n * s)
+    for b in _blocks(g.n):
+        base = g.rows(b)
+        base[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = True
+        packed = np.packbits(np.repeat(base, s, axis=1), axis=1)
+        bits[b.start * s : b.stop * s] = np.repeat(packed, s, axis=0)
+    _clear_diagonal(bits)
+    return Graph._adopt(bits)
 
 
 def local_graph(g: Graph, x: int) -> Graph:
     """Induced subgraph on N(x), vertices in original index order."""
     if not 0 <= x < g.n:
         raise VertexOutOfRange(f"vertex {x} outside [0, {g.n})")
-    verts = np.flatnonzero(g.a[x])
+    verts = np.flatnonzero(g.rows(x))
     labels = [g.labels[v] for v in verts] if g.labels else None
-    return Graph._adopt(g.a[np.ix_(verts, verts)], labels)
+    return Graph._adopt(np.packbits(g.rows(verts)[:, verts], axis=1), labels)
 
 
 # -- graph6 serialization (formats.txt: 6-bit groups, upper triangle packed
 #    column by column, each byte offset by 63).  Column j of the upper
 #    triangle is row j of the strict lower triangle, so the bits are the
 #    row slices a[j, :j] in turn, for j = 1..n-1.
+
+
+def _lower(b: slice, width: int) -> np.ndarray:
+    """The strict lower triangle's entries among rows ``b`` and columns
+    below ``width``, as a mask of that block."""
+    return np.tri(b.stop - b.start, width, b.start - 1, dtype=bool)
+
+
+def _groups(bits: np.ndarray) -> bytes:
+    """graph6 bytes of a bit string whose length is a multiple of 6: each
+    6 bits padded to a byte, then packed as one string."""
+    padded = np.zeros((len(bits) // 6, 8), dtype=bool)
+    padded[:, 2:] = bits.reshape(-1, 6)
+    return (np.packbits(padded) + 63).tobytes()
 
 
 def graph6_bytes(g: Graph) -> bytes:
@@ -253,63 +348,68 @@ def graph6_bytes(g: Graph) -> bytes:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         raise ValueError("graph too large for the supported graph6 sizes")
-    # the pairs i < j column by column: row j of A up to the diagonal
-    pad = np.zeros(-(n * (n - 1) // 2) % 6, dtype=bool)
-    bits = np.concatenate([*(g.a[j, :j] for j in range(1, n)), pad])
-    groups = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
-    return bytes(v + 63 for v in head) + (groups + 63).tobytes()
+    # the pairs i < j column by column: row j of A up to the diagonal, a
+    # block of rows at a time; a block's last bits short of a group wait
+    out, carry = [bytes(v + 63 for v in head)], np.zeros(0, dtype=bool)
+    for b in _blocks(n):
+        bits = np.concatenate([carry, g.rows(b)[:, : b.stop][_lower(b, b.stop)]])
+        cut = len(bits) - len(bits) % 6
+        out.append(_groups(bits[:cut]))
+        carry = bits[cut:]
+    out.append(_groups(np.concatenate([carry, np.zeros(-len(carry) % 6, dtype=bool)])))
+    return b"".join(out)
 
 
 def from_graph6_bytes(data: bytes) -> Graph:
     if isinstance(data, str):
         data = data.encode("ascii")
-    data = data.rstrip(b"\r\n")
-    if not data:
-        raise MalformedGraph6("empty graph6 data", 0)
     buf = np.frombuffer(data, dtype=np.uint8)
-    bad = (buf < 63) | (buf > 126)
-    if bad.any():
-        off = int(np.argmax(bad))
-        raise MalformedGraph6(f"byte {data[off]} outside graph6 range", off)
-    pos = 0
-    if data[0] != 126:
-        n = data[0] - 63
-        pos = 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise MalformedGraph6("truncated size field", len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
+    end = len(buf)
+    while end and buf[end - 1] in (10, 13):  # a line's \n or \r\n, not copied
+        end -= 1
+    buf = buf[:end]
+    if not end:
+        raise MalformedGraph6("empty graph6 data", 0)
+    if buf.min() < 63 or buf.max() > 126:
+        off = int(np.argmax((buf < 63) | (buf > 126)))
+        raise MalformedGraph6(f"byte {buf[off]} outside graph6 range", off)
+    head = buf[:8].astype(int) - 63
+    if head[0] != 63:
+        n, pos = head[0], 1
+    elif end >= 2 and head[1] != 63:
+        if end < 4:
+            raise MalformedGraph6("truncated size field", end)
+        n, pos = (head[1] << 12) | (head[2] << 6) | head[3], 4
     else:
-        if len(data) < 8:
-            raise MalformedGraph6("truncated size field", len(data))
+        if end < 8:
+            raise MalformedGraph6("truncated size field", end)
         n = 0
-        for i in range(2, 8):
-            n = (n << 6) | (data[i] - 63)
+        for v in head[2:8]:
+            n = (n << 6) | v
         pos = 8
+    n = int(n)
     if n > MAX_VERTICES:
         raise MalformedGraph6(f"vertex count {n} exceeds ceiling {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
     expect = pos + (nbits + 5) // 6
-    if len(data) != expect:
-        raise MalformedGraph6(
-            f"expected {expect} bytes for n={n}, got {len(data)}",
-            min(len(data), expect),
-        )
+    if end != expect:
+        raise MalformedGraph6(f"expected {expect} bytes for n={n}, got {end}", min(end, expect))
     pad = -nbits % 6  # the last group's low bits
-    if (data[-1] - 63) & ((1 << pad) - 1):
-        raise MalformedGraph6("nonzero padding bits", len(data) - 1)
-    a = np.zeros((n, n), dtype=bool)
-    step = max(1, 2**17 // max(n, 1))  # rows a block: its bits, unpacked, stay small
-    for i in range(1, n, step):  # bits r(r-1)/2 on are row r of A up to the diagonal
-        j = min(i + step, n)
+    if (buf[-1] - 63) & ((1 << pad) - 1):
+        raise MalformedGraph6("nonzero padding bits", end - 1)
+    bits = _packed_zeros(n)
+    for b in _blocks(n):  # bits r(r-1)/2 on are row r of A up to the diagonal
+        i, j = b.start, b.stop
         lo, hi = i * (i - 1) // 2, j * (j - 1) // 2  # the block's bits, rows i..j-1
         groups = buf[pos + lo // 6 : pos - (-hi // 6)] - 63
-        bits = np.unpackbits(groups).reshape(-1, 8)[:, 2:].ravel()[lo % 6 :]
-        a[i:j, :j][np.tri(j - i, j, i - 1, dtype=bool)] = bits[: hi - lo]  # row-major order
+        stream = np.unpackbits(groups).reshape(-1, 8)[:, 2:].ravel()[lo % 6 :]
+        block = np.zeros((j - i, j), dtype=bool)
+        block[_lower(b, j)] = stream[: hi - lo]  # row-major order
+        bits[b, : -(-j // 8)] = np.packbits(block, axis=1)
+    # the upper triangle is the lower one transposed, a square tile at a time
     for i, j in _tiles(n):
-        a[i, j] |= a[j, i].T
-    return Graph._adopt(a)
+        bits[j, i.start // 8 : -(-i.stop // 8)] |= np.packbits(_tile(bits, i, j).T, axis=1)
+    return Graph._adopt(bits)
 
 
 def write_graph6(g: Graph, path) -> None:

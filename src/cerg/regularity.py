@@ -24,12 +24,14 @@ behind only O(n) results: the lambda/mu tallies and the sums scan,
 which later checks of the same graph read instead of passing again.
 The scan keeps, as the pass goes, the witnesses a whole-matrix scan
 would give, the first in row-major order, so no check makes a second
-pass for its witness.  A graph's checks hold n^2 bytes for the boolean
-A and a few tile-sized arrays of max(2^17, n^2/8) entries, three in the
-sums pass, where A^2 becomes A∘A^2 in its own buffer; the reducers read
-in place or in row slices, with no whole-tile temporary.  No float copy
-of A is kept: a product casts it one panel at a time, a block of whole
-rows, since A is symmetric.
+pass for its witness.  A graph's checks hold A's packed rows, n^2/8
+bytes, and a few tile-sized arrays of max(2^17, n^2/8) entries, three
+in the sums pass, where A^2 becomes A∘A^2 in its own buffer, and three
+in a relation's pass, where each power is the next product's left
+operand in its own float buffer; the reducers read in place or in row
+slices, with no whole-tile temporary, and unpack A's rows a slice at a
+time.  No float or boolean copy of A is kept: a product unpacks it one
+panel at a time, a block of whole rows, since A is symmetric.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -45,7 +47,7 @@ from functools import reduce
 import numpy as np
 
 from .graphs import (
-    CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, _frozen, _is_int, check_parts
+    CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, _frozen, _is_int, _unpack, check_parts
 )
 
 
@@ -104,7 +106,7 @@ def _absmax(x: np.ndarray) -> int:
 
 # entries per row tile (0.5 MB of int32) and per panel of a product's
 # right operand; but at most _MAX_TILES tiles a pass, since each tile's
-# product casts all of A, panel by panel, again.  The second rule wins
+# product unpacks all of A, panel by panel, again.  The second rule wins
 # from n = 1024 on: 200 rows at n = 1600, 766 at n = 6125
 _TILE_ENTRIES = 2**17
 _MAX_TILES = 8
@@ -118,20 +120,50 @@ def _row_tiles(n_rows: int, n_cols: int):
         yield slice(i, min(i + step, n_rows))
 
 
-def exact_matmul(x: np.ndarray, y: np.ndarray, y_max: int | None = None) -> np.ndarray:
+def _float_rows(bits: np.ndarray, rows: slice, ftype) -> np.ndarray:
+    """Rows ``rows`` of the symmetric 0/1 matrix whose packed rows are
+    ``bits``, in the float type ``ftype``: unpacked into it a slice of
+    _TILE_ENTRIES entries at a time, so no unpacked copy of the whole
+    block is made.  The
+    slice is cast as the uint8 block `np.unpackbits` gives, which casts
+    about 1.5 times as fast as its boolean view."""
+    block, n = bits[rows], len(bits)
+    out = np.empty((len(block), n), dtype=ftype)
+    step = max(1, _TILE_ENTRIES // max(n, 1))  # the slice stays in cache
+    for r in range(0, len(block), step):
+        out[r : r + step] = np.unpackbits(block[r : r + step], axis=-1, count=n)
+    return out
+
+
+class _PackedT:
+    """A[start:].T for the symmetric 0/1 matrix A whose packed rows are
+    ``bits``, as `exact_matmul`'s right operand: its columns c..d are
+    rows start + c .. start + d of A, so each panel is whole rows,
+    unpacked straight into the product's float type."""
+
+    def __init__(self, bits: np.ndarray, start: int):
+        self.bits, self.start = bits, start
+        self.shape = (len(bits), len(bits) - start)
+
+    def panel(self, c: int, d: int, ftype) -> np.ndarray:
+        return _float_rows(self.bits, slice(self.start + c, self.start + d), ftype).T
+
+
+def exact_matmul(x: np.ndarray, y: np.ndarray | _PackedT, y_max: int | None = None) -> np.ndarray:
     """x @ y for integer matrices, exactly, through BLAS.
 
     With B = inner_dim * max|x| * max|y|, the product runs in float32
     when B < 2^24 and in float64 when B < 2^53; no partial sum can then
     leave the integers the float type holds exactly.  Otherwise raises
     `ExactnessBoundExceeded`.  ``y_max``, when given, stands in for
-    max|y|, so that operand is not scanned.
-    y is cast in column panels of max(rows of x, _TILE_ENTRIES /
-    inner_dim) columns, each no larger than x's float copy or a tile,
-    and their products fill one float result.  No entry exceeds B, so
-    the result is int32 when B < 2^31 and int64 otherwise; a float
-    result of the integer's item size is cast in place, a row tile at a
-    time."""
+    max|y|, so that operand is not scanned; it must be given for a
+    packed ``y`` (`_PackedT`).
+    y is cast, or unpacked, in column panels of max(rows of x,
+    _TILE_ENTRIES / inner_dim) columns, each no larger than x's float
+    copy or a tile, and their products fill one float result.  No entry
+    exceeds B, so the result is int32 when B < 2^31 and int64 otherwise;
+    a float result of the integer's item size is cast in place, a row
+    tile at a time."""
     (rows, inner), cols = x.shape, y.shape[1]
     bound = inner * _absmax(x) * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
@@ -144,14 +176,26 @@ def exact_matmul(x: np.ndarray, y: np.ndarray, y_max: int | None = None) -> np.n
     out = np.empty((rows, cols), dtype=ftype)
     step = max(1, rows, _TILE_ENTRIES // max(inner, 1))
     for c in range(0, cols, step):
-        np.matmul(xf, y[:, c : c + step].astype(ftype, copy=False), out=out[:, c : c + step])
+        if isinstance(y, _PackedT):
+            panel = y.panel(c, c + step, ftype)
+        else:
+            panel = y[:, c : c + step].astype(ftype, copy=False)
+        np.matmul(xf, panel, out=out[:, c : c + step])
+        del panel
     del xf  # free the float input before the cast
     if out.itemsize != np.dtype(itype).itemsize:
         return out.astype(itype)
-    res = out.view(itype)
-    for r in _row_tiles(rows, cols):
-        res[r] = out[r]
-    return res
+    return _recast(out, itype)
+
+
+def _recast(x: np.ndarray, dtype) -> np.ndarray:
+    """x's entries recast to ``dtype``, of x's item size, in x's own
+    buffer, a row tile at a time: exact for integers below 2^24 (float32)
+    or 2^53 (float64)."""
+    y = x.view(dtype)
+    for r in _row_tiles(*x.shape):
+        y[r] = x[r]
+    return y
 
 
 def _multiset(counts: np.ndarray) -> dict[int, int]:
@@ -165,14 +209,24 @@ class RowTile:
     tile's r-th row x.  These are the pairs x <= y of the rows and the
     mirror images of some of them, so the tiles of a pass hold every
     pair x <= y once; every power is symmetric.  Read-only, and only
-    for the consumer's turn; A^1 is a view of the graph's boolean
-    matrix, every other array int32 or int64 as `exact_matmul` gives
-    it."""
+    for the consumer's turn.  ``bits`` holds the tile's rows of A packed,
+    a view of the graph's own, and the A^1 tile is an unpacked copy of
+    them, made afresh by each ``tile[1]``; `mask` unpacks one row slice
+    of it alone.  Every other array is int32 or int64 as `exact_matmul`
+    gives it."""
 
-    __slots__ = ("rows", "pows")
+    __slots__ = ("rows", "n", "bits", "pows")
 
     def __getitem__(self, j: int) -> np.ndarray:
-        return self.pows[j - 1]
+        return _frozen(self.mask(slice(None))) if j == 1 else self.pows[j - 2]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.bits), self.n - self.rows.start
+
+    def mask(self, r: slice) -> np.ndarray:
+        """Rows r of the A^1 tile, unpacked: a fresh boolean block."""
+        return _unpack(self.bits[r], self.n)[:, self.rows.start :]
 
 
 class _Tally:
@@ -185,11 +239,11 @@ class _Tally:
         self.counts = np.zeros(2 * self.m, dtype=np.int64)
 
     def feed(self, tile: RowTile) -> None:
-        a, a2 = tile[1], tile[2]
+        a2 = tile[2]
         size = len(self.counts)
         for rows in _row_tiles(*a2.shape):  # slices: bincount's int64 copy stays small
             i, h = rows.start, rows.stop - rows.start
-            key = np.multiply(a[rows], self.m, dtype=a2.dtype)  # one bincount
+            key = np.multiply(tile.mask(rows), self.m, dtype=a2.dtype)  # one bincount
             key += a2[rows]  # for both kinds of pair
             key[:, : i + h][np.tri(h, i + h, i, dtype=bool)] = size  # x >= y: a spare bin
             self.counts += np.bincount(key.ravel(), minlength=size + 1)[:size]
@@ -231,12 +285,13 @@ class _SumScan:
     def pair(self, position) -> tuple[int, int]:
         return divmod(int(position), self.n)
 
-    def feed(self, start: int, a: np.ndarray, lam: np.ndarray, sums: np.ndarray) -> None:
-        """Reduce one tile's rows of A, A∘A^2 and (A∘A^2)A, each from
-        column ``start`` on, row slice by row slice."""
-        w = a.shape[1]
-        for rows in _row_tiles(*a.shape):
-            a_, s_, x0 = a[rows], sums[rows], start + rows.start
+    def feed(self, start: int, bits: np.ndarray, lam: np.ndarray, sums: np.ndarray) -> None:
+        """Reduce one tile's rows of A, packed, and of A∘A^2 and
+        (A∘A^2)A, each from column ``start`` on, row slice by row slice:
+        A's rows are unpacked a slice at a time."""
+        w = sums.shape[1]
+        for rows in _row_tiles(*sums.shape):
+            a_, s_, x0 = _unpack(bits[rows], self.n)[:, start:], sums[rows], start + rows.start
 
             def at(i):  # positions x * n + y of flat indices of the slice
                 return (x0 + i // w) * self.n + start + i % w
@@ -257,6 +312,7 @@ class _SumScan:
                 )
             del non
             upper &= a_  # the edges x < y
+            del a_
             edges = np.flatnonzero(upper)
             del upper
             s, lam_e = s_.take(edges), lam[rows][divmod(edges, w)].astype(np.intp)
@@ -290,17 +346,19 @@ class Powers:
     """Row tiles of the powers of one graph's adjacency matrix A, and
     the O(n) results of full passes over them.
 
-    ``a`` is the graph's own read-only boolean matrix and ``max_degree``
-    its largest degree, which bounds the walk counts.  ``a`` is the one
-    n x n array: every tile product reads its right operand, A, from it
-    one panel of whole rows at a time (A is symmetric), cast to the
-    float type the product's bound picks.  A graph's checks therefore
-    hold n^2 bytes for A and a few tile-sized arrays at a time (at most
-    three in a sums pass), of max(_TILE_ENTRIES, n^2 / _MAX_TILES)
-    entries: 200 rows at n = 1600, 766 at n = 6125.  `rows` streams the tiles; `tally` and
-    `sum_scan` keep what a pass reduces them to; `combination` streams
-    integer combinations of the powers, and `first_mismatch` checks one
-    against a constant.  Obtain it with `powers`.
+    ``bits`` is the graph's own read-only packed rows of A and
+    ``max_degree`` its largest degree, which bounds the walk counts.
+    ``bits`` is the one n x n array, at n^2/8 bytes: every tile product
+    unpacks its right operand, A, from it one panel of whole rows at a
+    time (A is symmetric), and a product of A's own rows its left band
+    too, each straight into the float type the product's bound picks.
+    A graph's checks therefore hold A's packed rows and a few tile-sized
+    arrays at a time (at most three in a sums pass or a relation's), of
+    max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 200 rows at n = 1600,
+    766 at n = 6125.  `rows` streams the tiles; `tally` and `sum_scan`
+    keep what a pass reduces them to; `combination` streams integer
+    combinations of the powers, and `first_mismatch` checks one against
+    a constant.  Obtain it with `powers`.
 
     A pass decides its own work from what the graph holds: it forms
     (A∘A^2)A exactly when ``want_sums`` is set and the graph has no sums
@@ -311,18 +369,23 @@ class Powers:
     claim that holds.
     """
 
-    def __init__(self, a: np.ndarray, max_degree: int):
-        self.a = a
+    def __init__(self, bits: np.ndarray, max_degree: int):
+        self.bits = bits
+        self.n = len(bits)
         self.max_degree = max_degree
         self.want_sums = False
         self._tally = None
         self._scan = None
         self._zero = set()
 
+    def row(self, x: int) -> np.ndarray:
+        """Row x of A, unpacked: a fresh boolean vector."""
+        return _unpack(self.bits[x], self.n)
+
     def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
         """x @ A[:, start:] exactly, through `exact_matmul`: A[:, start:]
         is A[start:].T, so each panel is a block of whole rows of A."""
-        return exact_matmul(x, self.a[start:].T, y_max=1)
+        return exact_matmul(x, _PackedT(self.bits, start), y_max=1)
 
     def rows(self, j_max: int):
         """Row tiles of A^1..A^j_max, top to bottom, and a sums scan fed
@@ -334,41 +397,52 @@ class Powers:
         yielded per `_row_tiles` slice and reused.  The tally is fed
         before the consumer's turn, and (A∘A^2)A formed after it, so a
         pass that stops early forms none; A∘A^2 takes A^2's own buffer
-        (A^2 <= n < 2^24: the int32 view of a float32 product).  A tile's
+        (A^2 <= n < 2^24: the int32 view of a float32 product).  A power
+        that is the integer view of its float product's buffer is the
+        next product's left operand there, recast in place and back, not
+        copied; A's own rows are unpacked straight into float32.  A tile's
         arrays are dropped before the next is formed.  A pass that
         reaches the last row stores the tally (once it forms A^2) and the
         sums scan (once it forms (A∘A^2)A) that the graph still lacks.
         """
-        n = len(self.a)
+        n = self.n
         sums = self.want_sums and self._scan is None
         if sums:
             j_max = max(j_max, 2)
         tally = _Tally(n) if j_max >= 2 and self._tally is None else None
         scan = _SumScan(n) if sums else None
         tile = RowTile()
+        tile.n = n
         for rows in _row_tiles(n, n):
             start = rows.start
-            pows, a2 = [self.a[rows, start:]], None
-            x = self.a[rows]  # full rows of the last power formed
+            pows, a2 = [], None
+            # full rows of the last power formed, A's own first
+            x = _float_rows(self.bits, rows, np.float32) if j_max >= 2 else None
             for j in range(2, j_max + 1):
                 full = j < j_max or (j == 2 and sums)
-                x = self.times_a(x, 0 if full else start)
+                if x.base is None:  # A's rows, or a power copied out of a wider float
+                    x = self.times_a(x, 0 if full else start)
+                else:  # A^(j-1) in its float product's buffer: read there, not copied
+                    itype, xf = x.dtype, _recast(x, x.base.dtype)
+                    x = self.times_a(xf, 0 if full else start)
+                    _recast(xf, itype)
+                    del xf
                 pows.append(x[:, start:] if full else x)
                 if j == 2:
                     a2 = x
-            tile.rows, tile.pows = rows, tuple(map(_frozen, pows))
+            tile.rows, tile.bits, tile.pows = rows, self.bits[rows], tuple(map(_frozen, pows))
             del pows, x
             if tally is not None:
                 tally.feed(tile)
             yield tile
             tile.pows = None
             if scan is not None:
-                a, lam = self.a[rows], a2.view(np.float32)
+                lam = a2.view(np.float32)
                 for r in _row_tiles(*a2.shape):
-                    a2[r] *= a[r]
+                    a2[r] *= np.unpackbits(tile.bits[r], axis=-1, count=n)
                     lam[r] = a2[r]
                 sum_rows = _frozen(self.times_a(lam, start))
-                scan.feed(start, a[:, start:], _frozen(lam[:, start:]), sum_rows)
+                scan.feed(start, tile.bits, _frozen(lam[:, start:]), sum_rows)
                 del lam, sum_rows
             del a2
         if tally is not None:
@@ -420,9 +494,10 @@ class Powers:
 
     def _combination_tiles(self, c0, j_coeff, terms, itype):
         for tile in self.rows(max((j for j, _ in terms), default=1)):
-            out = np.full(tile[1].shape, j_coeff, dtype=itype)
-            for j, c in terms:
-                out += np.multiply(tile[j], c, dtype=itype)
+            out = np.full(tile.shape, j_coeff, dtype=itype)
+            for r in _row_tiles(*out.shape):  # each term's temporary a row slice
+                for j, c in terms:
+                    out[r] += np.multiply(tile.mask(r) if j == 1 else tile[j][r], c, dtype=itype)
             out[np.diag_indices(len(out))] += c0  # entry (r, r) is (x, x) for the r-th row x
             yield tile.rows.start, out
             del out
@@ -452,7 +527,7 @@ class Powers:
 def powers(g: Graph) -> Powers:
     """The graph's `Powers`, created on first use and cached on the graph."""
     if g._powers is None:
-        g._powers = Powers(g.a, int(g.degree_vector.max(initial=0)))
+        g._powers = Powers(g.bits, int(g.degree_vector.max(initial=0)))
     return g._powers
 
 
@@ -691,7 +766,7 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     if strays:
         raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")
     idx = np.asarray(members, dtype=np.intp)
-    inside = g.a[np.ix_(idx, idx)]
+    inside = g.rows(idx)[:, idx]
     if kind == "clique":
         bad = ~(inside | np.eye(len(members), dtype=bool)).all(axis=1)
         if bad.any():
@@ -708,7 +783,7 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     size = len(members)
     mask = np.zeros(g.n, dtype=bool)
     mask[idx] = True
-    degrees = _multiset(np.bincount(g.a[~mask][:, mask].sum(axis=1)))
+    degrees = _multiset(np.bincount(g.rows(~mask)[:, mask].sum(axis=1)))
     tight = Fraction(size) == bound
     cross_size = None
     if cross is not None:
@@ -735,7 +810,7 @@ def equitable_check(g: Graph, parts) -> EquitableReport:
     indicator = np.zeros((g.n, m), dtype=np.int64)
     for j, p in enumerate(parts):
         indicator[p, j] = 1
-    counts = exact_matmul(g.a, indicator)
+    counts = exact_matmul(g.rows(slice(None)), indicator)
     quotient = []
     for i, p in enumerate(parts):
         block = counts[p]
@@ -785,7 +860,7 @@ def scheme_check(relations) -> AssociationSchemeReport:
         raise NotAPartition("relations live on different vertex sets")
     if any(r.edge_count() == 0 for r in relations):
         raise NotAPartition("relations must be non-empty")
-    mats = [np.eye(n, dtype=bool)] + [r.a for r in relations]
+    mats = [np.eye(n, dtype=bool)] + [r.rows(slice(None)) for r in relations]
     # no gap, and no overlap: n^2 entries in all
     if not reduce(np.logical_or, mats).all() or sum(map(np.count_nonzero, mats)) != n * n:
         raise NotAPartition("identity plus relations do not partition X x X")

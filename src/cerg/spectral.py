@@ -345,11 +345,11 @@ def _hoffman_candidate(p: Powers, d: int):
     formed when the search reaches x; a solution must fit every entry of
     the rows formed.  Nothing here is trusted: the caller checks the
     candidate, as integers, on every entry."""
-    n = p.a.shape[0]
+    n = p.n
     basis = []  # (pivot column, row) pairs in reduced echelon form
     seen = set()
     for x in range(n):
-        pows = [p.a[x]]  # row x of A, ..., A^d
+        pows = [p.row(x)]  # row x of A, ..., A^d
         for _ in range(1, d):
             pows.append(p.times_a(pows[-1][None, :])[0])
         # row y holds (I, A, ..., A^(d-1), J | A^d) at entry (x, y)
@@ -458,7 +458,8 @@ def char_poly(g: Graph) -> tuple[int, ...]:
     window = _crt_primes()
     bits = accumulate(map(math.log2, window))
     primes = window[: next(i for i, b in enumerate(bits, 1) if b > bound_bits)]
-    images = [_hessenberg_charpoly_mod(g.a, p) for p in primes]
+    a = g.rows(slice(None))
+    images = [_hessenberg_charpoly_mod(a, p) for p in primes]
     coeffs = []
     for j in range(n + 1):
         coeffs.append(_crt_signed([int(img[j]) for img in images], primes))

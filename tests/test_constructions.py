@@ -428,7 +428,7 @@ def test_builders_hand_over_their_matrix_uncopied(rook33, monkeypatch):
         Graph.empty(3),
         Graph.complete(3),
     ]
-    assert all(g.a.dtype == bool and not g.a.flags.writeable for g in built)
+    assert all(g.bits.dtype == np.uint8 and not g.bits.flags.writeable for g in built)
     assert built[1] == tls22 and built[1].q == 2 and built[1].labels == tls22.labels
 
 
@@ -442,8 +442,8 @@ def test_builders_hand_over_their_matrix_uncopied(rook33, monkeypatch):
     ids=["tls", "complement", "clique-extension"],
 )
 def test_builder_peak_is_about_its_result(build, most):
-    """tracemalloc's peak while a builder runs, over the bytes of the
-    matrix it returns: no second n x n copy."""
+    """tracemalloc's peak while a builder runs, over n^2, the bytes of
+    its result as a boolean matrix: no second n x n copy."""
     base = tls(4, 5)
     tracemalloc.start()
     try:
@@ -451,7 +451,7 @@ def test_builder_peak_is_about_its_result(build, most):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= most * g.a.nbytes
+    assert peak <= most * g.n**2
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def test_design_graph_peak_is_about_its_result(design, build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * g.a.nbytes
+    assert peak <= 1.1 * g.n**2
 
 
 def test_one_partition_invalid_class():

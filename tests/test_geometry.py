@@ -354,12 +354,12 @@ def traced_peak(run) -> int:
 
 
 def test_block_graph_builds_no_incidence_matrix():
-    # past the b x b matrix and Graph's own checks, the parent build held
-    # the v x b incidence (953 kB on AG(2, 31)); now about 1 kB
+    # past the b x ceil(b/8) packed rows and Graph's own checks, a build
+    # that made the v x b incidence would hold 953 kB more on AG(2, 31)
     d = design_affine_lines(31, 2)
     g = block_graph(d)
-    own = traced_peak(lambda: Graph(g.a))
-    extra = traced_peak(lambda: block_graph(d)) - d.b * d.b - own
+    own = traced_peak(lambda: Graph._adopt(g.bits))
+    extra = traced_peak(lambda: block_graph(d)) - d.b * -(-d.b // 8) - own
     assert extra < d.v * d.b // 4, (extra, d.v * d.b)
 
 

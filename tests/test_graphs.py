@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cerg.graphs import (
     MAX_VERTICES,
@@ -148,25 +149,27 @@ def test_graph6_encoding_holds_no_n_squared_mask():
     assert peak < 1.2 * g.n**2
 
 
-def test_graph6_decoding_holds_no_n_squared_mask():
-    """The decoder fills row slices of A, with no triangle mask, and
-    drops its bit array before `Graph` copies the matrix: the traced peak
-    of decoding tls(4, 5), n = 1600, stays under 2.75 n^2 bytes (3 n^2
-    with the mask, 2.9 n^2 with the bits kept)."""
+def test_graph6_decoding_holds_no_n_squared_mask(tmp_path):
+    """The decoder writes packed rows directly, a block of rows and then
+    a block of columns at a time: the traced peak of reading tls(4, 5),
+    n = 1600, from its file is at most 1 MiB, the 0.3 MiB result, the
+    0.2 MiB line and small blocks (4.18 MiB when it filled a boolean
+    matrix, which alone is 2.4 MiB)."""
     import tracemalloc
 
     from cerg.constructions import tls
 
     g = tls(4, 5)
-    data = graph6_bytes(g)
+    path = tmp_path / "tls45.g6"
+    write_graph6(g, path)
     tracemalloc.start()
     try:
-        h = from_graph6_bytes(data)
+        h = read_graph6(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert h == g
-    assert peak < 2.75 * g.n**2
+    assert peak <= 2**20, peak
 
 
 def test_malformed_graph6_reports_offset():
@@ -281,9 +284,9 @@ def test_graph_matrix_is_a_frozen_copy_and_nonzero_is_an_edge():
     a = np.array([[0, 2], [-1, 0]])
     g = Graph(a)
     a[0, 1] = 0
-    assert g == Graph.complete(2) and g.a.dtype == bool
+    assert g == Graph.complete(2) and g.bits.dtype == np.uint8
     with pytest.raises(ValueError):
-        g.a[0, 1] = False
+        g.bits[0, 0] = 0
     with pytest.raises(ValueError):
         g.adjacency_matrix()[0, 1] = 0
 
@@ -325,10 +328,64 @@ def test_degrees_are_one_read_only_vector_kept_on_the_graph():
 
 def test_graphs_larger_than_one_tile():
     # the symmetry check and the decoder's symmetrisation work on
-    # 1024 x 1024 tiles; n = 1100 puts edges in off-diagonal tiles
+    # blocks of rows and of columns; n = 1100 spans many of them
     n = 1100
     upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.01, 1)
     g = Graph(upper | upper.T)
-    assert np.array_equal(from_graph6_bytes(graph6_bytes(g)).a, upper | upper.T)
+    assert np.array_equal(from_graph6_bytes(graph6_bytes(g)).rows(slice(None)), upper | upper.T)
     with pytest.raises(ValueError, match=r"not symmetric at \(3, 1050\)"):
         Graph(np.eye(n, k=1047, dtype=bool) & (np.arange(n) == 3)[:, None])
+
+
+# -- packed storage against a dense reference
+
+
+def assert_packed(g, dense):
+    """g holds exactly dense's packed rows: read-only, zero padding bits."""
+    n = len(dense)
+    assert g.n == n and g.bits.dtype == np.uint8 and g.bits.shape == (n, -(-n // 8))
+    assert not g.bits.flags.writeable
+    assert np.array_equal(g.bits, np.packbits(dense, axis=1))
+    if n % 8:
+        assert not (g.bits[:, -1] & ((1 << (8 - n % 8)) - 1)).any()
+    assert np.array_equal(g.rows(slice(None)), dense)
+
+
+@pytest.mark.parametrize("residue", range(8))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_packed_rows_match_a_dense_reference(residue, data):
+    """n = 8q + residue up to 70: every padding width, and both graph6
+    size fields."""
+    n = 8 * data.draw(st.integers(0, (70 - residue) // 8)) + residue
+    upper = np.triu(data.draw(arrays(bool, (n, n))), 1)
+    dense = upper | upper.T
+    eye = np.eye(n, dtype=bool)
+    g = Graph(dense)
+    assert_packed(g, dense)
+    assert graph6_bytes(g) == nx.to_graph6_bytes(nx.from_numpy_array(dense), header=False)[:-1]
+    back = from_graph6_bytes(graph6_bytes(g))
+    assert_packed(back, dense)
+    assert back == g and hash(back) == hash(g) == hash(Graph(dense.astype(int)))
+    assert_packed(complement(g), ~dense & ~eye)
+    extension = np.kron(dense | eye, np.ones((2, 2), dtype=bool))
+    assert_packed(clique_extension(g, 2), extension & ~np.eye(2 * n, dtype=bool))
+    for x in range(min(n, 3)):
+        verts = np.flatnonzero(dense[x])
+        assert_packed(local_graph(g, x), dense[np.ix_(verts, verts)])
+    assert g.degrees() == dense.sum(axis=1).tolist()
+    assert g.edges() == [tuple(e) for e in np.argwhere(upper).tolist()]
+    assert g.is_connected() == (n == 0 or nx.is_connected(nx.from_numpy_array(dense)))
+    if n >= 2:
+        flipped = dense.copy()
+        flipped[0, n - 1] = flipped[n - 1, 0] = not dense[0, n - 1]
+        assert Graph(flipped) != g and complement(g) != g
+
+
+def test_a_graph_holds_its_packed_rows_alone():
+    from cerg.constructions import tls
+
+    g = tls(4, 5)
+    held = [getattr(g, name) for name in Graph.__slots__]
+    assert sum(m.nbytes for m in held if isinstance(m, np.ndarray)) == 1600 * 200
+    assert g.bits.shape == (1600, 200) and not hasattr(g, "a")

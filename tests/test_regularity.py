@@ -647,7 +647,8 @@ def test_exact_matmul_result_type_follows_the_bound(top, dtype):
 
 def test_float32_product_is_cast_in_place(tls22):
     # the int32 result is a view of the float32 product's own buffer
-    got = exact_matmul(tls22.a, tls22.a.T)
+    a = tls22.rows(slice(None))
+    got = exact_matmul(a, a.T)
     assert got.dtype == np.int32 and got.base is not None
     assert got.base.dtype == np.float32
 
@@ -737,9 +738,9 @@ def test_no_cached_power_is_int64_square():
     for name in DELETED_CACHES:
         assert not hasattr(p, name), name
     squares = {name for name, m in vars(p).items()
-               if isinstance(m, np.ndarray) and m.size >= 243 * 243}
-    assert squares == {"a"}  # no float copy of A: products cast it panel by panel
-    assert p.a.dtype == np.bool_
+               if isinstance(m, np.ndarray) and m.nbytes >= 243 * 31}
+    assert squares == {"bits"}  # no float copy of A: products unpack it panel by panel
+    assert p.bits is g.bits and p.bits.dtype == np.uint8
     tile = next(p.rows(4))
     assert tile[4].dtype == np.int32  # 243 * 98^2 < 2^31
 
@@ -757,9 +758,9 @@ def summing_powers(g):
 
 
 def on_feed(monkeypatch, record):
-    """Call ``record(start, a, lam, sums)`` with each tile's rows of A,
-    A∘A^2 and (A∘A^2)A, from column ``start`` on, as a sums scan is fed
-    them."""
+    """Call ``record(start, bits, lam, sums)`` with each tile's packed
+    rows of A and its rows of A∘A^2 and (A∘A^2)A, from column ``start``
+    on, as a sums scan is fed them."""
     real = regularity._SumScan.feed
 
     def feed(self, start, *arrays):
@@ -788,9 +789,10 @@ def test_powers_match_object_products_and_are_cached(tls22, monkeypatch):
                 assert got.tolist() == m[r, r.start :].tolist()  # the rows, from column r.start on
         assert starts == list(range(0, 32, rows))
         assert [start for start, _ in fed] == starts  # the scan reads every tile's sums once
-        for start, got in fed:
+        for start, (bits, *got) in fed:
             r = slice(start, start + rows)
-            assert got == [m[r, start:].tolist() for m in (a, hadamard, hadamard @ a)]
+            assert np.unpackbits(np.array(bits, dtype=np.uint8), axis=1).tolist() == a[r].tolist()
+            assert got == [m[r, start:].tolist() for m in (hadamard, hadamard @ a)]
     assert whole(p.combination([1, -2, 0, 1], 5)).tolist() == (
         a @ a @ a - 2 * a + np.eye(32, dtype=object) + 5
     ).tolist()
@@ -855,6 +857,28 @@ def test_a_sums_pass_holds_at_most_three_tile_arrays():
     tracemalloc.start()
     try:
         profile(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+
+
+def test_a_relation_pass_holds_at_most_three_tile_arrays():
+    """certify of tls(4,5) by its claim is one relation pass of eight
+    200-row tiles, each with A^2 in full rows, A^3 and the combination
+    tile (1.22 MiB each).  A^2 is the A^3 product's left operand in its
+    own float32 buffer, and each term is added a row slice at a time:
+    4.34 MiB traced beside A.  A float32 copy of A^2 in that product
+    (4.97 MiB) or a whole-tile temporary of a term would pass the bound."""
+    import tracemalloc
+
+    from cerg.spectral import certify
+
+    g = tls(4, 5)
+    assert g.degree_vector.max() == 383  # made before tracing, with A
+    tracemalloc.start()
+    try:
+        certify(g, [(383, 1), (63, 95), (-1, 1200), (-17, 304)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -225,7 +225,7 @@ TLS45_CLAIM = [(383, 1), (63, 95), (-1, 1200), (-17, 304)]
 
 @pytest.fixture(scope="module")
 def tls45_matrix():
-    return tls(4, 5).a
+    return tls(4, 5).rows(slice(None))
 
 
 def traced_peak(run) -> int:

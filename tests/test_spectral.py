@@ -116,8 +116,9 @@ def record_images(monkeypatch):
 def test_char_poly_fallback_reduces_its_primes_in_one_loop(monkeypatch):
     """C_12 and an irregular graph take the Hessenberg fallback: the
     calling thread reduces one image for each of the window's leading
-    primes, in order, each from the graph's own boolean matrix (no int64
-    copy shared by all), and they lift to the oracle's polynomial."""
+    primes, in order, each from one boolean matrix, the graph's rows
+    unpacked once (no int64 copy shared by all), and they lift to the
+    oracle's polynomial."""
     images = record_images(monkeypatch)
     for g in (cycle(12), random_graph(14, 0.4, 3)):
         images.clear()
@@ -125,7 +126,9 @@ def test_char_poly_fallback_reduces_its_primes_in_one_loop(monkeypatch):
         primes = [p for p, _, _ in images]
         assert primes and primes == list(spectral._crt_primes()[: len(primes)])
         assert {t for _, t, _ in images} == {threading.get_ident()}
-        assert all(a is g.a for _, _, a in images)
+        a = images[0][2]
+        assert all(m is a for _, _, m in images) and a.dtype == bool
+        assert np.array_equal(a, g.rows(slice(None)))
 
 
 def test_char_poly_size_cap():
@@ -286,32 +289,43 @@ def test_certify_tls22(tls22):
     assert cert.checks == {"annihilation": True, "moments": True, "minimality": True}
 
 
-def test_one_graph_is_row_summed_once_across_its_checks(tls22):
+def test_one_graph_is_row_summed_once_across_its_checks(tls22, monkeypatch):
     """profile, the strong and weak checks, level, certify and
     eq1_residual read every degree fact from the graph's one degree
-    vector: of all their work, one full pass over A for degrees."""
+    vector: of all their work, one full pass over A's packed rows for
+    degrees."""
+    from cerg import graphs
+
     g = tls(2, 2)  # fresh: nothing derived yet
     passes = []
 
     class Counted(np.ndarray):
-        """A view of A that records the row sums and nonzero counts made
-        over the whole matrix; its slices are other objects."""
+        """A view of A's packed rows that records the reads made of the
+        whole of them, and the popcount table that records the lookups
+        of them; slices of the rows are other objects."""
 
-        def sum(self, *args, **kwargs):
-            if self is g.a:
-                passes.append("sum")
-            return super().sum(*args, **kwargs)
+        def __getitem__(self, index):
+            if index is g.bits:
+                passes.append("popcount")
+            return np.asarray(super().__getitem__(index))
 
         def __array_function__(self, func, types, args, kwargs):
-            if func is np.count_nonzero and args[0] is g.a:
-                passes.append("count_nonzero")
+            if any(arg is g.bits for arg in args):
+                passes.append(func.__name__)
             return super().__array_function__(func, types, args, kwargs)
 
-    g.a = g.a.view(Counted)
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if any(arg is g.bits for arg in inputs):
+                passes.append(ufunc.__name__)
+            inputs = [np.asarray(arg) for arg in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    g.bits = g.bits.view(Counted)
+    monkeypatch.setattr(graphs, "_POPCOUNT", graphs._POPCOUNT.view(Counted))
     reports = [profile(g), strong_co_edge_regular(g), weak_edge_regular(g), level(g)]
     cert = certify(g, TLS22_CLAIM)
     reports += [cert, eq1_residual(g, cert)]
-    assert passes == ["sum"]
+    assert passes == ["popcount"]
     cert = certify(tls22, TLS22_CLAIM)
     assert reports == [profile(tls22), strong_co_edge_regular(tls22), weak_edge_regular(tls22),
                        level(tls22), cert, eq1_residual(tls22, cert)]
@@ -503,7 +517,7 @@ def union(*graphs):
     a = np.zeros((sum(g.n for g in graphs),) * 2, dtype=bool)
     at = 0
     for g in graphs:
-        a[at : at + g.n, at : at + g.n] = g.a
+        a[at : at + g.n, at : at + g.n] = g.rows(slice(None))
         at += g.n
     return Graph(a)
 
