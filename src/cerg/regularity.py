@@ -120,18 +120,25 @@ def _row_tiles(n_rows: int, n_cols: int):
         yield slice(i, min(i + step, n_rows))
 
 
+def _cache_slices(n_rows: int, n_cols: int):
+    """Consecutive row slices of about _TILE_ENTRIES entries each, for a
+    pass whose per-slice temporary should stay in cache."""
+    step = max(1, _TILE_ENTRIES // max(n_cols, 1))
+    for i in range(0, n_rows, step):
+        yield slice(i, min(i + step, n_rows))
+
+
 def _float_rows(bits: np.ndarray, rows: slice, ftype) -> np.ndarray:
     """Rows ``rows`` of the symmetric 0/1 matrix whose packed rows are
-    ``bits``, in the float type ``ftype``: unpacked into it a slice of
-    _TILE_ENTRIES entries at a time, so no unpacked copy of the whole
+    ``bits``, in the float type ``ftype``: unpacked into it a
+    `_cache_slices` slice at a time, so no unpacked copy of the whole
     block is made.  The
     slice is cast as the uint8 block `np.unpackbits` gives, which casts
     about 1.5 times as fast as its boolean view."""
     block, n = bits[rows], len(bits)
     out = np.empty((len(block), n), dtype=ftype)
-    step = max(1, _TILE_ENTRIES // max(n, 1))  # the slice stays in cache
-    for r in range(0, len(block), step):
-        out[r : r + step] = np.unpackbits(block[r : r + step], axis=-1, count=n)
+    for r in _cache_slices(*out.shape):
+        out[r] = np.unpackbits(block[r], axis=-1, count=n)
     return out
 
 
@@ -162,8 +169,8 @@ def exact_matmul(x: np.ndarray, y: np.ndarray | _PackedT, y_max: int | None = No
     _TILE_ENTRIES / inner_dim) columns, each no larger than x's float
     copy or a tile, and their products fill one float result.  No entry
     exceeds B, so the result is int32 when B < 2^31 and int64 otherwise;
-    a float result of the integer's item size is cast in place, a row
-    tile at a time."""
+    a float result of the integer's item size is cast in place
+    (`_recast`)."""
     (rows, inner), cols = x.shape, y.shape[1]
     bound = inner * _absmax(x) * (_absmax(y) if y_max is None else y_max)
     if bound >= 2**53:
@@ -190,10 +197,11 @@ def exact_matmul(x: np.ndarray, y: np.ndarray | _PackedT, y_max: int | None = No
 
 def _recast(x: np.ndarray, dtype) -> np.ndarray:
     """x's entries recast to ``dtype``, of x's item size, in x's own
-    buffer, a row tile at a time: exact for integers below 2^24 (float32)
-    or 2^53 (float64)."""
+    buffer, a `_cache_slices` slice at a time (each is copied first, as
+    it overlaps its target): exact for integers below 2^24 (float32) or
+    2^53 (float64)."""
     y = x.view(dtype)
-    for r in _row_tiles(*x.shape):
+    for r in _cache_slices(*x.shape):
         y[r] = x[r]
     return y
 
