@@ -132,9 +132,8 @@ def _float_rows(bits: np.ndarray, rows: slice, ftype) -> np.ndarray:
     """Rows ``rows`` of the symmetric 0/1 matrix whose packed rows are
     ``bits``, in the float type ``ftype``: unpacked into it a
     `_cache_slices` slice at a time, so no unpacked copy of the whole
-    block is made.  The
-    slice is cast as the uint8 block `np.unpackbits` gives, which casts
-    about 1.5 times as fast as its boolean view."""
+    block is made.  The slice is cast as the uint8 block `np.unpackbits`
+    gives, which casts about 1.5 times as fast as its boolean view."""
     block, n = bits[rows], len(bits)
     out = np.empty((len(block), n), dtype=ftype)
     for r in _cache_slices(*out.shape):
