@@ -3,13 +3,15 @@ weak/strong constants, Hoffman bounds, equitable partitions, and
 association-scheme axioms.
 
 Everything reduces to integer matrix products plus elementwise
-comparisons.  The one product kernel, `exact_matmul`, runs BLAS in the
-narrowest float type that is provably exact: with
-B = inner_dim * max|X| * max|Y|, float32 when B < 2^24 and float64 when
-B < 2^53.  Every product of two entries and every partial sum, in any
-summation order and on any thread count, is then an integer of absolute
-value at most B, and such integers are exactly representable in the
-chosen type (24- and 53-bit significands), so no operation rounds.
+comparisons.  The one product kernel, `exact_matmul`, multiplies an
+integer matrix X by a graph's adjacency matrix A, read from its packed
+rows, and runs BLAS in the narrowest float type that is provably exact:
+with B = inner_dim * max|X| (A's entries are 0 and 1), float32 when
+B < 2^24 and float64 when B < 2^53.  Every product of two entries and
+every partial sum, in any summation order and on any thread count, is
+then an integer of absolute value at most B, and such integers are
+exactly representable in the chosen type (24- and 53-bit significands),
+so no operation rounds.
 Past 2^53 it raises `ExactnessBoundExceeded`.
 
 Storage follows the same bound: every entry of a product is at most B
@@ -31,7 +33,8 @@ in a relation's pass, where each power is the next product's left
 operand in its own float buffer; the reducers read in place or in row
 slices, with no whole-tile temporary, and unpack A's rows a slice at a
 time.  No float or boolean copy of A is kept: a product unpacks it one
-panel at a time, a block of whole rows, since A is symmetric.
+panel at a time, a block of whole rows, since A is symmetric; so the
+equitable check reads A P as (P^T A)^T.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -141,37 +144,23 @@ def _float_rows(bits: np.ndarray, rows: slice, ftype) -> np.ndarray:
     return out
 
 
-class _PackedT:
-    """A[start:].T for the symmetric 0/1 matrix A whose packed rows are
-    ``bits``, as `exact_matmul`'s right operand: its columns c..d are
-    rows start + c .. start + d of A, so each panel is whole rows,
-    unpacked straight into the product's float type."""
+def exact_matmul(x: np.ndarray, bits: np.ndarray, start: int = 0) -> np.ndarray:
+    """x @ A[:, start:] exactly, through BLAS, for the symmetric 0/1
+    matrix A whose packed rows are ``bits``.
 
-    def __init__(self, bits: np.ndarray, start: int):
-        self.bits, self.start = bits, start
-        self.shape = (len(bits), len(bits) - start)
-
-    def panel(self, c: int, d: int, ftype) -> np.ndarray:
-        return _float_rows(self.bits, slice(self.start + c, self.start + d), ftype).T
-
-
-def exact_matmul(x: np.ndarray, y: np.ndarray | _PackedT, y_max: int | None = None) -> np.ndarray:
-    """x @ y for integer matrices, exactly, through BLAS.
-
-    With B = inner_dim * max|x| * max|y|, the product runs in float32
-    when B < 2^24 and in float64 when B < 2^53; no partial sum can then
-    leave the integers the float type holds exactly.  Otherwise raises
-    `ExactnessBoundExceeded`.  ``y_max``, when given, stands in for
-    max|y|, so that operand is not scanned; it must be given for a
-    packed ``y`` (`_PackedT`).
-    y is cast, or unpacked, in column panels of max(rows of x,
-    _TILE_ENTRIES / inner_dim) columns, each no larger than x's float
-    copy or a tile, and their products fill one float result.  No entry
-    exceeds B, so the result is int32 when B < 2^31 and int64 otherwise;
-    a float result of the integer's item size is cast in place
-    (`_recast`)."""
-    (rows, inner), cols = x.shape, y.shape[1]
-    bound = inner * _absmax(x) * (_absmax(y) if y_max is None else y_max)
+    With B = inner_dim * max|x|, the product runs in float32 when
+    B < 2^24 and in float64 when B < 2^53; no partial sum can then leave
+    the integers the float type holds exactly.  Otherwise raises
+    `ExactnessBoundExceeded`.  A[:, start:] is A[start:].T, so each
+    column panel, of max(rows of x, _TILE_ENTRIES / inner_dim) columns,
+    is a block of whole rows of A, unpacked straight into the float type
+    (`_float_rows`): no whole float copy of A is made, and the panels'
+    products fill one float result.  No entry exceeds B, so the result
+    is int32 when B < 2^31 and int64 otherwise; a float result of the
+    integer's item size is cast in place (`_recast`)."""
+    rows, inner = x.shape
+    cols = len(bits) - start
+    bound = inner * _absmax(x)
     if bound >= 2**53:
         raise ExactnessBoundExceeded(
             f"product bound {bound} is not below 2^53; float64 BLAS would round"
@@ -182,11 +171,8 @@ def exact_matmul(x: np.ndarray, y: np.ndarray | _PackedT, y_max: int | None = No
     out = np.empty((rows, cols), dtype=ftype)
     step = max(1, rows, _TILE_ENTRIES // max(inner, 1))
     for c in range(0, cols, step):
-        if isinstance(y, _PackedT):
-            panel = y.panel(c, c + step, ftype)
-        else:
-            panel = y[:, c : c + step].astype(ftype, copy=False)
-        np.matmul(xf, panel, out=out[:, c : c + step])
+        panel = _float_rows(bits, slice(start + c, start + c + step), ftype)
+        np.matmul(xf, panel.T, out=out[:, c : c + step])
         del panel
     del xf  # free the float input before the cast
     if out.itemsize != np.dtype(itype).itemsize:
@@ -356,9 +342,10 @@ class Powers:
     ``bits`` is the graph's own read-only packed rows of A and
     ``max_degree`` its largest degree, which bounds the walk counts.
     ``bits`` is the one n x n array, at n^2/8 bytes: every tile product
-    unpacks its right operand, A, from it one panel of whole rows at a
-    time (A is symmetric), and a product of A's own rows its left band
-    too, each straight into the float type the product's bound picks.
+    is an `exact_matmul` by it, which unpacks A one panel of whole rows
+    at a time (A is symmetric), and a product of A's own rows unpacks
+    its left band too, each straight into the float type the product's
+    bound picks.
     A graph's checks therefore hold A's packed rows and a few tile-sized
     arrays at a time (at most three in a sums pass or a relation's), of
     max(_TILE_ENTRIES, n^2 / _MAX_TILES) entries: 200 rows at n = 1600,
@@ -384,15 +371,6 @@ class Powers:
         self._tally = None
         self._scan = None
         self._zero = set()
-
-    def row(self, x: int) -> np.ndarray:
-        """Row x of A, unpacked: a fresh boolean vector."""
-        return _unpack(self.bits[x], self.n)
-
-    def times_a(self, x: np.ndarray, start: int = 0) -> np.ndarray:
-        """x @ A[:, start:] exactly, through `exact_matmul`: A[:, start:]
-        is A[start:].T, so each panel is a block of whole rows of A."""
-        return exact_matmul(x, _PackedT(self.bits, start), y_max=1)
 
     def rows(self, j_max: int):
         """Row tiles of A^1..A^j_max, top to bottom, and a sums scan fed
@@ -428,10 +406,10 @@ class Powers:
             for j in range(2, j_max + 1):
                 full = j < j_max or (j == 2 and sums)
                 if x.base is None:  # A's rows, or a power copied out of a wider float
-                    x = self.times_a(x, 0 if full else start)
+                    x = exact_matmul(x, self.bits, 0 if full else start)
                 else:  # A^(j-1) in its float product's buffer: read there, not copied
                     itype, xf = x.dtype, _recast(x, x.base.dtype)
-                    x = self.times_a(xf, 0 if full else start)
+                    x = exact_matmul(xf, self.bits, 0 if full else start)
                     _recast(xf, itype)
                     del xf
                 pows.append(x[:, start:] if full else x)
@@ -448,7 +426,7 @@ class Powers:
                 for r in _row_tiles(*a2.shape):
                     a2[r] *= np.unpackbits(tile.bits[r], axis=-1, count=n)
                     lam[r] = a2[r]
-                sum_rows = _frozen(self.times_a(lam, start))
+                sum_rows = _frozen(exact_matmul(lam, self.bits, start))
                 scan.feed(start, tile.bits, _frozen(lam[:, start:]), sum_rows)
                 del lam, sum_rows
             del a2
@@ -773,7 +751,8 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     if strays:
         raise VertexOutOfRange(f"set member {strays[0]} is not a vertex of [0, {g.n})")
     idx = np.asarray(members, dtype=np.intp)
-    inside = g.rows(idx)[:, idx]
+    rows = g.rows(idx)
+    inside = rows[:, idx]
     if kind == "clique":
         bad = ~(inside | np.eye(len(members), dtype=bool)).all(axis=1)
         if bad.any():
@@ -790,7 +769,9 @@ def hoffman_check(g: Graph, vertex_set, kind: str, m, cross=None) -> HoffmanRepo
     size = len(members)
     mask = np.zeros(g.n, dtype=bool)
     mask[idx] = True
-    degrees = _multiset(np.bincount(g.rows(~mask)[:, mask].sum(axis=1)))
+    # an outside vertex's neighbours in the set: its column sum over the
+    # set's rows, as A is symmetric
+    degrees = _multiset(np.bincount(rows.sum(axis=0)[~mask]))
     tight = Fraction(size) == bound
     cross_size = None
     if cross is not None:
@@ -809,15 +790,18 @@ class EquitableReport:
 
 
 def equitable_check(g: Graph, parts) -> EquitableReport:
-    """Quotient matrix of a vertex partition, or a witness (u, u', j)."""
+    """Quotient matrix of a vertex partition, or a witness (u, u', j).
+
+    The counts A P, for the n x m indicator P of the parts, are read as
+    (P^T A)^T, since A is symmetric: one product by A's packed rows,
+    which unpacks no more than a panel of A at a time."""
     parts = check_parts(parts, g.n)
     if not all(parts):
         raise PartitionInvalid("parts must be non-empty")
-    m = len(parts)
-    indicator = np.zeros((g.n, m), dtype=np.int64)
+    indicator = np.zeros((len(parts), g.n), dtype=bool)
     for j, p in enumerate(parts):
-        indicator[p, j] = 1
-    counts = exact_matmul(g.rows(slice(None)), indicator)
+        indicator[j, p] = True
+    counts = exact_matmul(indicator, g.bits).T
     quotient = []
     for i, p in enumerate(parts):
         block = counts[p]
@@ -876,7 +860,7 @@ def scheme_check(relations) -> AssociationSchemeReport:
     for i in range(d + 1):
         for j in range(i, d + 1):
             # relation 0 is I, and I M = M
-            prod = mats[j] if i == 0 else exact_matmul(mats[i], mats[j])
+            prod = mats[j] if i == 0 else exact_matmul(mats[i], relations[j - 1].bits)
             for h in range(d + 1):
                 vals = prod[mats[h]]
                 if vals.size == 0:

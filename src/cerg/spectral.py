@@ -48,12 +48,12 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import regularity
 from .graphs import CheckFailed, Graph, _is_int
 from .regularity import (
     ExactnessBoundExceeded,
     NotEdgeRegular,
     NotRegular,
-    Powers,
     jsonable,
     powers,
     profile,
@@ -337,7 +337,7 @@ def _crt_signed(residues: list[int], primes: list[int]) -> int:
     return x
 
 
-def _hoffman_candidate(p: Powers, d: int):
+def _hoffman_candidate(g: Graph, d: int):
     """(coeffs, ell) solving A^d = sum_{j<d} coeffs[j] A^j + ell J over Q
     on the distinct entry patterns of as few rows as determine it, or
     None when those rows contradict every solution or admit no unique
@@ -345,13 +345,13 @@ def _hoffman_candidate(p: Powers, d: int):
     formed when the search reaches x; a solution must fit every entry of
     the rows formed.  Nothing here is trusted: the caller checks the
     candidate, as integers, on every entry."""
-    n = p.n
+    n = g.n
     basis = []  # (pivot column, row) pairs in reduced echelon form
     seen = set()
     for x in range(n):
-        pows = [p.row(x)]  # row x of A, ..., A^d
+        pows = [g.rows(x)]  # row x of A, ..., A^d
         for _ in range(1, d):
-            pows.append(p.times_a(pows[-1][None, :])[0])
+            pows.append(regularity.exact_matmul(pows[-1][None, :], g.bits)[0])
         # row y holds (I, A, ..., A^(d-1), J | A^d) at entry (x, y)
         terms = [np.arange(n) == x, *pows[:-1], np.ones(n, np.int64)]
         entries = np.stack([*terms, pows[-1]], axis=1)
@@ -384,7 +384,7 @@ def _hoffman_polynomial(g: Graph):
     relation the graph has already verified is not checked again."""
     p = powers(g)
     for d in range(1, 5):
-        cand = _hoffman_candidate(p, d)
+        cand = _hoffman_candidate(g, d)
         if cand is None:
             continue
         coeffs, ell = cand

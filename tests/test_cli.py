@@ -577,7 +577,7 @@ def test_verify_rejects_a_two_graph_file(tmp_path, capsys):
 def test_compare_library_error_is_not_a_null_level(tls22_file, capsys, monkeypatch):
     from cerg import regularity
 
-    def refuse(x, y, y_max=None):
+    def refuse(x, bits, start=0):
         raise regularity.ExactnessBoundExceeded("product bound is not below 2^53")
 
     g6, _ = tls22_file

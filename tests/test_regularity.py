@@ -383,6 +383,34 @@ def test_hoffman_validates_inputs(ls34, rook33):
             hoffman_check(ls34, [0], "coclique", m)
 
 
+def traced_peak(check, *args):
+    """``check(*args)`` and the peak of the memory it traced."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = check(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hoffman_counts_outside_neighbours_from_the_set_rows():
+    """Each outside vertex's neighbours in the set are its column sum
+    over the set's rows (A is symmetric), so no block of the other
+    n - |S| rows is unpacked: 2.69 MiB on LS_3(40) with that block."""
+    from cerg.arrays import oa_macneish
+    from cerg.constructions import latin_square_graph
+
+    oa = oa_macneish(40)
+    g = latin_square_graph(oa, 3)
+    clique = row_clique(oa, 0, 0)
+    hoffman_check(g, clique, "clique", 3)  # the SRG test's pass, once a graph
+    rep, peak = traced_peak(hoffman_check, g, clique, "clique", 3)
+    assert rep.tight and rep.outside_degrees == {2: 1560}
+    assert peak <= 2**19, peak
+
+
 # -- equitable partitions
 
 
@@ -428,6 +456,56 @@ def test_equitable_witness():
         equitable_check(path, [[0, 1], []])
     with pytest.raises(PartitionInvalid):
         equitable_check(path, [[0, 1]])
+
+
+def test_equitable_check_unpacks_no_whole_adjacency_matrix():
+    """The counts are (P^T A)^T, one product by A's packed rows, so A is
+    unpacked a panel at a time: a boolean copy of tls(4,5)'s A alone
+    takes 2.4 MiB, and its float32 copy 9.8 MiB (12.83 MiB traced with
+    both)."""
+    from cerg.constructions import tls
+
+    g = tls(4, 5)
+    fibres = [list(range(64 * i, 64 * i + 64)) for i in range(25)]
+    rep, peak = traced_peak(equitable_check, g, fibres)
+    assert rep.ok and rep.quotient[0] == (63, 0, 0, 0, 0) + (16,) * 20
+    assert peak <= 2 * 2**20, peak
+
+
+def brute_equitable(g, parts):
+    """(quotient, witness) by counting each vertex's neighbours in each
+    part over neighbour sets: the first vertex of a part, in part order,
+    whose counts differ from its first vertex's, at the first such part."""
+    nbrs = neighbor_sets(g)
+    quotient = []
+    for i, p in enumerate(parts):
+        counts = [[len(nbrs[u] & set(q)) for q in parts] for u in p]
+        for r, row in enumerate(counts):
+            j = next((j for j, (c, c0) in enumerate(zip(row, counts[0])) if c != c0), None)
+            if j is not None:
+                return None, {"part": i, "u": p[0], "u_prime": p[r], "target_part": j,
+                              "count_u": counts[0][j], "count_u_prime": row[j]}
+        quotient.append(tuple(counts[0]))
+    return tuple(quotient), None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equitable_check_equals_the_neighbour_set_count(seed, tls22):
+    """(P^T A)^T is A P: random partitions of random graphs, and tls(2,2)'s
+    fibres with two vertices swapped across them, which breaks them."""
+    rng = random.Random(seed)
+    if seed < 4:
+        g = random_graph(rng.randint(2, 24), 0.5, seed)
+        labels = [rng.randrange(rng.randint(1, 5)) for _ in range(g.n)]
+        parts = [[v for v in range(g.n) if labels[v] == t] for t in sorted(set(labels))]
+    else:
+        g = tls22
+        parts = [list(range(8 * i, 8 * i + 8)) for i in range(4)]
+        u, v = rng.randrange(8), rng.randrange(8, 32)
+        parts[0][u], parts[v // 8][v % 8] = v, u
+    quotient, witness = brute_equitable(g, parts)
+    rep = equitable_check(g, parts)
+    assert (rep.ok, rep.quotient, rep.witness) == (witness is None, quotient, witness)
 
 
 @pytest.mark.parametrize("member", [0.0, True, "0", None, np.float64(0)])
@@ -561,133 +639,148 @@ from cerg.regularity import ExactnessBoundExceeded, exact_matmul, powers
 from test_row_tiles import GRAPHS as ROW_TILE_GRAPHS
 from test_row_tiles import tiles_of
 
-# entry magnitudes whose bounds inner * max|x| * max|y| fall on either
-# side of 2^24, so both the float32 and the float64 tier run
-TOPS = [1, 2**10, 2**11, 2**12 - 1, 2**12, 2**12 + 1, 2**13, 2**20]
+# entry magnitudes whose bounds n * max|x|, for graphs of order n <= 8,
+# fall on either side of 2^24 and of 2^31, and reach 2^52
+TOPS = [1, 2**10, 2**21 - 1, 2**21, 2**21 + 1, 2**22, 2**24 - 1, 2**24 + 1, 2**28, 2**49 - 1]
+
+
+def random_adjacency(n, seed):
+    """A random graph's adjacency matrix, as 0/1 uint8, and its packed rows."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+    a |= a.T
+    return a, np.packbits(a, axis=1)
+
+
+def object_product(x, a, start=0):
+    return (x.astype(object) @ a[:, start:].astype(object)).tolist()
+
+
+def float_types(monkeypatch):
+    """The float type of every panel of A a product unpacks, in call order."""
+    seen = []
+    real = regularity._float_rows
+
+    def spy(bits, rows, ftype):
+        seen.append(ftype)
+        return real(bits, rows, ftype)
+
+    monkeypatch.setattr(regularity, "_float_rows", spy)
+    return seen
 
 
 @st.composite
-def int_pairs(draw):
-    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+def products(draw):
+    n = draw(st.integers(1, 8))
+    a = np.triu(draw(arrays(np.uint8, (n, n), elements=st.integers(0, 1))), 1)
+    a |= a.T
     top = draw(st.sampled_from(TOPS))
-    entry = st.integers(-top, top)
-    x = draw(arrays(np.int64, (rows, inner), elements=entry))
-    y = draw(arrays(np.int64, (inner, cols), elements=entry))
-    return x, y
+    x = draw(arrays(np.int64, (draw(st.integers(1, 6)), n), elements=st.integers(-top, top)))
+    return x, a, draw(st.integers(0, n))
 
 
 @settings(max_examples=400, deadline=None)
-@given(int_pairs())
-def test_exact_matmul_equals_object_product(pair):
-    x, y = pair
-    got = exact_matmul(x, y)
-    bound = x.shape[1] * int(np.abs(x).max()) * int(np.abs(y).max())
+@given(products())
+def test_exact_matmul_equals_object_product(case):
+    x, a, start = case
+    got = exact_matmul(x, np.packbits(a, axis=1), start)
+    bound = x.shape[1] * int(np.abs(x).max())
     assert got.dtype == (np.int32 if bound < 2**31 else np.int64)
-    assert got.tolist() == (x.astype(object) @ y.astype(object)).tolist()
+    assert got.tolist() == object_product(x, a, start)
 
 
 def test_exact_matmul_past_2_24_is_not_rounded_to_float32():
     # 4097^2 = 16785409 is odd and above 2^24, so float32 cannot hold it
-    assert exact_matmul(np.array([[4097]]), np.array([[4097]])).tolist() == [[16785409]]
-
-
-GRAM_X = np.array([[3, -1, 4], [1, 5, -9], [2, 6, 5], [0, -3, 5]], dtype=np.int64)
-
-
-@pytest.mark.parametrize(
-    "x", [GRAM_X, np.asfortranarray(GRAM_X), GRAM_X * 2**11, GRAM_X[:, :2], GRAM_X.T]
-)
-def test_gram_product_equals_object_product(x):
-    obj = x.astype(object)
-    assert exact_matmul(x, x.T).tolist() == (obj @ obj.T).tolist()
-
-
-def test_other_views_of_the_same_buffer_are_not_gram_products():
-    square = GRAM_X[:3]
-    for x, y in ((GRAM_X, GRAM_X[::-1].T), (GRAM_X, GRAM_X[:, ::-1].T), (square, square)):
-        assert np.shares_memory(x, y)
-        want = (x.astype(object) @ y.astype(object)).tolist()
-        assert exact_matmul(x, y).tolist() == want
+    k2 = Graph.complete(2)
+    assert exact_matmul(np.array([[4097**2, 0]]), k2.bits).tolist() == [[0, 16785409]]
 
 
 def test_exact_matmul_just_under_the_bound_is_exact():
-    top = 2**26 - 1  # 2 * top * top < 2^53
-    x = np.array([[top, top - 2], [-top, 1]], dtype=np.int64)
-    y = np.array([[top, -3], [top - 4, top]], dtype=np.int64)
-    want = [[sum(x[i, m].item() * y[m, j].item() for m in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert want[0][0] == 2 * top * top - 6 * top + 8  # odd low bits survive
-    assert exact_matmul(x, y).tolist() == want
+    top = 2**48 - 1  # 32 * top < 2^53
+    x = np.array([[top] * 32, [top, 1 - top] * 16], dtype=np.int64)
+    k32 = Graph.complete(32)
+    want = object_product(x, k32.adjacency_matrix())
+    assert want[0][0] == 31 * top  # odd low bits survive
+    assert exact_matmul(x, k32.bits).tolist() == want
 
 
 def test_exact_matmul_at_the_bound_raises():
-    x = np.full((1, 2), 2**26, dtype=np.int64)
-    y = np.full((2, 1), 2**26, dtype=np.int64)  # 2 * 2^26 * 2^26 = 2^53
+    x = np.zeros((1, 32), dtype=np.int64)
+    x[0, 5] = 2**48  # 32 * 2^48 = 2^53
     with pytest.raises(ExactnessBoundExceeded):
-        exact_matmul(x, y)
+        exact_matmul(x, Graph.complete(32).bits)
 
 
 @pytest.mark.parametrize(
-    "top, dtype",
+    "n, top, ftype, itype",
     [
-        (2**11, np.int32),  # B = 2 * top^2 = 2^23: float32 tier
-        (4097, np.int32),  # 2^24 <= B = 33570818 < 2^31: float64 tier
-        (2**15 - 1, np.int32),  # B = 2147352578, just under 2^31
-        (2**15, np.int64),  # B = 2^31
-        (2**20, np.int64),  # B = 2^41
+        (32, 2**18, np.float32, np.int32),  # B = n * top = 2^23: float32 tier
+        (34, 987377, np.float64, np.int32),  # 2^24 <= B = 33570818 < 2^31: float64 tier
+        (62, 34634719, np.float64, np.int32),  # B = 2147352578, just under 2^31
+        (32, 2**26, np.float64, np.int64),  # B = 2^31
+        (32, 2**36, np.float64, np.int64),  # B = 2^41
     ],
 )
-def test_exact_matmul_result_type_follows_the_bound(top, dtype):
-    x = np.array([[top, -1]], dtype=np.int64)
-    y = np.array([[top], [top - 2]], dtype=np.int64)
-    got = exact_matmul(x, y)
-    assert got.dtype == dtype
-    assert got.tolist() == [[top * top - top + 2]]
+def test_exact_matmul_result_type_follows_the_bound(n, top, ftype, itype, monkeypatch):
+    a, bits = random_adjacency(n, n)
+    x = np.random.default_rng(top).integers(-top, top + 1, size=(3, n))
+    x[0] = top  # max|x| = top
+    tiers = float_types(monkeypatch)
+    got = exact_matmul(x, bits)
+    assert set(tiers) == {ftype}
+    assert got.dtype == itype
+    assert got.tolist() == object_product(x, a)
 
 
 def test_float32_product_is_cast_in_place(tls22):
     # the int32 result is a view of the float32 product's own buffer
-    a = tls22.rows(slice(None))
-    got = exact_matmul(a, a.T)
+    got = exact_matmul(tls22.rows(slice(None)), tls22.bits)
     assert got.dtype == np.int32 and got.base is not None
     assert got.base.dtype == np.float32
+    a = tls22.adjacency_matrix().astype(np.int64)
+    assert got.tolist() == (a @ a).tolist()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-@pytest.mark.parametrize("inner", [1, 4, 5, 6, 11])
-@pytest.mark.parametrize("top", [3, 2**12 + 1])  # the float32 and the float64 tier
-def test_exact_matmul_across_panel_edges(rows, inner, top, monkeypatch):
-    """y is cast in panels of max(rows, 20 // inner) columns here: column
-    counts on, one before and one past a panel edge, and a last panel of
-    one column, all equal the object product."""
+@pytest.mark.parametrize("n", [4, 5, 6, 11, 23])
+@pytest.mark.parametrize("top", [3, 2**22 + 1])  # the float32 and the float64 tier
+def test_exact_matmul_across_panel_edges(rows, n, top, monkeypatch):
+    """A[:, start:] is unpacked in panels of max(rows, 20 // n) rows of A
+    here: with ``start`` chosen for column counts on, one before and one
+    past a panel edge, and a last panel of one column, the product equals
+    the object product."""
     monkeypatch.setattr(regularity, "_TILE_ENTRIES", 20)
-    step = max(rows, 20 // inner)
-    rng = np.random.default_rng(rows * 100 + inner)
-    x = rng.integers(-top, top + 1, size=(rows, inner))
-    for cols in sorted({1, step - 1, step, step + 1, 2 * step, 2 * step + 1} - {0}):
-        y = rng.integers(-top, top + 1, size=(inner, cols))
-        want = (x.astype(object) @ y.astype(object)).tolist()
-        assert exact_matmul(x, y).tolist() == want
-        assert exact_matmul(x, np.asfortranarray(y)).tolist() == want
-        assert exact_matmul(x, y.T.copy().T).tolist() == want  # y a transpose, as A[start:].T
+    step = max(rows, 20 // n)
+    a, bits = random_adjacency(n, rows * 100 + n)
+    x = np.random.default_rng(rows * 100 + n).integers(-top, top + 1, size=(rows, n))
+    x[0, 0] = top
+    tiers = float_types(monkeypatch)
+    for cols in sorted({1, step - 1, step, step + 1, 2 * step, 2 * step + 1, n} - {0}):
+        if cols > n:
+            continue
+        start = n - cols
+        want = object_product(x, a, start)
+        assert exact_matmul(x, bits, start).tolist() == want
+        assert exact_matmul(np.asfortranarray(x), bits, start).tolist() == want
+    assert set(tiers) == {np.float32 if n * top < 2**24 else np.float64}
 
 
 @pytest.mark.parametrize("kind", [np.bool_, np.int8, np.int64])
-def test_exact_matmul_holds_no_whole_float_copy_of_y(kind):
+def test_exact_matmul_holds_no_whole_float_copy_of_a(kind):
     import tracemalloc
 
-    rng = np.random.default_rng(7)
-    inner, cols = 1024, 4096
-    x = rng.integers(0, 2, size=(3, inner)).astype(kind)
-    y = rng.integers(0, 2, size=(inner, cols)).astype(kind)
+    n = 1024
+    a, bits = random_adjacency(n, 7)
+    x = np.random.default_rng(7).integers(0, 2, size=(3, n)).astype(kind)
     tracemalloc.start()
     try:
-        got = exact_matmul(x, y)
+        got = exact_matmul(x, bits, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.tolist() == (x.astype(np.int64) @ y.astype(np.int64)).tolist()
-    # a float32 copy of y would take 16 MiB: one panel of 128 columns is 0.5 MiB
+    assert got.tolist() == (x.astype(np.int64) @ a[:, 5:].astype(np.int64)).tolist()
+    # a float32 copy of A would take 4 MiB, a boolean one 1 MiB: one
+    # panel of 128 rows is 0.5 MiB
     assert peak < 2**20, peak
 
 
@@ -802,7 +895,7 @@ def test_kernel_failure_is_a_usage_error_on_the_cli(tmp_path, capsys, monkeypatc
     g6 = tmp_path / "tls22.g6"
     assert main(["construct", "tls", "--q", "2", "--n", "2", "-o", str(g6)]) == 0
 
-    def refuse(x, y, y_max=None):
+    def refuse(x, bits, start=0):
         raise ExactnessBoundExceeded("product bound is not below 2^53")
 
     monkeypatch.setattr(regularity, "exact_matmul", refuse)
@@ -817,9 +910,9 @@ def count_products(monkeypatch):
     calls = []
     real = regularity.exact_matmul
 
-    def counted(x, y, y_max=None):
+    def counted(x, bits, start=0):
         calls.append(x.shape[0])
-        return real(x, y, y_max)
+        return real(x, bits, start)
 
     monkeypatch.setattr(regularity, "exact_matmul", counted)
     return calls
