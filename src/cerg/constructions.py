@@ -7,19 +7,21 @@ A twisted Latin Square graph TLS(q, n) lives on F_q^3 x [n^2]; vertex
 (x, i), (y, j) are adjacent iff i = j, or some plane of the parallel
 class system contains both x and y while its group row carries the same
 symbol at positions i and j.  The graph keeps its construction data so
-the clique/fiber/plane decomposition stays addressable.
+the clique/fiber/plane decomposition stays addressable.  Each builder
+fills its packed rows from its cliques (`geometry._clique_bits`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .arrays import GroupDivisibleArray, OrthogonalArray, goa_from_oa, oa_macneish, validate_array
-from .geometry import Design, _block_bits, decode_point, parallel_classes
-from .graphs import Graph, PartitionInvalid, _check_order, check_parts
+from .geometry import Design, _clique_bits, _pencils, decode_point, parallel_classes
+from .graphs import Graph, PartitionInvalid, _check_order, _frozen, check_parts
 
 
 class TooFewRows(ValueError):
@@ -52,19 +54,27 @@ def latin_square_graph(oa: OrthogonalArray, m: int) -> Graph:
         raise TooFewRows(f"m={m} not in [1, {oa.t}]")
     n2 = oa.n * oa.n
     _check_order(n2)
-    a = np.zeros((n2, n2), dtype=bool)
-    for row in oa.cells[:m]:
-        a |= row[:, None] == row[None, :]
-    np.fill_diagonal(a, False)
     labels = [f"col{c}" for c in range(n2)]
-    return Graph._adopt(np.packbits(a, axis=1), labels)
+    return Graph._adopt(_clique_bits(n2, [_symbol_cliques(oa.cells[:m], oa.n)]), labels)
+
+
+def _symbol_cliques(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns where row i shows symbol s, clique i*n + s, as a clique
+    family (`geometry._clique_bits`).  An array's rows show each symbol n
+    times; in rows of no array a smaller clique repeats its last column."""
+    of = (rows + n * np.arange(len(rows))[:, None]).T  # column, row
+    counts = np.bincount(of.ravel(), minlength=len(rows) * n)
+    order = np.argsort(of, axis=None, kind="stable") // len(rows)  # columns, clique by clique
+    ends = np.cumsum(counts)[:, None]
+    at = ends - counts[:, None] + np.arange(counts.max(initial=0))
+    return order[np.minimum(at, ends - 1)], of
 
 
 class TlsGraph(Graph):
-    """A TLS(q, n) graph together with its construction data, as `tls`
-    builds it."""
+    """A TLS(q, n) graph with its construction data, as `tls` builds it:
+    ``members`` holds clique (s, t, sym) in row (s*q + t)*n + sym."""
 
-    __slots__ = ("q", "n_sym", "goa", "pcs")
+    __slots__ = ("q", "n_sym", "goa", "pcs", "plane_of", "members")
 
     def vertex_of(self, vid: int) -> tuple[int, int]:
         """(point encoding, fiber index) of a vertex id."""
@@ -81,8 +91,7 @@ class TlsGraph(Graph):
     def clique(self, s: int, t: int, sym: int) -> tuple[int, ...]:
         """C(s, t, sym): plane t of class s crossed with the columns where
         group s's row t shows the symbol."""
-        columns = np.flatnonzero(self.goa.row(s, t) == sym)
-        return tuple((columns[:, None] * self.q**3 + self.pcs.classes[s, t]).ravel().tolist())
+        return tuple(self.members.reshape(self.q + 1, self.q, self.n_sym, -1)[s, t, sym].tolist())
 
     def all_cliques(self):
         for s in range(self.q + 1):
@@ -117,23 +126,23 @@ def tls(q: int, n: int, goa: GroupDivisibleArray | None = None) -> TlsGraph:
     if not validate_array(goa).ok:
         raise ParameterMismatch("the supplied GOA fails the column-pair condition")
 
-    q3 = q**3
-    # each fiber is a q^3-clique; each plane copy joins the fibers whose
-    # group row shows the same symbol
-    a = np.kron(np.eye(n * n, dtype=bool), np.ones((q3, q3), dtype=bool))
-    for s in range(q + 1):
-        for t in range(q):
-            plane = pcs.classes[s, t]
-            row = goa.row(s, t)
-            # a Python set: 1-D np.unique imports numpy.ma under NumPy 2.4
-            for sym in set(row.tolist()):
-                members = (np.flatnonzero(row == sym)[:, None] * q3 + plane).ravel()
-                a[np.ix_(members, members)] = True
-    np.fill_diagonal(a, False)
+    q3, n2 = q**3, n * n
+    # clique (s, t, sym): plane t of class s in the fibers where group row
+    # (s, t), GOA row s*q + t, shows sym: n of them, as the GOA check ensures
+    fibers, clique_of = _symbol_cliques(goa.cells, n)
+    assert fibers.shape == (len(goa.cells) * n, n)
+    planes = pcs.classes.reshape(-1, q * q)[np.arange(len(fibers)) // n]
+    members = (fibers[:, :, None] * q3 + planes[:, None]).reshape(len(fibers), -1)
+    # vertex (x, i) lies on fiber i and, in class s, on the clique of x's plane
+    plane_of = pcs.plane_of()
+    of = clique_of[:, np.arange(q + 1) * q + plane_of.T].reshape(n2 * q3, q + 1)
+    fiber_family = np.arange(n2 * q3).reshape(n2, q3), np.arange(n2).repeat(q3)[:, None]
+    bits = _clique_bits(n2 * q3, [fiber_family, (members, of)])
     points = [str(decode_point(point, q, 3)) for point in range(q3)]
-    labels = [f"{point}@{i}" for i in range(n * n) for point in points]
-    g = TlsGraph._adopt(np.packbits(a, axis=1), labels)
+    labels = [f"{point}@{i}" for i in range(n2) for point in points]
+    g = TlsGraph._adopt(bits, labels)
     g.q, g.n_sym, g.goa, g.pcs = q, n, goa, pcs
+    g.plane_of, g.members = _frozen(plane_of), _frozen(members)
     return g
 
 
@@ -173,31 +182,16 @@ def tls_structure(g: Graph, u: int) -> TlsStructure:
     """Split N(u) into the A_ij / B_i / C_i / R index sets."""
     if not isinstance(g, TlsGraph):
         raise NotATlsGraph("graph does not carry TLS construction metadata")
-    q = g.q
     x, m = g.vertex_of(u)
-    t_of = [g.pcs.plane_index_of(s, x) for s in range(q + 1)]
-    plane_copies = [set(g.plane_copy(s, t_of[s], m)) for s in range(q + 1)]
-    a_sets = {}
-    for i in range(q + 1):
-        for j in range(i + 1, q + 1):
-            a_sets[(i, j)] = tuple(sorted((plane_copies[i] & plane_copies[j]) - {u}))
-    b_sets = {}
-    for i in range(q + 1):
-        others = set()
-        for j in range(q + 1):
-            if j != i:
-                others |= plane_copies[j]
-        b_sets[i] = tuple(sorted(plane_copies[i] - others))
-    c_sets = {}
-    for i in range(q + 1):
-        sym = int(g.goa.row(i, t_of[i])[m])
-        clique = set(g.clique(i, t_of[i], sym))
-        c_sets[i] = tuple(sorted(clique - plane_copies[i]))
-    fiber = set(g.fiber(m))
-    union = set()
-    for s in plane_copies:
-        union |= s
-    r = tuple(sorted(fiber - union))
+    t_of = g.plane_of[:, x].tolist()
+    copies = [set(g.plane_copy(s, t, m)) for s, t in enumerate(t_of)]
+    a_sets = {(i, j): tuple(sorted((copies[i] & copies[j]) - {u}))
+              for i, j in combinations(range(g.q + 1), 2)}
+    b_sets = {i: tuple(sorted(c.difference(*copies[:i], *copies[i + 1 :])))
+              for i, c in enumerate(copies)}
+    c_sets = {i: tuple(sorted(set(g.clique(i, t, int(g.goa.row(i, t)[m]))) - copies[i]))
+              for i, t in enumerate(t_of)}
+    r = tuple(sorted(set(g.fiber(m)).difference(*copies)))
     return TlsStructure(u, a_sets, b_sets, c_sets, r)
 
 
@@ -205,7 +199,9 @@ def h_graph(d: Design) -> Graph:
     """Block graph plus all edges inside each resolution class."""
     if d.resolution is None:
         raise NotResolvable("design carries no resolution")
-    return Graph._adopt(_block_bits(d, d.resolution))
+    pencils, class_of = _pencils(d), np.empty((d.b, 1), dtype=np.intp)
+    class_of[d.resolution] = np.arange(len(d.resolution))[:, None, None]
+    return Graph._adopt(_clique_bits(d.b, [pencils, (d.resolution, class_of)]))
 
 
 def spread_modified(g: Graph, parts, mode: str) -> Graph:
@@ -233,15 +229,13 @@ def spread_modified(g: Graph, parts, mode: str) -> Graph:
 
 def tls_metadata(g: TlsGraph) -> dict:
     """Sidecar description of the cliques, fibers, and plane copies."""
-    planes = {}
-    for s in range(g.q + 1):
-        for t in range(g.q):
-            planes[f"{s},{t}"] = g.pcs.classes[s, t].tolist()
+    classes = g.pcs.classes.tolist()
+    planes = {f"{s},{t}": classes[s][t] for s in range(g.q + 1) for t in range(g.q)}
     return {
         "family": "tls",
         "q": g.q,
         "n": g.n_sym,
-        "cliques": [list(c) for _, c in g.all_cliques()],
+        "cliques": g.members.tolist(),
         "fibers": [list(g.fiber(i)) for i in range(g.n_sym**2)],
         "planes": planes,
     }

@@ -1,4 +1,6 @@
-"""Parallel plane classes in F_q^3, resolvable designs, block graphs.
+"""Parallel plane classes in F_q^3, resolvable designs, block graphs, and
+the one fill of every graph whose rows are unions of cliques, a block of
+rows at a time (`_clique_bits`), so no builder holds an n x n matrix.
 
 Points of F_q^d are encoded coordinate-major in base q (first coordinate
 most significant), using the canonical field order, so every derived
@@ -60,9 +62,12 @@ class ParallelClassSystem:
     def plane(self, a: int, b: int) -> np.ndarray:
         return self.classes[a, b]
 
-    def plane_index_of(self, a: int, point: int) -> int:
-        """Which plane of class a contains the point."""
-        return int(np.flatnonzero((self.classes[a] == point).any(axis=1))[0])
+    def plane_of(self) -> np.ndarray:
+        """The (q+1) x q^3 table of each point's plane in each class, for
+        classes that partition F_q^3 (a plane index < q fits in 16 bits)."""
+        table = np.empty((self.q + 1, self.q**3), dtype=np.uint16)
+        table[np.arange(self.q + 1)[:, None, None], self.classes] = np.arange(self.q)[:, None]
+        return table
 
     def __repr__(self):
         return f"ParallelClassSystem(q={self.q})"
@@ -115,9 +120,7 @@ def verify_parallel_classes(s: ParallelClassSystem) -> GeometryReport:
     if broken:
         return GeometryReport(False, tuple(
             GeometryFailure("partition", (a,), "class does not partition F_q^3") for a in broken))
-    # class, point: a plane index < q fits in 16 bits (classes holds q^4 integers)
-    plane_of = np.empty((q + 1, space), dtype=np.uint16)
-    plane_of[np.arange(q + 1)[:, None, None], s.classes] = np.arange(q)[:, None]
+    plane_of = s.plane_of()
     for size, kind, meet, expected in ((2, "pair", "P∩Q", q), (3, "triple", "P∩Q∩R", 1)):
         groups = np.array(list(combinations(range(q + 1), size)))
         codes = np.arange(len(groups))[:, None]
@@ -268,36 +271,38 @@ def design_one_factorization(m: int) -> Design:
 
 def block_graph(d: Design) -> Graph:
     """Blocks adjacent iff they share a point; requires a 2-(v,t,1) design."""
-    return Graph._adopt(_block_bits(d))
+    return Graph._adopt(_clique_bits(d.b, [_pencils(d)]))
 
 
-def _block_bits(d: Design, classes: np.ndarray | None = None) -> np.ndarray:
-    """`block_graph`'s packed rows, fresh for its caller to adopt, with
-    every pair of blocks inside a row of ``classes`` joined too (the
-    h-graph's resolution classes).  Each point lies on r = (v-1)/(t-1)
-    blocks (on all b if t = 1, when v <= 1), so the blocks through the
-    points are a v x r array, and the row of block B is the union of the
-    r-sets of B's t points: filled a block of rows at a time, each with
-    at most 2^14 such indices (or one row), and packed at once."""
+def _pencils(d: Design) -> tuple[np.ndarray, np.ndarray]:
+    """The points' pencils, a clique family of the blocks, once the design
+    is found linear: each point lies on r = (v-1)/(t-1) blocks (on all b
+    if t = 1, when v <= 1), so the pencils are a v x r array, and block
+    B's row is the union of the pencils of its t points."""
     _check_order(d.b)
     violation = d.pair_coverage_violation()
     if violation is not None:
         x, y, c = violation
         raise NotALinearDesign(f"pair ({x}, {y}) covered {c} times, expected 1")
-    bits = _packed_zeros(d.b)
-    pencils = d.by_point.reshape(d.v, d.b * d.t // d.v if d.v else 0)
-    if classes is not None:
-        class_of = np.empty(d.b, dtype=np.intp)
-        class_of[classes] = np.arange(len(classes))[:, None]
-    step = max(1, 2**14 // max(d.t * pencils.shape[1], 1))
-    for i in range(0, d.b, step):
-        rows = slice(i, min(i + step, d.b))
-        h = rows.stop - rows.start
-        block = np.zeros((h, d.b), dtype=bool)
-        block[np.arange(h)[:, None], pencils[d.blocks[rows]].reshape(h, -1)] = True
-        if classes is not None:
-            block[np.arange(h)[:, None], classes[class_of[rows]]] = True
-        block[np.arange(h), np.arange(rows.start, rows.stop)] = False
+    return d.by_point.reshape(d.v, d.b * d.t // d.v if d.v else 0), d.blocks
+
+
+def _clique_bits(n: int, families) -> np.ndarray:
+    """Fresh packed rows of the graph on n vertices whose row v is the
+    union of ``members[of[v]]`` over the families (members, of), less v:
+    ``members`` holds one row of vertices per clique, ``of`` one row of
+    clique ids per vertex.  Filled a block of rows at a time, each with
+    at most 2^14 such indices (or one row), and packed at once."""
+    bits = _packed_zeros(n)
+    width = sum(of.shape[1] * members.shape[1] for members, of in families)
+    step = max(1, 2**14 // max(width, 1))
+    for i in range(0, n, step):
+        rows = slice(i, min(i + step, n))
+        h = rows.stop - i
+        block = np.zeros((h, n), dtype=bool)
+        for members, of in families:
+            block[np.arange(h)[:, None], members[of[rows]].reshape(h, -1)] = True
+        block[np.arange(h), np.arange(i, rows.stop)] = False
         bits[rows] = np.packbits(block, axis=1)
     return bits
 

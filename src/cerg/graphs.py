@@ -7,15 +7,17 @@ n^2/8 bytes, checked once on construction (loop-free, symmetric) and
 then frozen.  `Graph.rows` unpacks a block of rows into a fresh boolean
 array, and every layer reads A that way (`_unpack`): queries, transforms,
 constructions and the graph6 codec work on packed rows or on one small
-block of unpacked rows at a time, so no n x n boolean matrix outlives a
-call.  `adjacency_matrix` exports a fresh int64 copy for integer
-arithmetic, and `regularity.powers` caches the exact powers of A on the
-graph.  Every degree fact (regularity, k, the edge count, tr A^2, the
-largest degree) reads one read-only degree vector, a popcount of the
-packed rows made on first use and kept on the graph, as a
-`geometry.Design` keeps its incidences read-only, sorted by point once.
-`Graph(a)` packs any square array-like; every builder in the package
-hands over the fresh packed rows it made, uncopied (`Graph._adopt`).
+block of unpacked rows at a time: no builder makes an n x n boolean
+matrix, and none outlives a call.  `adjacency_matrix` exports a fresh
+int64 copy for integer arithmetic, and `regularity.powers` caches the
+exact powers of A on the graph.  Every degree fact (regularity, k, the
+edge count, tr A^2, the largest degree) reads one read-only degree
+vector, a popcount of the packed rows a block at a time, made on first
+use and kept on the graph, as a `geometry.Design` keeps its incidences
+read-only, sorted by point once.  `Graph(a)` packs any square
+array-like; every builder in the package hands over the fresh packed
+rows it made, uncopied (`Graph._adopt`); graph6 is written a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -227,7 +229,10 @@ class Graph:
         """The degrees, read-only: one popcount of the packed rows, made
         on first use."""
         if self._degrees is None:
-            self._degrees = _frozen(_POPCOUNT[self.bits].sum(axis=1, dtype=np.int64))
+            degrees = np.empty(self.n, dtype=np.int64)
+            for b in _blocks(self.n):  # no lookup of all n^2/8 bytes at once
+                degrees[b] = _POPCOUNT[self.bits[b]].sum(axis=1)
+            self._degrees = _frozen(degrees)
         return self._degrees
 
     def degrees(self) -> list[int]:
@@ -340,7 +345,8 @@ def _groups(bits: np.ndarray) -> bytes:
     return (np.packbits(padded) + 63).tobytes()
 
 
-def graph6_bytes(g: Graph) -> bytes:
+def _graph6_chunks(g: Graph):
+    """The graph6 bytes of g, no newline, in pieces of a block of rows."""
     n = g.n
     if n <= 62:
         head = [n]
@@ -350,14 +356,18 @@ def graph6_bytes(g: Graph) -> bytes:
         raise ValueError("graph too large for the supported graph6 sizes")
     # the pairs i < j column by column: row j of A up to the diagonal, a
     # block of rows at a time; a block's last bits short of a group wait
-    out, carry = [bytes(v + 63 for v in head)], np.zeros(0, dtype=bool)
+    yield bytes(v + 63 for v in head)
+    carry = np.zeros(0, dtype=bool)
     for b in _blocks(n):
         bits = np.concatenate([carry, g.rows(b)[:, : b.stop][_lower(b, b.stop)]])
         cut = len(bits) - len(bits) % 6
-        out.append(_groups(bits[:cut]))
+        yield _groups(bits[:cut])
         carry = bits[cut:]
-    out.append(_groups(np.concatenate([carry, np.zeros(-len(carry) % 6, dtype=bool)])))
-    return b"".join(out)
+    yield _groups(np.concatenate([carry, np.zeros(-len(carry) % 6, dtype=bool)]))
+
+
+def graph6_bytes(g: Graph) -> bytes:
+    return b"".join(_graph6_chunks(g))
 
 
 def from_graph6_bytes(data: bytes) -> Graph:
@@ -413,8 +423,9 @@ def from_graph6_bytes(data: bytes) -> Graph:
 
 
 def write_graph6(g: Graph, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(graph6_bytes(g) + b"\n")
+    with open(path, "wb") as fh:  # one block's bytes at a time
+        fh.writelines(_graph6_chunks(g))
+        fh.write(b"\n")
 
 
 def read_graph6(path) -> Graph:

@@ -292,21 +292,22 @@ def test_certify_tls22(tls22):
 def test_one_graph_is_row_summed_once_across_its_checks(tls22, monkeypatch):
     """profile, the strong and weak checks, level, certify and
     eq1_residual read every degree fact from the graph's one degree
-    vector: of all their work, one full pass over A's packed rows for
-    degrees."""
+    vector: of all their work, one pass over A's packed rows for
+    degrees, a popcount lookup of one block of rows at a time."""
     from cerg import graphs
 
     g = tls(2, 2)  # fresh: nothing derived yet
-    passes = []
+    rows = g.bits
+    passes, looked_up = [], []
 
     class Counted(np.ndarray):
         """A view of A's packed rows that records the reads made of the
         whole of them, and the popcount table that records the lookups
-        of them; slices of the rows are other objects."""
+        of blocks of them, by the rows each block holds."""
 
         def __getitem__(self, index):
-            if index is g.bits:
-                passes.append("popcount")
+            if isinstance(index, np.ndarray) and np.shares_memory(index, rows):
+                looked_up.append(len(index))
             return np.asarray(super().__getitem__(index))
 
         def __array_function__(self, func, types, args, kwargs):
@@ -320,12 +321,13 @@ def test_one_graph_is_row_summed_once_across_its_checks(tls22, monkeypatch):
             inputs = [np.asarray(arg) for arg in inputs]
             return getattr(ufunc, method)(*inputs, **kwargs)
 
-    g.bits = g.bits.view(Counted)
+    g.bits = rows.view(Counted)
     monkeypatch.setattr(graphs, "_POPCOUNT", graphs._POPCOUNT.view(Counted))
+    monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", 2**8)  # blocks of 8 of the 32 rows
     reports = [profile(g), strong_co_edge_regular(g), weak_edge_regular(g), level(g)]
     cert = certify(g, TLS22_CLAIM)
     reports += [cert, eq1_residual(g, cert)]
-    assert passes == ["popcount"]
+    assert passes == [] and looked_up == [8] * 4
     cert = certify(tls22, TLS22_CLAIM)
     assert reports == [profile(tls22), strong_co_edge_regular(tls22), weak_edge_regular(tls22),
                        level(tls22), cert, eq1_residual(tls22, cert)]
