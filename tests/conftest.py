@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cerg import (
@@ -64,22 +63,6 @@ def triangle_count(g):
     for x, y in g.edges():
         total += len(nbrs[x] & nbrs[y])
     return total // 3
-
-
-def dense_block_graph(d, classes=()):
-    """Packed rows of the block graph from the whole b x b boolean
-    matrix: each point's blocks, gathered block by block in Python (not
-    from `Design.by_point`), are joined by one `np.ix_` write, and so is
-    each row of ``classes`` (the h-graph's resolution classes)."""
-    pencils = [[] for _ in range(d.v)]
-    for i, block in enumerate(d.blocks.tolist()):
-        for x in block:
-            pencils[x].append(i)
-    a = np.zeros((d.b, d.b), dtype=bool)
-    for group in [*pencils, *classes]:
-        a[np.ix_(group, group)] = True
-    np.fill_diagonal(a, False)
-    return np.packbits(a, axis=1)
 
 
 def petersen():

@@ -5,9 +5,8 @@ a block at a time from their cliques (`geometry._clique_bits`).  The
 references below build the whole n x n boolean matrix the way the
 builders once did: LS_m(n) as an OR of symbol equalities, TLS(q, n) as
 fibre blocks (`np.kron`) plus one `np.ix_` write per clique, a block
-graph as one `np.ix_` write per point's pencil (`conftest`).  The packed rows, the
-labels and the TLS sidecar must match them exactly.  The cases past
-n = 6125 are marked `slow`, deselected by default: `pytest -m slow`.
+graph as one `np.ix_` write per point's pencil.  The packed rows, the
+labels and the TLS sidecar must match them exactly.
 """
 
 import json
@@ -34,7 +33,6 @@ from cerg.geometry import (
     parallel_classes,
 )
 from cerg.graphs import read_graph6
-from conftest import dense_block_graph
 
 
 def dense_latin_square(oa, m):
@@ -72,17 +70,30 @@ def dense_tls(q, n, goa=None):
     return np.packbits(a, axis=1), labels, meta
 
 
+def dense_block_graph(d, classes=()):
+    """Packed rows of the block graph from the whole b x b boolean
+    matrix: each point's blocks, gathered block by block in Python (not
+    from `Design.by_point`), are joined by one `np.ix_` write, and so is
+    each row of ``classes`` (the h-graph's resolution classes)."""
+    pencils = [[] for _ in range(d.v)]
+    for i, block in enumerate(d.blocks.tolist()):
+        for x in block:
+            pencils[x].append(i)
+    a = np.zeros((d.b, d.b), dtype=bool)
+    for group in [*pencils, *classes]:
+        a[np.ix_(group, group)] = True
+    np.fill_diagonal(a, False)
+    return np.packbits(a, axis=1)
+
+
 def check_tls(g, want):
     bits, labels, meta = want
     assert np.array_equal(g.bits, bits) and g.labels == labels
     assert json.dumps(tls_metadata(g)) == json.dumps(meta)
 
 
-SLOW = pytest.mark.slow
-
 TLS_SIZES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5),
-             (3, 7), (4, 4), (4, 5), (4, 7), (5, 5), (5, 7),
-             pytest.param(7, 7, marks=SLOW)]
+             (3, 7), (4, 4), (4, 5), (4, 7), (5, 5), (5, 7)]
 
 
 @pytest.mark.parametrize("q, n", TLS_SIZES)
@@ -91,7 +102,7 @@ def test_tls_matches_the_dense_reference(q, n):
 
 
 LS_SIZES = [(n, m) for n in (2, 3, 4, 5, 7, 8, 9, 12, 16, 20, 35) for m in range(1, 7)
-            if m <= oa_macneish(n).t] + [pytest.param(113, 20, marks=SLOW)]
+            if m <= oa_macneish(n).t]
 
 
 @pytest.mark.parametrize("n, m", LS_SIZES)
@@ -117,7 +128,6 @@ def test_latin_square_graph_of_unbalanced_rows_matches_the_dense_reference():
 DESIGNS = {
     **{f"AG({d},2)": (2, d) for d in (2, 3, 4, 5)},
     "AG(2,3)": (3, 2), "AG(2,4)": (4, 2), "AG(3,3)": (3, 3),
-    "AG(2,128)": pytest.param((128, 2), marks=SLOW),
 }
 FACTORIZATIONS = range(4, 17, 2)
 
