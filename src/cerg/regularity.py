@@ -34,7 +34,10 @@ operand in its own float buffer; the reducers read in place or in row
 slices, with no whole-tile temporary, and unpack A's rows a slice at a
 time.  No float or boolean copy of A is kept: a product unpacks it one
 panel at a time, a block of whole rows, since A is symmetric; so the
-equitable check reads A P as (P^T A)^T.
+equitable check reads A P as (P^T A)^T.  The scheme check is tiled
+the same way: a row tile of every relation is unpacked at a time, and
+each A_i A_j is formed a row tile at a time, by relation j's packed
+rows, with no n x n array.
 
 Reports carry exact values as they are, `Fraction`s and tuples; one
 `json` hook, `jsonable`, writes every exact rational of every report as
@@ -45,12 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .graphs import (
-    CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, _frozen, _is_int, _unpack, check_parts
+    _POPCOUNT, CheckFailed, Graph, PartitionInvalid, VertexOutOfRange, _frozen, _is_int, _unpack,
+    check_parts,
 )
 
 
@@ -843,7 +846,14 @@ class AssociationSchemeReport:
 
 def scheme_check(relations) -> AssociationSchemeReport:
     """Verify the symmetric association scheme axioms by exhaustive
-    counting; relation 0 is the implicit identity."""
+    counting; relation 0 is the implicit identity.
+
+    Each `_row_tiles` slice unpacks every relation's rows once, stacked,
+    and one `exact_matmul` per j forms its rows of A_1 A_j, ..., A_j A_j,
+    so A_j is unpacked once a slice.  Each p_ij^h (1 <= i <= j) is folded
+    into its first least and first greatest value on relation h, in
+    row-major order (`_extremes`); the witness is the first non-constant
+    (i, j, h) in sorted order."""
     if not relations:
         raise NotAPartition("no relations supplied")
     n = relations[0].n
@@ -851,38 +861,39 @@ def scheme_check(relations) -> AssociationSchemeReport:
         raise NotAPartition("relations live on different vertex sets")
     if any(r.edge_count() == 0 for r in relations):
         raise NotAPartition("relations must be non-empty")
-    mats = [np.eye(n, dtype=bool)] + [r.rows(slice(None)) for r in relations]
-    # no gap, and no overlap: n^2 entries in all
-    if not reduce(np.logical_or, mats).all() or sum(map(np.count_nonzero, mats)) != n * n:
+    union = relations[0].bits.copy()
+    for r in relations[1:]:
+        union |= r.bits
+    # no gap, and no overlap: each pair x != y in one relation (none has a loop)
+    pairs = n * (n - 1) // 2
+    if int(_POPCOUNT[union].sum()) != 2 * pairs or sum(r.edge_count() for r in relations) != pairs:
         raise NotAPartition("identity plus relations do not partition X x X")
     d = len(relations)
-    table = {}
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            # relation 0 is I, and I M = M
-            prod = mats[j] if i == 0 else exact_matmul(mats[i], relations[j - 1].bits)
-            for h in range(d + 1):
-                vals = prod[mats[h]]
-                if vals.size == 0:
-                    continue
-                if int(vals.min()) != int(vals.max()):
-                    pos = np.argwhere(mats[h])
-                    flat_lo = int(np.argmin(vals))
-                    flat_hi = int(np.argmax(vals))
-                    return AssociationSchemeReport(
-                        False,
-                        d,
-                        None,
-                        witness={
-                            "i": i,
-                            "j": j,
-                            "h": h,
-                            "pair": tuple(int(v) for v in pos[flat_lo]),
-                            "count": int(vals[flat_lo]),
-                            "other_pair": tuple(int(v) for v in pos[flat_hi]),
-                            "other_count": int(vals[flat_hi]),
-                        },
-                    )
-                table[(i, j, h)] = int(vals[0])
-                table[(j, i, h)] = int(vals[0])
+    ext = {}  # (i, j, h) -> `_extremes` of p_ij^h, each position x * n + y
+    for rows in _row_tiles(n, n):
+        x0, t = rows.start, rows.stop - rows.start
+        masks = _unpack(np.concatenate([r.bits[rows] for r in relations]), n)
+        for j in range(1, d + 1):
+            prod = exact_matmul(masks[: j * t], relations[j - 1].bits)  # A_1 A_j, ..., A_j A_j
+            for i in range(1, j + 1):
+                block = prod[(i - 1) * t : i * t]
+                for h in range(d + 1):
+                    if h:  # the k-th value's position x * n + y
+                        mask = masks[(h - 1) * t : h * t]
+                        vals, at = block[mask], lambda k: x0 * n + int(np.flatnonzero(mask)[k])
+                    else:  # the pairs (x, x)
+                        vals, at = block.diagonal(x0), lambda k: (x0 + k) * (n + 1)
+                    if vals.size:
+                        ext[i, j, h] = _extremes(ext.get((i, j, h)), vals.min(), vals.max(),
+                                                 lambda v: at(int((vals == v).argmax())))
+            del prod
+    table = {}  # I M = M: p_0j^h = p_j0^h = [j == h]
+    for j, h in np.ndindex(d + 1, d + 1):
+        table[0, j, h] = table[j, 0, h] = int(j == h)
+    for (i, j, h), ((lo, lo_at), (hi, hi_at)) in sorted(ext.items()):
+        if lo != hi:
+            witness = {"i": i, "j": j, "h": h, "pair": divmod(lo_at, n), "count": lo,
+                       "other_pair": divmod(hi_at, n), "other_count": hi}
+            return AssociationSchemeReport(False, d, None, witness)
+        table[i, j, h] = table[j, i, h] = lo
     return AssociationSchemeReport(True, d, table)
